@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InputError, ParseError
+from .receiver import default_hidden
 
 WAVEFORM_MAGIC = b"UWAW"
 WAVEFORM_VERSION = 1
@@ -107,7 +108,6 @@ class ComplexityReport:
     multiplications: int
     nonlinear_activations: int
     total: int = field(default=None)  # filled from the other three
-    formula_mismatch: bool = False
 
     def __post_init__(self):
         expected = self.additions + self.multiplications + self.nonlinear_activations
@@ -204,12 +204,6 @@ def mf_op_count(n1: int) -> ComplexityReport:
     return ComplexityReport(add, mul, 0)
 
 
-def default_hidden_sizes(n1: int) -> list[int]:
-    """Hidden layout [N1, 7*N1/8] used throughout; reproduces the published
-    ADD and NAV counts exactly."""
-    return [n1, (7 * n1) // 8]
-
-
 def dnn_op_count(n1: int, hidden=None) -> ComplexityReport:
     """Fully-connected forward-pass cost: one output neuron after `hidden`.
 
@@ -219,7 +213,7 @@ def dnn_op_count(n1: int, hidden=None) -> ComplexityReport:
     if n1 < 1:
         raise ConfigurationError(f"N1={n1} must be >= 1")
     if hidden is None:
-        hidden = default_hidden_sizes(n1)
+        hidden = default_hidden(n1)
     hidden = list(hidden)
     if not hidden:
         raise ConfigurationError("hidden layer list must be nonempty")

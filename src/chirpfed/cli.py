@@ -168,9 +168,8 @@ def cmd_bound(args) -> int:
 
 def _clean_received_symbol(bit, params, sto, speed):
     """Noise-free impaired symbol at the downsampled rate."""
-    tx = chirp_mod.generate_chirp(params, "down" if bit else "up")
-    w = tx
-    alpha = speed / 1500.0
+    w = chirp_mod.generate_chirp(params, "down" if bit else "up")
+    alpha = channel_mod.ImpairmentSpec(rel_speed=speed).alpha_dop
     if alpha:
         w = channel_mod.apply_doppler(w, alpha)
     if sto:
@@ -211,9 +210,7 @@ def _wilson_half_width(ber, trials):
         return 0.0
     z = 1.959963984540054
     denom = 1 + z * z / trials
-    center = (ber + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(ber * (1 - ber) / trials + z * z / (4 * trials ** 2)) / denom
-    return half
+    return z * math.sqrt(ber * (1 - ber) / trials + z * z / (4 * trials ** 2)) / denom
 
 
 def cmd_ber_sweep(args) -> int:

@@ -1,16 +1,16 @@
 """Federated meta-learning rounds with random scheduling.
 
-Each communication round: broadcast the global parameters, run T0 local
-MAML (or FedAvg) steps per node, uniformly schedule N of K nodes, mark each
-scheduled node's upload successful with probability p_decode, and aggregate
-the successful updates weighted by local data size (weights renormalized
-over the successful set so the aggregate stays a convex combination).
+Each communication round: broadcast the global parameters, uniformly
+schedule N of K nodes, run T0 local MAML (or FedAvg) steps on the scheduled
+nodes only, mark each upload successful with probability p_decode, and
+aggregate the successful flat parameter vectors weighted by local data size
+(weights renormalized over the successful set so the aggregate stays a
+convex combination).
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,8 +169,7 @@ def evaluate(theta: MlpParams, nodes, alpha: float):
     for node in nodes:
         w = node.data_size / total
         acc += w * (1.0 - receiver.ber_eval(theta, node.test_split))
-        phi = theta.from_flat(
-            theta.to_flat() - alpha * receiver.grad(theta, node.train_split))
+        phi = receiver.sgd_step(theta, node.train_split, alpha)
         adapted += w * (1.0 - receiver.ber_eval(phi, node.test_split))
     return acc, adapted
 
@@ -178,8 +177,9 @@ def evaluate(theta: MlpParams, nodes, alpha: float):
 def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     """Execute cfg.rounds communication rounds; returns (logs, final params).
 
-    mode 'fml' runs MAML local steps, 'fl' runs the FedAvg baseline with the
-    inner rate alpha as its local learning rate.
+    The schedule is drawn before the local steps, which run on the N
+    scheduled nodes only.  mode 'fml' runs MAML local steps, 'fl' runs the
+    FedAvg baseline with the inner rate alpha as its local learning rate.
     """
     if mode not in ("fml", "fl"):
         raise ConfigurationError(f"mode must be 'fml' or 'fl', got {mode!r}")
@@ -191,11 +191,15 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     theta = nodes[0].theta
     logs = []
     for t in range(cfg.rounds):
-        updates = []
         losses = []
         for node in nodes:
             node.theta = theta
             losses.append(receiver.loss(theta, node.train_split))
+        # schedule() draws positions into the node list; logs carry node ids
+        positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng)
+        updates = []
+        for pos in positions:
+            node = nodes[pos]
             try:
                 if mode == "fml":
                     new = local_maml_step(node, cfg.alpha, cfg.beta, cfg.T0, cfg.mode)
@@ -203,35 +207,14 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
                     new = local_fedavg_step(node, cfg.alpha, cfg.T0)
             except TrainingError as exc:
                 raise TrainingError(str(exc), round_index=t) from exc
-            updates.append(new)
-        # schedule() draws positions into the node list; logs carry node ids
-        positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng)
+            updates.append((new.to_flat(), node.data_size, u[pos]))
         scheduled = tuple(nodes[pos].id for pos in positions)
         successful = tuple(nodes[pos].id for pos in positions if u[pos])
         try:
-            flat = aggregate([(updates[i].to_flat(), nodes[i].data_size, u[i])
-                              for i in range(len(nodes))])
-            theta = theta.from_flat(flat)
+            theta = theta.from_flat(aggregate(updates))
         except EmptyRoundError:
             pass  # keep previous global parameters
         test_acc, adapted_acc = evaluate(theta, nodes, cfg.alpha)
         logs.append(RoundLog(t, scheduled, successful,
                              float(np.mean(losses)), test_acc, adapted_acc))
     return logs, theta
-
-
-def write_round_logs(path, logs) -> None:
-    """CSV export: ids are semicolon-separated within their columns."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["round", "scheduled", "successful",
-                         "train_loss", "test_acc", "adapted_acc"])
-        for log in logs:
-            writer.writerow([
-                log.round_index,
-                ";".join(str(i) for i in log.scheduled),
-                ";".join(str(i) for i in log.successful),
-                f"{log.train_loss:.10g}",
-                f"{log.test_acc:.10g}",
-                f"{log.adapted_acc:.10g}",
-            ])

@@ -10,73 +10,86 @@ derivative of ReLU at its kink is taken as zero.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, ParseError
+from .errors import ConfigurationError, InputError, ParseError, TrainingError
 
 CHECKPOINT_MAGIC = b"CDNN"
 CHECKPOINT_VERSION = 1
 
 
 def default_hidden(n1: int) -> tuple[int, int]:
-    """h1 = N1, h2 = floor(7*N1/8)."""
+    """h1 = N1, h2 = floor(7*N1/8); reproduces the published ADD and NAV counts."""
     return n1, (7 * n1) // 8
 
 
-@dataclass(frozen=True)
-class MlpParams:
-    """Per-layer weight matrices (out, in) and bias vectors.
+def _n_params(sizes) -> int:
+    return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
 
-    The canonical flat ordering is layer-major: W1, b1, W2, b2, W3, b3.
+
+def _views(sizes, flat) -> list:
+    """W1, b1, W2, b2, W3, b3 as views into a flat vector laid out for `sizes`."""
+    shapes = [s for a, b in zip(sizes[:-1], sizes[1:]) for s in ((b, a), (b,))]
+    ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    return [part.reshape(s) for part, s in zip(np.split(flat, ends), shapes)]
+
+
+def _wrap(sizes, flat) -> "MlpParams":
+    """Parameters owning `flat`, made read-only, without copying or checking it."""
+    p = object.__new__(MlpParams)
+    flat.flags.writeable = False
+    p._sizes, p._flat = tuple(int(s) for s in sizes), flat
+    views = _views(p._sizes, flat)
+    p.weights, p.biases = tuple(views[0::2]), tuple(views[1::2])
+    return p
+
+
+class MlpParams:
+    """Network parameters: one read-only float64 vector in layer-major order
+    W1, b1, W2, b2, W3, b3, the checkpoint order.  `weights` (out, in) and
+    `biases` are views into it; `grad` and `hvp` return the same layout.
     """
 
-    weights: tuple
-    biases: tuple
-
-    def __post_init__(self):
-        if len(self.weights) != 3 or len(self.biases) != 3:
+    def __new__(cls, weights, biases):
+        if len(weights) != 3 or len(biases) != 3:
             raise ConfigurationError("expected exactly three computing layers")
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.size:
-                raise ConfigurationError("weight/bias shape mismatch")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ConfigurationError("parameters contain non-finite values")
-        for prev, nxt in zip(self.weights[:-1], self.weights[1:]):
-            if nxt.shape[1] != prev.shape[0]:
-                raise ConfigurationError("consecutive layer dimensions incompatible")
-        if self.weights[2].shape[0] != 1:
+        if any(np.ndim(w) != 2 for w in weights):
+            raise ConfigurationError("weights must be (out, in) matrices")
+        sizes = [np.shape(weights[0])[1]] + [np.shape(w)[0] for w in weights]
+        if sizes[-1] != 1:
             raise ConfigurationError("output layer must have exactly one neuron")
+        flat = np.empty(_n_params(sizes))
+        parts = [a for wb in zip(weights, biases) for a in wb]
+        for view, part in zip(_views(sizes, flat), parts):
+            if np.shape(part) != view.shape:
+                raise ConfigurationError(f"layer shapes do not chain as {sizes}")
+            view[...] = part
+        if not np.all(np.isfinite(flat)):
+            raise ConfigurationError("parameters contain non-finite values")
+        return _wrap(sizes, flat)
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        return list(self._sizes)
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self._flat.size
 
     def to_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        """The parameter vector itself: read-only, not a copy."""
+        return self._flat
 
     def from_flat(self, flat: np.ndarray) -> "MlpParams":
-        """New parameters with the same shapes, values taken from `flat`."""
-        flat = np.asarray(flat, dtype=np.float64)
+        """New parameters with the same shapes, values copied from `flat`."""
+        flat = np.array(flat, dtype=np.float64)
         if flat.size != self.n_params:
             raise InputError(f"expected {self.n_params} values, got {flat.size}")
-        weights, biases, off = [], [], 0
-        for w, b in zip(self.weights, self.biases):
-            weights.append(flat[off: off + w.size].reshape(w.shape).copy())
-            off += w.size
-            biases.append(flat[off: off + b.size].copy())
-            off += b.size
-        return MlpParams(tuple(weights), tuple(biases))
+        return _wrap(self._sizes, flat)
 
 
 @dataclass(frozen=True)
@@ -106,12 +119,11 @@ def init_params(layer_sizes, rng) -> MlpParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     if len(layer_sizes) != 4 or layer_sizes[-1] != 1:
         raise ConfigurationError(f"layer_sizes must be [N1, h1, h2, 1], got {layer_sizes}")
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-lim, lim, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(tuple(weights), tuple(biases))
+    flat = np.zeros(_n_params(layer_sizes))
+    for w in _views(layer_sizes, flat)[0::2]:
+        lim = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-lim, lim, size=w.shape)
+    return _wrap(layer_sizes, flat)
 
 
 def _sigmoid(z):
@@ -170,16 +182,17 @@ def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:
     n = y.size
     d_out = 2.0 * (out - y) / n
     d3 = d_out * out * (1.0 - out)
-    g_w3 = d3[None, :] @ a2
-    g_b3 = np.array([d3.sum()])
     d2 = (d3[:, None] * w3) * (z2 > 0)
-    g_w2 = d2.T @ a1
-    g_b2 = d2.sum(axis=0)
     d1 = (d2 @ w2) * (z1 > 0)
-    g_w1 = d1.T @ x
-    g_b1 = d1.sum(axis=0)
-    return np.concatenate([g_w1.ravel(), g_b1, g_w2.ravel(), g_b2,
-                           g_w3.ravel(), g_b3])
+    g = np.empty(p.n_params)
+    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = _views(p._sizes, g)
+    np.matmul(d3[None, :], a2, out=g_w3)
+    g_b3[0] = d3.sum()
+    np.matmul(d2.T, a1, out=g_w2)
+    d2.sum(axis=0, out=g_b2)
+    np.matmul(d1.T, x, out=g_w1)
+    d1.sum(axis=0, out=g_b1)
+    return g
 
 
 def hvp(p: MlpParams, batch: LabeledBatch, v: np.ndarray) -> np.ndarray:
@@ -189,9 +202,7 @@ def hvp(p: MlpParams, batch: LabeledBatch, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size != p.n_params:
         raise InputError(f"tangent has {v.size} entries, expected {p.n_params}")
-    vp = p.from_flat(v)
-    v1, v2, v3 = vp.weights
-    c1, c2, c3 = vp.biases
+    v1, c1, v2, c2, v3, c3 = _views(p._sizes, v)
     x, y = batch.inputs, batch.labels
     w1, w2, w3 = p.weights
     z1, a1, z2, a2, z3, out = _forward_pass(p, x)
@@ -218,14 +229,15 @@ def hvp(p: MlpParams, batch: LabeledBatch, v: np.ndarray) -> np.ndarray:
     d1 = (d2 @ w2) * m1
     r_d1 = (d2 @ v2 + r_d2 @ w2) * m1
 
-    rg_w3 = r_d3[None, :] @ a2 + d3[None, :] @ ra2
-    rg_b3 = np.array([r_d3.sum()])
-    rg_w2 = r_d2.T @ a1 + d2.T @ ra1
-    rg_b2 = r_d2.sum(axis=0)
-    rg_w1 = r_d1.T @ x
-    rg_b1 = r_d1.sum(axis=0)
-    return np.concatenate([rg_w1.ravel(), rg_b1, rg_w2.ravel(), rg_b2,
-                           rg_w3.ravel(), rg_b3])
+    hv = np.empty(p.n_params)
+    rg_w1, rg_b1, rg_w2, rg_b2, rg_w3, rg_b3 = _views(p._sizes, hv)
+    np.add(r_d3[None, :] @ a2, d3[None, :] @ ra2, out=rg_w3)
+    rg_b3[0] = r_d3.sum()
+    np.add(r_d2.T @ a1, d2.T @ ra1, out=rg_w2)
+    r_d2.sum(axis=0, out=rg_b2)
+    np.matmul(r_d1.T, x, out=rg_w1)
+    r_d1.sum(axis=0, out=rg_b1)
+    return hv
 
 
 def detect(p: MlpParams, x) -> int:
@@ -249,10 +261,16 @@ def sgd_step(p: MlpParams, batch: LabeledBatch, lr: float) -> MlpParams:
     return p.from_flat(p.to_flat() - lr * grad(p, batch))
 
 
+class _Rows(LabeledBatch):
+    def __post_init__(self):
+        """Rows of an already validated batch: not validated again."""
+
+
 def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
-          batch_size: int, rng, adam: bool = True) -> MlpParams:
-    """Minibatch training loop; Adam by default, plain SGD otherwise."""
-    theta = p.to_flat()
+          batch_size: int, rng) -> MlpParams:
+    """Minibatch Adam; raises TrainingError if the parameters diverge."""
+    theta = p.to_flat().copy()
+    live = _wrap(p._sizes, theta.view())  # sees the in-place updates of theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -262,17 +280,17 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             sel = order[start: start + batch_size]
-            mb = LabeledBatch(batch.inputs[sel], batch.labels[sel])
-            g = grad(p.from_flat(theta), mb)
-            if adam:
-                t += 1
-                m = b1 * m + (1 - b1) * g
-                v = b2 * v + (1 - b2) * g * g
-                mh = m / (1 - b1 ** t)
-                vh = v / (1 - b2 ** t)
-                theta = theta - lr * mh / (np.sqrt(vh) + eps)
-            else:
-                theta = theta - lr * g
+            g = grad(live, _Rows(batch.inputs[sel], batch.labels[sel]))
+            t += 1
+            # in place, but rounded as b1*m + (1-b1)*g and b2*v + (1-b2)*g*g
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    # NaN and inf never turn finite again under these updates
+    if not np.all(np.isfinite(theta)):
+        raise TrainingError(f"training diverged within {epochs} epochs")
     return p.from_flat(theta)
 
 
@@ -296,16 +314,22 @@ def load_params(path) -> MlpParams:
         raise ParseError(f"bad magic {magic!r}", offset=0)
     if version != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported version {version}", offset=4)
-    off = head
+    if n_layers != 4:
+        raise ParseError(f"expected 4 layers, got {n_layers}", offset=6)
     try:
-        sizes = struct.unpack_from(f"<{n_layers}I", raw, off)
+        sizes = struct.unpack_from("<4I", raw, head)
     except struct.error:
-        raise ParseError("truncated layer-size table", offset=off) from None
-    off += 4 * n_layers
-    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+        raise ParseError("truncated layer-size table", offset=head) from None
+    if 0 in sizes:
+        raise ParseError("zero layer width", offset=head + 4 * sizes.index(0))
+    if sizes[-1] != 1:
+        raise ParseError(f"output width {sizes[-1]} is not 1", offset=head + 12)
+    off = head + 16
+    n_params = _n_params(sizes)
     if len(raw) < off + 8 * n_params:
         raise ParseError("truncated parameter payload", offset=len(raw))
     flat = np.frombuffer(raw, dtype="<f8", count=n_params, offset=off)
-    rng = np.random.default_rng(0)
-    template = init_params(list(sizes), rng)
-    return template.from_flat(flat)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise ParseError("non-finite parameter value", offset=off + 8 * int(bad[0]))
+    return _wrap(sizes, flat.astype(np.float64))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chirpfed.chirp import (ChirpParams, ComplexityReport, Waveform,
-                            default_hidden_sizes, dnn_op_count, downsample,
-                            generate_chirp, load_waveform,
+                            dnn_op_count, downsample, generate_chirp,
+                            load_waveform,
                             matched_filter_detect, matched_filter_detect_batch,
                             mf_op_count, modulate_frame, save_waveform,
                             symbol_templates)
@@ -239,7 +239,6 @@ def test_mf_op_count_values():
 
 
 def test_dnn_op_count_values():
-    assert default_hidden_sizes(160) == [160, 140]
     rep = dnn_op_count(160)
     assert rep.additions == 160 + 140 + 1 == 301
     assert rep.nonlinear_activations == 301

@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -120,6 +121,16 @@ def test_ber_sweep_two_detectors(tmp_path):
     assert len(data) == 6  # 3 SNRs x 2 detectors
 
 
+def test_ber_sweep_zero_width_checkpoint(tmp_path, capsys):
+    ckpt = tmp_path / "zero.cdnn"
+    ckpt.write_bytes(struct.pack("<4sHB4I", b"CDNN", 1, 4, 0, 0, 0, 1))
+    rc = run(["ber-sweep", "--seed", "0", "--trials", "10", "--detector",
+              "dnn", "--checkpoint", str(ckpt), "--out", str(tmp_path / "x.csv")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "zero layer width" in err and "Traceback" not in err
+
+
 def test_ber_sweep_dnn_requires_checkpoint(tmp_path):
     rc = run(["ber-sweep", "--seed", "0", "--trials", "10",
               "--detector", "dnn", "--out", str(tmp_path / "x.csv")])
@@ -144,6 +155,18 @@ def test_gen_data_and_train_single(tmp_path, capsys):
     assert p.layer_sizes[0] == 40  # 960 / 24
 
 
+def test_train_single_divergence_exit_code(tmp_path, capsys):
+    data_path = tmp_path / "node.uwds"
+    assert run(["gen-data", "--seed", "4", "--symbols", "60",
+                "--lambda", "24", "--out", str(data_path)]) == 0
+    with np.errstate(all="ignore"):
+        rc = run(["train-single", "--seed", "5", "--data", str(data_path),
+                  "--epochs", "2", "--lr", "1e300",
+                  "--out", str(tmp_path / "net.cdnn")])
+    assert rc == cli.EXIT_RUNTIME
+    assert "training error" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- run-fed
 
 def test_run_fed_single_round(tmp_path):
@@ -155,6 +178,17 @@ def test_run_fed_single_round(tmp_path):
     assert len(data) == 1
     assert header == ["round", "scheduled", "successful", "train_loss",
                       "test_acc", "adapted_acc"]
+
+
+def test_run_fed_two_nodes_id_join(tmp_path):
+    out = tmp_path / "fed2.csv"
+    assert run(["run-fed", "--seed", "6", "--rounds", "2", "--g", "1.0",
+                "--lambda", "24", "--symbols", "30", "--split", "0.5",
+                "--group", "count=2,snr=0:6", "--out", str(out)]) == 0
+    _, header, data = read_csv(out)
+    for row in data:
+        cols = dict(zip(header, row))
+        assert cols["scheduled"] == "0;1" and cols["successful"] == "0;1"
 
 
 def test_run_fed_default_hyperparameters():

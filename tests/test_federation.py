@@ -1,13 +1,11 @@
-import csv
-
 import numpy as np
 import pytest
 
+from chirpfed import federation
 from chirpfed.errors import ConfigurationError, EmptyRoundError
 from chirpfed.federation import (FmlConfig, NodeState, RoundLog, aggregate,
                                  evaluate, local_fedavg_step, local_maml_step,
-                                 maml_update, run_rounds, schedule,
-                                 write_round_logs)
+                                 maml_update, run_rounds, schedule)
 from chirpfed.receiver import (LabeledBatch, grad, hvp, init_params, loss,
                                sgd_step)
 
@@ -292,14 +290,21 @@ def test_evaluate_bounds_and_adaptation():
     assert 0.0 <= adapted <= 1.0
 
 
-def test_round_log_csv_export(tmp_path):
-    logs = [RoundLog(0, (1, 2), (2,), 0.3, 0.5, 0.6),
-            RoundLog(1, (0, 2), (0, 2), 0.2, 0.6, 0.7)]
-    path = tmp_path / "rounds.csv"
-    write_round_logs(path, logs)
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["round", "scheduled", "successful", "train_loss",
-                       "test_acc", "adapted_acc"]
-    assert rows[1][1] == "1;2" and rows[1][2] == "2"
-    assert float(rows[2][4]) == 0.6
+@pytest.mark.parametrize("mode, step", [("fml", "local_maml_step"),
+                                        ("fl", "local_fedavg_step")])
+def test_local_steps_only_on_scheduled_nodes(monkeypatch, mode, step):
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 70 + i, theta=theta) for i in range(6)]
+    cfg = FmlConfig(K=6, G=0.5, alpha=0.05, beta=0.05, rounds=4,
+                    p_decode=0.5, seed=2)
+    stepped = []
+    original = getattr(federation, step)
+
+    def counted(node, *args):
+        stepped.append(node.id)
+        return original(node, *args)
+
+    monkeypatch.setattr(federation, step, counted)
+    logs, _ = run_rounds(cfg, nodes, mode)
+    assert len(stepped) == cfg.N * cfg.rounds
+    assert stepped == [i for log in logs for i in log.scheduled]

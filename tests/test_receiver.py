@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chirpfed.errors import ConfigurationError, InputError, ParseError
+from chirpfed.errors import (ConfigurationError, InputError, ParseError,
+                             TrainingError)
 from chirpfed.receiver import (LabeledBatch, MlpParams, ber_eval,
                                default_hidden, detect, detect_batch, forward,
                                forward_batch, grad, hvp, init_params,
@@ -74,6 +77,26 @@ def test_flat_round_trip():
         assert np.array_equal(a, b)
     with pytest.raises(InputError):
         p.from_flat(np.zeros(p.n_params + 1))
+
+
+def test_flat_vector_is_the_only_storage():
+    p = random_net(np.random.default_rng(20))
+    flat = p.to_flat()
+    assert flat is p.to_flat()
+    for part in p.weights + p.biases:
+        assert np.shares_memory(flat, part)
+    with pytest.raises(ValueError):
+        flat[0] = 1.0
+    with pytest.raises(ValueError):
+        p.weights[0][0, 0] = 1.0
+
+
+def test_from_flat_copies_its_input():
+    p = random_net(np.random.default_rng(21))
+    v = p.to_flat() + 1.0
+    q = p.from_flat(v)
+    v[:] = 0.0
+    assert np.array_equal(q.to_flat(), p.to_flat() + 1.0)
 
 
 def test_batch_validation():
@@ -308,6 +331,14 @@ def test_train_loop_reduces_loss():
     assert ber_eval(p1, batch) < 0.1
 
 
+def test_train_divergence_is_a_training_error():
+    rng = np.random.default_rng(22)
+    p = init_params([3, 6, 5, 1], rng)
+    batch = random_batch(rng, 3, 32)
+    with np.errstate(all="ignore"), pytest.raises(TrainingError):
+        train(p, batch, epochs=3, lr=1e300, batch_size=8, rng=rng)
+
+
 # --------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip(tmp_path):
@@ -332,3 +363,40 @@ def test_checkpoint_errors(tmp_path):
     cut.write_bytes(good.read_bytes()[:-4])
     with pytest.raises(ParseError):
         load_params(cut)
+
+
+def checkpoint_bytes(sizes, payload=None):
+    n = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    if payload is None:
+        payload = np.zeros(n)
+    return (struct.pack("<4sHB", b"CDNN", 1, len(sizes))
+            + struct.pack(f"<{len(sizes)}I", *sizes)
+            + np.asarray(payload, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("sizes, offset", [
+    ([4, 3, 1], 6),             # layer count is not 4
+    ([4, 3, 3, 3, 1], 6),
+    ([4, 3, 3, 2], 19),         # output width is not 1
+    ([0, 0, 0, 1], 7),          # zero widths
+    ([3, 0, 0, 1], 11),
+    ([4, 3, 3, 0], 19),
+])
+def test_checkpoint_layout_rejected(tmp_path, sizes, offset):
+    path = tmp_path / "bad.cdnn"
+    path.write_bytes(checkpoint_bytes(sizes))
+    with pytest.raises(ParseError) as exc:
+        load_params(path)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_payload_rejected(tmp_path, value):
+    sizes = [4, 3, 3, 1]
+    payload = np.zeros(4 * 3 + 3 + 3 * 3 + 3 + 3 + 1)
+    payload[5] = value
+    path = tmp_path / "nan.cdnn"
+    path.write_bytes(checkpoint_bytes(sizes, payload))
+    with pytest.raises(ParseError) as exc:
+        load_params(path)
+    assert exc.value.offset == 7 + 16 + 8 * 5
