@@ -8,14 +8,14 @@ offset (fractional samples), and Doppler time scaling.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import hilbert
 
+from . import container
 from .chirp import Waveform
-from .errors import ConfigurationError, InputError, ParseError
+from .errors import ConfigurationError, InputError
 
 CIR_MAGIC = b"UWAC"
 CIR_VERSION = 1
@@ -89,6 +89,8 @@ class ChannelRealization:
             raise ConfigurationError("taps must be a nonempty (n_taps, n_time) matrix")
         if not np.all(np.isfinite(taps)):
             raise ConfigurationError("tap gains contain non-finite values")
+        if not (np.isfinite(self.Ts) and self.Ts > 0):
+            raise ConfigurationError(f"tap spacing Ts={self.Ts} must be finite and positive")
         object.__setattr__(self, "taps", taps)
 
     @property
@@ -232,6 +234,9 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
         raise ConfigurationError(
             f"tap spacing Ts={h.Ts} is not an integer number of samples at fs={x.fs}")
     step = int(round(step))
+    if 1 < h.n_time < n:
+        raise InputError(f"CIR has {h.n_time} time steps for {n} samples; "
+                         f"it needs 1 (static) or at least {n}")
     analytic = hilbert(x.samples)
     acc = np.zeros(n, dtype=np.complex128)
     for k in range(h.n_taps):
@@ -239,6 +244,7 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
         if d >= n:
             break
         gains = h.taps[k]
+        # a static CIR repeats its one column; a longer one is cut to n
         g = gains if gains.size == n else np.resize(gains, n)
         acc[d:] += g[d:] * analytic[: n - d]
     r = acc.real
@@ -256,55 +262,25 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
 
 
 def save_cir(path, h: ChannelRealization) -> None:
-    """Little-endian CIR container: header, length-prefixed metadata
-    key=value pairs, then tap-major interleaved f32 (re, im)."""
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sHIQd", CIR_MAGIC, CIR_VERSION,
-                            h.n_taps, h.n_time, h.Ts))
-        items = [f"{k}={v}" for k, v in sorted(h.meta.items())]
-        f.write(struct.pack("<H", len(items)))
-        for item in items:
-            raw = item.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-        inter = np.empty((h.n_taps, h.n_time, 2), dtype="<f4")
-        inter[..., 0] = h.taps.real
-        inter[..., 1] = h.taps.imag
-        f.write(inter.tobytes())
+    """Little-endian CIR container: header (u32 n_taps, u64 n_time, f64 Ts),
+    metadata key=value strings, then tap-major interleaved f32 (re, im)."""
+    inter = np.empty((h.n_taps, h.n_time, 2), dtype="<f4")
+    inter[..., 0] = h.taps.real
+    inter[..., 1] = h.taps.imag
+    container.save(path, CIR_MAGIC, CIR_VERSION,
+                   container.pack_fields("IQd", h.n_taps, h.n_time, h.Ts),
+                   container.pack_strings([f"{k}={v}" for k, v in sorted(h.meta.items())]),
+                   inter.tobytes())
 
 
 def load_cir(path) -> ChannelRealization:
-    with open(path, "rb") as f:
-        raw = f.read()
-    head_fmt = "<4sHIQd"
-    head_len = struct.calcsize(head_fmt)
-    if len(raw) < head_len:
-        raise ParseError("truncated CIR header", offset=len(raw))
-    magic, version, n_taps, n_time, ts = struct.unpack_from(head_fmt, raw)
-    if magic != CIR_MAGIC:
-        raise ParseError(f"bad magic {magic!r}", offset=0)
-    if version != CIR_VERSION:
-        raise ParseError(f"unsupported version {version}", offset=4)
-    off = head_len
-    try:
-        (n_items,) = struct.unpack_from("<H", raw, off)
-        off += 2
+    with container.Reader(path, CIR_MAGIC, CIR_VERSION) as r:
+        n_taps, n_time, ts = r.fields("IQd", "CIR header")
         meta = {}
-        for _ in range(n_items):
-            (ln,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            item = raw[off: off + ln].decode("utf-8")
-            if len(raw) < off + ln:
-                raise ParseError("truncated metadata", offset=off)
-            off += ln
+        for item in r.strings("metadata"):
             key, _, value = item.partition("=")
             meta[key] = value
-    except struct.error as exc:
-        raise ParseError(f"truncated metadata block: {exc}", offset=off) from None
-    need = off + 8 * n_taps * n_time
-    if len(raw) < need:
-        raise ParseError("truncated tap payload", offset=len(raw))
-    flat = np.frombuffer(raw, dtype="<f4", count=2 * n_taps * n_time, offset=off)
-    flat = flat.astype(np.float64).reshape(n_taps, n_time, 2)
-    taps = flat[..., 0] + 1j * flat[..., 1]
-    return ChannelRealization(taps, ts, meta)
+        flat = r.array("<f4", 2 * n_taps * n_time, "tap payload")
+        r.require(np.isfinite(flat), flat, "non-finite tap gain")
+        flat = flat.astype(np.float64).reshape(n_taps, n_time, 2)
+        return ChannelRealization(flat[..., 0] + 1j * flat[..., 1], ts, meta)

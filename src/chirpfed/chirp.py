@@ -8,16 +8,12 @@ frequency actually spans [f1, f2] in Hz.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, ParseError
+from .errors import ConfigurationError, InputError
 from .receiver import default_hidden
-
-WAVEFORM_MAGIC = b"UWAW"
-WAVEFORM_VERSION = 1
 
 # Default band.  fs is back-derived from the 960-samples-per-symbol operating
 # point at 10 ms symbols; the band itself sits comfortably below Nyquist.
@@ -50,8 +46,8 @@ class ChirpParams:
             raise ConfigurationError(
                 f"f2={self.f2} must sit below Nyquist fs/2={self.fs / 2}")
         n = self.T * self.fs
-        if abs(n - round(n)) > 1e-6:
-            raise ConfigurationError(f"T*fs={n} is not an integer sample count")
+        if abs(n - round(n)) > 1e-6 or round(n) < 1:
+            raise ConfigurationError(f"T*fs={n} is not a positive integer sample count")
         if not (isinstance(self.lam, (int, np.integer)) and self.lam >= 1):
             raise ConfigurationError(f"lam={self.lam} must be a positive integer")
         if round(n) % self.lam != 0:
@@ -221,29 +217,3 @@ def dnn_op_count(n1: int, hidden=None) -> ComplexityReport:
     add = sum(sizes[1:])
     mul = sum(a * b for a, b in zip(sizes[:-1], sizes[1:]))
     return ComplexityReport(add, mul, add)
-
-
-def save_waveform(path, w: Waveform) -> None:
-    """Little-endian container: magic, u16 version, u32 fs, u64 count, f32 data."""
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sHIQ", WAVEFORM_MAGIC, WAVEFORM_VERSION,
-                            int(round(w.fs)), len(w)))
-        f.write(w.samples.astype("<f4").tobytes())
-
-
-def load_waveform(path) -> Waveform:
-    with open(path, "rb") as f:
-        raw = f.read()
-    header = struct.calcsize("<4sHIQ")
-    if len(raw) < header:
-        raise ParseError("truncated waveform header", offset=len(raw))
-    magic, version, fs, count = struct.unpack_from("<4sHIQ", raw)
-    if magic != WAVEFORM_MAGIC:
-        raise ParseError(f"bad magic {magic!r}", offset=0)
-    if version != WAVEFORM_VERSION:
-        raise ParseError(f"unsupported version {version}", offset=4)
-    need = header + 4 * count
-    if len(raw) < need:
-        raise ParseError("truncated waveform payload", offset=len(raw))
-    samples = np.frombuffer(raw, dtype="<f4", count=count, offset=header)
-    return Waveform(samples.astype(np.float64), float(fs))

@@ -8,11 +8,11 @@ per symbol so the augmentation ranges are densely covered.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
+from . import container
 from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
                       apply_channel, identity_channel)
 from .chirp import ChirpParams, downsample, generate_chirp
@@ -51,8 +51,7 @@ class DatasetSpec:
         _check_range("snr", self.snr_db_range)
         _check_range("sto", self.sto_range)
         _check_range("speed", self.speed_range)
-        n_train = int(round(self.n_symbols * self.split))
-        if not 0 < n_train < self.n_symbols:
+        if not 0 < self.n_train < self.n_symbols:
             raise ConfigurationError(
                 f"split={self.split} leaves an empty train or test part")
         if self.channel_tag not in CHANNEL_TAGS:
@@ -137,14 +136,17 @@ def build_node_dataset(spec: DatasetSpec):
     # save/load round-trips are bit-identical
     samples = samples.astype(np.float32).astype(np.float64)
     tag_idx = np.full(n, CHANNEL_TAGS.index(spec.channel_tag), dtype=np.uint16)
-    tag_table = CHANNEL_TAGS
+    return _split(spec.n_train, samples, labels, snr, sto, speed, tag_idx,
+                  CHANNEL_TAGS)
 
-    def subset(sl):
+
+def _split(k, samples, labels, snr, sto, speed, tag_idx, tag_table):
+    """(train, test): the first k records, then the rest."""
+    def part(sl):
         return SymbolSet(LabeledBatch(samples[sl], labels[sl]),
                          snr[sl], sto[sl], speed[sl], tag_idx[sl], tag_table)
 
-    k = spec.n_train
-    return subset(slice(0, k)), subset(slice(k, n))
+    return part(slice(0, k)), part(slice(k, None))
 
 
 def _rayleigh_for_symbol(spec: DatasetSpec, duration: float, seed: int):
@@ -185,23 +187,18 @@ def shift_domain(spec: DatasetSpec, delta: DomainShift) -> DatasetSpec:
     return replace(spec, **changes) if changes else spec
 
 
-def _spec_to_json(spec: DatasetSpec, n_train: int) -> bytes:
+def _spec_to_json(spec: DatasetSpec, n_train: int) -> str:
     d = asdict(spec)
     d["chirp"] = asdict(spec.chirp)
     d["rayleigh"] = asdict(spec.rayleigh) if spec.rayleigh else None
-    d["snr_db_range"] = [_inf_str(v) for v in spec.snr_db_range]
+    d["snr_db_range"] = [str(float(v)) if np.isinf(v) else float(v)
+                         for v in spec.snr_db_range]
     d["n_train_records"] = n_train
-    return json.dumps(d, sort_keys=True).encode("utf-8")
+    return json.dumps(d, sort_keys=True)
 
 
-def _inf_str(v):
-    if np.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return float(v)
-
-
-def _spec_from_json(raw: bytes):
-    d = json.loads(raw.decode("utf-8"))
+def _spec_from_json(text: str):
+    d = dict(json.loads(text))  # TypeError or ValueError unless pairs
     n_train = d.pop("n_train_records")
     d["chirp"] = ChirpParams(**d["chirp"])
     if d["rayleigh"] is not None:
@@ -212,91 +209,48 @@ def _spec_from_json(raw: bytes):
     return DatasetSpec(**d), n_train
 
 
+def _record_dtype(n1: int) -> np.dtype:
+    """One packed dataset record: 4*n1 + 15 bytes."""
+    return np.dtype([("x", "<f4", (n1,)), ("label", "u1"), ("snr", "<f4"),
+                     ("sto", "<f4"), ("speed", "<f4"), ("tag", "<u2")])
+
+
 def save_dataset(path, train: SymbolSet, test: SymbolSet,
                  spec: DatasetSpec) -> None:
-    """Binary container: header, records (f32 samples, u8 label, f32 snr,
-    f32 sto, f32 speed, u16 tag id), tag table, then a JSON spec block."""
+    """Binary container: header (u32 n1, u64 record count, u16 lam), the
+    packed records of train then test, the tag table, then a
+    u32-length-prefixed JSON spec block."""
+    def columns(s):
+        return (s.batch.inputs, s.batch.labels, s.snr_db, s.sto_samples,
+                s.rel_speed, s.channel_tag)
+
     n1 = train.batch.inputs.shape[1]
-    sets = (train, test)
-    count = sum(len(s) for s in sets)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sHIQH", DATASET_MAGIC, DATASET_VERSION,
-                            n1, count, spec.chirp.lam))
-        for s in sets:
-            for i in range(len(s)):
-                f.write(s.batch.inputs[i].astype("<f4").tobytes())
-                f.write(struct.pack("<BfffH", int(s.batch.labels[i]),
-                                    s.snr_db[i], s.sto_samples[i],
-                                    s.rel_speed[i], s.channel_tag[i]))
-        f.write(struct.pack("<H", len(train.tag_table)))
-        for tag in train.tag_table:
-            raw = tag.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-        spec_raw = _spec_to_json(spec, len(train))
-        f.write(struct.pack("<I", len(spec_raw)))
-        f.write(spec_raw)
-
-
-def dataset_file_size(n_records: int, n1: int, tag_table, spec: DatasetSpec,
-                      n_train: int) -> int:
-    """Exact file size implied by the container layout."""
-    header = struct.calcsize("<4sHIQH")
-    record = 4 * n1 + struct.calcsize("<BfffH")
-    tags = 2 + sum(2 + len(t.encode("utf-8")) for t in tag_table)
-    spec_block = 4 + len(_spec_to_json(spec, n_train))
-    return header + n_records * record + tags + spec_block
+    rec = np.empty(len(train) + len(test), _record_dtype(n1))
+    for name, a, b in zip(rec.dtype.names, columns(train), columns(test)):
+        rec[name] = np.concatenate([a, b])
+    container.save(path, DATASET_MAGIC, DATASET_VERSION,
+                   container.pack_fields("IQH", n1, rec.size, spec.chirp.lam),
+                   rec.tobytes(), container.pack_strings(train.tag_table),
+                   container.pack_string(_spec_to_json(spec, len(train)), length="I"))
 
 
 def load_dataset(path):
     """Returns (train, test, spec); inverse of save_dataset."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    head_fmt = "<4sHIQH"
-    head_len = struct.calcsize(head_fmt)
-    if len(raw) < head_len:
-        raise ParseError("truncated dataset header", offset=len(raw))
-    magic, version, n1, count, lam = struct.unpack_from(head_fmt, raw)
-    if magic != DATASET_MAGIC:
-        raise ParseError(f"bad magic {magic!r}", offset=0)
-    if version != DATASET_VERSION:
-        raise ParseError(f"unsupported version {version}", offset=4)
-    off = head_len
-    record_tail = struct.calcsize("<BfffH")
-    samples = np.empty((count, n1))
-    labels = np.empty(count)
-    snr = np.empty(count, dtype=np.float32)
-    sto = np.empty(count, dtype=np.float32)
-    speed = np.empty(count, dtype=np.float32)
-    tag_idx = np.empty(count, dtype=np.uint16)
-    for i in range(count):
-        if len(raw) < off + 4 * n1 + record_tail:
-            raise ParseError(f"truncated record {i}", offset=off)
-        samples[i] = np.frombuffer(raw, dtype="<f4", count=n1, offset=off)
-        off += 4 * n1
-        label, s_db, s_sto, s_sp, tag = struct.unpack_from("<BfffH", raw, off)
-        off += record_tail
-        labels[i], snr[i], sto[i], speed[i], tag_idx[i] = label, s_db, s_sto, s_sp, tag
-    try:
-        (n_tags,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        tags = []
-        for _ in range(n_tags):
-            (ln,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            tags.append(raw[off: off + ln].decode("utf-8"))
-            off += ln
-        (spec_len,) = struct.unpack_from("<I", raw, off)
-        off += 4
-    except struct.error as exc:
-        raise ParseError(f"truncated trailer: {exc}", offset=off) from None
-    if len(raw) < off + spec_len:
-        raise ParseError("truncated spec block", offset=len(raw))
-    spec, n_train = _spec_from_json(raw[off: off + spec_len])
-    tag_table = tuple(tags)
-
-    def subset(sl):
-        return SymbolSet(LabeledBatch(samples[sl], labels[sl]),
-                         snr[sl], sto[sl], speed[sl], tag_idx[sl], tag_table)
-
-    return subset(slice(0, n_train)), subset(slice(n_train, count)), spec
+    with container.Reader(path, DATASET_MAGIC, DATASET_VERSION) as r:
+        n1, count, lam = r.fields("IQH", "dataset header")
+        head = r.mark
+        rec = r.array(_record_dtype(n1), count, "records")
+        tag_table = tuple(r.strings("tag table"))
+        spec, n_train = _spec_from_json(r.string("spec block", length="I"))
+        if (n1, lam) != (spec.chirp.n1, spec.chirp.lam):
+            raise ParseError(f"n1={n1}, lam={lam} disagree with the spec", offset=head)
+        if not 0 <= n_train <= count:
+            raise ParseError(f"{n_train} train records of {count}", offset=r.mark)
+        r.require(rec["tag"] < len(tag_table), rec["tag"], "tag index outside the tag table")
+        r.require(rec["label"] <= 1, rec["label"], "label is not a bit")
+        r.require(np.isfinite(rec["x"]), rec["x"], "non-finite sample")
+        train, test = _split(n_train, rec["x"].astype(np.float64),
+                             rec["label"].astype(np.float64),
+                             *(rec[k].astype(np.float32) for k in ("snr", "sto", "speed")),
+                             rec["tag"].astype(np.uint16), tag_table)
+    return train, test, spec

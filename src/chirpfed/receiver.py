@@ -11,11 +11,11 @@ derivative of ReLU at its kink is taken as zero.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .errors import ConfigurationError, InputError, ParseError, TrainingError
 
 CHECKPOINT_MAGIC = b"CDNN"
@@ -276,18 +276,20 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
     n = len(batch)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            sel = order[start: start + batch_size]
-            g = grad(live, _Rows(batch.inputs[sel], batch.labels[sel]))
-            t += 1
-            # in place, but rounded as b1*m + (1-b1)*g and b2*v + (1-b2)*g*g
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    # overflow on the way to divergence is caught by the check after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                sel = order[start: start + batch_size]
+                g = grad(live, _Rows(batch.inputs[sel], batch.labels[sel]))
+                t += 1
+                # in place, but rounded as b1*m + (1-b1)*g and b2*v + (1-b2)*g*g
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
     # NaN and inf never turn finite again under these updates
     if not np.all(np.isfinite(theta)):
         raise TrainingError(f"training diverged within {epochs} epochs")
@@ -297,39 +299,21 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
 def save_params(path, p: MlpParams) -> None:
     """Checkpoint: magic, u16 version, u8 layer count, u32 sizes, f64 data."""
     sizes = p.layer_sizes
-    with open(path, "wb") as f:
-        f.write(struct.pack("<4sHB", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(sizes)))
-        f.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        f.write(p.to_flat().astype("<f8").tobytes())
+    container.save(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                   container.pack_fields(f"B{len(sizes)}I", len(sizes), *sizes),
+                   p.to_flat().astype("<f8").tobytes())
 
 
 def load_params(path) -> MlpParams:
-    with open(path, "rb") as f:
-        raw = f.read()
-    head = struct.calcsize("<4sHB")
-    if len(raw) < head:
-        raise ParseError("truncated checkpoint header", offset=len(raw))
-    magic, version, n_layers = struct.unpack_from("<4sHB", raw)
-    if magic != CHECKPOINT_MAGIC:
-        raise ParseError(f"bad magic {magic!r}", offset=0)
-    if version != CHECKPOINT_VERSION:
-        raise ParseError(f"unsupported version {version}", offset=4)
-    if n_layers != 4:
-        raise ParseError(f"expected 4 layers, got {n_layers}", offset=6)
-    try:
-        sizes = struct.unpack_from("<4I", raw, head)
-    except struct.error:
-        raise ParseError("truncated layer-size table", offset=head) from None
-    if 0 in sizes:
-        raise ParseError("zero layer width", offset=head + 4 * sizes.index(0))
-    if sizes[-1] != 1:
-        raise ParseError(f"output width {sizes[-1]} is not 1", offset=head + 12)
-    off = head + 16
-    n_params = _n_params(sizes)
-    if len(raw) < off + 8 * n_params:
-        raise ParseError("truncated parameter payload", offset=len(raw))
-    flat = np.frombuffer(raw, dtype="<f8", count=n_params, offset=off)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise ParseError("non-finite parameter value", offset=off + 8 * int(bad[0]))
+    with container.Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as r:
+        (n_layers,) = r.fields("B", "layer count")
+        if n_layers != 4:
+            raise ParseError(f"expected 4 layers, got {n_layers}", offset=r.mark)
+        sizes = r.fields("4I", "layer-size table")
+        if 0 in sizes:
+            raise ParseError("zero layer width", offset=r.mark + 4 * sizes.index(0))
+        if sizes[-1] != 1:
+            raise ParseError(f"output width {sizes[-1]} is not 1", offset=r.mark + 12)
+        flat = r.array("<f8", _n_params(sizes), "parameter payload")
+        r.require(np.isfinite(flat), flat, "non-finite parameter value")
     return _wrap(sizes, flat.astype(np.float64))

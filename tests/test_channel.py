@@ -45,6 +45,9 @@ def test_channel_realization_validation():
         ChannelRealization(np.ones(3), 0.001)  # not 2-D
     with pytest.raises(ConfigurationError):
         ChannelRealization(np.array([[np.inf]]), 0.001)
+    for ts in (0.0, -0.001, np.nan, np.inf):
+        with pytest.raises(ConfigurationError):
+            ChannelRealization(np.ones((1, 1)), ts)
 
 
 # ------------------------------------------------------------- bell spectrum
@@ -234,6 +237,17 @@ def test_noise_determinism():
     c = apply_channel(w, h, imp, seed=6).samples
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_cir_shorter_than_signal_rejected():
+    # 1 < n_time < len(x) used to wrap the gains around cyclically
+    w = Waveform(np.ones(16), 6000.0)
+    short = ChannelRealization(np.ones((2, 5)), 1 / 6000.0)
+    with pytest.raises(InputError):
+        apply_channel(w, short, ImpairmentSpec(), seed=0)
+    for n_time in (1, 16, 20):  # static, exact and longer CIRs still apply
+        h = ChannelRealization(np.ones((2, n_time)), 1 / 6000.0)
+        assert len(apply_channel(w, h, ImpairmentSpec(), seed=0)) == 16
 
 
 def test_incompatible_tap_spacing():

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chirpfed.chirp import (ChirpParams, ComplexityReport, Waveform,
                             dnn_op_count, downsample, generate_chirp,
-                            load_waveform,
                             matched_filter_detect, matched_filter_detect_batch,
-                            mf_op_count, modulate_frame, save_waveform,
-                            symbol_templates)
-from chirpfed.errors import ConfigurationError, InputError, ParseError
+                            mf_op_count, modulate_frame, symbol_templates)
+from chirpfed.errors import ConfigurationError, InputError
 
 
 # ---------------------------------------------------------------- parameters
@@ -86,14 +84,26 @@ def test_energy_symmetry_default():
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(800, 4000), lo=st.floats(0.05, 0.2), width=st.floats(0.05, 0.2))
+@example(n=800, lo=0.05859375, width=0.125)
 def test_energy_symmetry_property(n, lo, width):
-    # random valid band (fractions of fs), long enough that the chirp edge
-    # terms stay below the 0.1% energy-symmetry tolerance
+    # Random valid band (fractions of fs).  The energy of s = cos(phi) is
+    # n/2 + (1/2) sum_k cos(2 phi_k), so |e1 - e2| / e1 is about
+    # |S_up - S_down| / n with S = sum_k exp(2i phi_k).  The phase step of
+    # 2 phi is delta = 4 pi f / fs, which stays away from 0 and 2 pi inside
+    # the band, so S has no stationary point.  Summation by parts writes
+    # each term as a difference of half-step neighbours over
+    # 2i sin(delta / 2); the sum telescopes to one edge term per end, of
+    # size at most 1 / (2 |sin(2 pi f / fs)|) at the end where the
+    # frequency is f, plus a remainder of the order of the sweep rate.  Both
+    # chirps start or end at f1 and f2, so |S_up - S_down| stays below
+    # 1 / |sin(2 pi f1 / fs)| + 1 / |sin(2 pi f2 / fs)|.  The example is the
+    # draw that broke the former fixed 1e-3 tolerance (1.35e-3 there).
     fs = 48000.0
     p = ChirpParams(f1=lo * fs, f2=(lo + width) * fs, T=n / fs, fs=fs)
     s1, s2 = symbol_templates(p)
     e1, e2 = np.sum(s1 ** 2), np.sum(s2 ** 2)
-    assert abs(e1 - e2) / e1 < 1e-3
+    bound = (1 / abs(np.sin(2 * np.pi * lo)) + 1 / abs(np.sin(2 * np.pi * (lo + width)))) / n
+    assert abs(e1 - e2) / e1 < bound
 
 
 def test_bad_direction_rejected():
@@ -266,36 +276,3 @@ def test_mf_count_formulas(n1):
     assert rep.additions == 2 * n1 - 1
     assert rep.multiplications == 2 * n1 * n1 - 2 * n1
     assert rep.total == rep.additions + rep.multiplications
-
-
-# ------------------------------------------------------------- serialization
-
-def test_waveform_round_trip(tmp_path):
-    w = generate_chirp(ChirpParams(), "up")
-    path = tmp_path / "sym.uwaw"
-    save_waveform(path, w)
-    back = load_waveform(path)
-    assert back.fs == w.fs
-    assert len(back) == len(w)
-    # storage is f32; a second round-trip is bit-identical
-    save_waveform(path, back)
-    again = load_waveform(path)
-    assert np.array_equal(again.samples, back.samples)
-    assert np.allclose(back.samples, w.samples, atol=1e-6)
-
-
-def test_waveform_bad_magic(tmp_path):
-    path = tmp_path / "bad.uwaw"
-    path.write_bytes(b"NOPE" + bytes(20))
-    with pytest.raises(ParseError):
-        load_waveform(path)
-
-
-def test_waveform_truncated(tmp_path):
-    good = tmp_path / "good.uwaw"
-    save_waveform(good, Waveform(np.ones(16), 100.0))
-    bad = tmp_path / "cut.uwaw"
-    bad.write_bytes(good.read_bytes()[:-8])
-    with pytest.raises(ParseError) as exc:
-        load_waveform(bad)
-    assert exc.value.offset is not None

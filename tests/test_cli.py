@@ -155,16 +155,28 @@ def test_gen_data_and_train_single(tmp_path, capsys):
     assert p.layer_sizes[0] == 40  # 960 / 24
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_single_divergence_exit_code(tmp_path, capsys):
     data_path = tmp_path / "node.uwds"
     assert run(["gen-data", "--seed", "4", "--symbols", "60",
                 "--lambda", "24", "--out", str(data_path)]) == 0
-    with np.errstate(all="ignore"):
-        rc = run(["train-single", "--seed", "5", "--data", str(data_path),
-                  "--epochs", "2", "--lr", "1e300",
-                  "--out", str(tmp_path / "net.cdnn")])
+    rc = run(["train-single", "--seed", "5", "--data", str(data_path),
+              "--epochs", "2", "--lr", "1e300",
+              "--out", str(tmp_path / "net.cdnn")])
     assert rc == cli.EXIT_RUNTIME
-    assert "training error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "training error" in err and "RuntimeWarning" not in err
+
+
+def test_train_single_absurd_header(tmp_path, capsys):
+    # n1 = 2^32 - 1 and 2^40 records in a 20-byte file
+    data_path = tmp_path / "absurd.uwds"
+    data_path.write_bytes(struct.pack("<4sHIQH", b"UWDS", 1, 2 ** 32 - 1, 2 ** 40, 6))
+    rc = run(["train-single", "--seed", "5", "--data", str(data_path),
+              "--out", str(tmp_path / "net.cdnn")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "byte offset" in err and "Traceback" not in err
 
 
 # ----------------------------------------------------------------- run-fed
@@ -227,6 +239,17 @@ def test_cir_generate_and_inspect(tmp_path):
     assert cols["taps"] == "13"
     assert cols["time_steps"] == "50"
     assert "model=rayleigh" in cols["meta"]
+
+
+def test_cir_inspect_bad_metadata(tmp_path, capsys):
+    cir_path = tmp_path / "bad.uwac"
+    cir_path.write_bytes(struct.pack("<4sHIQdHH", b"UWAC", 1, 1, 1, 0.001, 1, 2)
+                         + b"\xff\xfe" + struct.pack("<2f", 1.0, 0.0))
+    rc = run(["cir", "inspect", "--seed", "8", "--path", str(cir_path),
+              "--out", str(tmp_path / "report.csv")])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
 
 
 # ----------------------------------------------------------- error handling

@@ -6,8 +6,7 @@ import pytest
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
 from chirpfed.data import (DatasetSpec, DomainShift, build_node_dataset,
-                           dataset_file_size, load_dataset, save_dataset,
-                           shift_domain)
+                           load_dataset, save_dataset, shift_domain)
 from chirpfed.errors import ConfigurationError, ParseError
 from chirpfed.receiver import LabeledBatch, ber_eval, default_hidden, \
     init_params, train
@@ -188,16 +187,6 @@ def test_dataset_round_trip_with_infinite_snr(tmp_path):
     save_dataset(path, train, test, spec)
     _, _, back = load_dataset(path)
     assert back.snr_db_range == (np.inf, np.inf)
-
-
-def test_dataset_file_size_exact(tmp_path):
-    spec = small_spec(n_symbols=25)
-    train, test = build_node_dataset(spec)
-    path = tmp_path / "sized.uwds"
-    save_dataset(path, train, test, spec)
-    want = dataset_file_size(25, spec.chirp.n1, train.tag_table, spec,
-                             len(train))
-    assert path.stat().st_size == want
 
 
 def test_dataset_parse_errors(tmp_path):
