@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import hilbert
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import container
 from .chirp import Waveform
@@ -20,9 +20,16 @@ from .errors import ConfigurationError, InputError
 CIR_MAGIC = b"UWAC"
 CIR_VERSION = 1
 
-# Windowed-sinc interpolation kernel: 64 taps, Hann-windowed.
+# Windowed-sinc interpolation kernel: 64 taps m = -31..32 at m - f for a
+# fraction 0 <= f < 1, Hann-windowed over |m - f| < 33.  By the angle-addition
+# formulas, sin(pi(m - f)) = -(-1)^m sin(pi f) and the window's
+# cos(pi(m - f)/33) splits into per-tap constants times cos and sin of
+# pi f/33, so a kernel row costs three transcendentals, not 128.
 _KERNEL_HALF = 32
 _KERNEL_OFFSETS = np.arange(-_KERNEL_HALF + 1, _KERNEL_HALF + 1)
+_KERNEL_SIGN = -(-1.0) ** _KERNEL_OFFSETS
+_WINDOW_COS = np.cos(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
+_WINDOW_SIN = np.sin(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,6 @@ def rayleigh_cir(cfg: RayleighModelConfig, duration: float, fs: float,
     rng = np.random.default_rng(seed)
     n_time = max(1, int(round(duration * fs)))
     powers = tap_mean_powers(cfg)
-    taps = np.empty((cfg.n_taps, n_time), dtype=np.complex128)
     freqs = np.fft.fftfreq(n_time, d=1.0 / fs)
     if cfg.fd > 0:
         shape = bell_spectrum(freqs, cfg.fd, cfg.a)
@@ -149,12 +155,13 @@ def rayleigh_cir(cfg: RayleighModelConfig, duration: float, fs: float,
         shape = np.zeros(n_time)
         shape[0] = 1.0  # zero Doppler spread: static taps
     norm = np.sqrt(shape.mean()) if shape.mean() > 0 else 1.0
-    for k in range(cfg.n_taps):
-        w = (rng.standard_normal(n_time) + 1j * rng.standard_normal(n_time)) / np.sqrt(2)
-        g = np.fft.ifft(np.fft.fft(w) * np.sqrt(shape)) / norm
-        # quantize to the f32 storage precision so save/load round-trips
-        # are bit-identical
-        taps[k] = (g * np.sqrt(powers[k])).astype(np.complex64)
+    # tap by tap, real part then imaginary part: one draw, one stream order
+    z = rng.standard_normal((cfg.n_taps, 2, n_time))
+    w = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+    g = np.fft.ifft(np.fft.fft(w, axis=1) * np.sqrt(shape), axis=1) / norm
+    # quantize to the f32 storage precision so save/load round-trips are
+    # bit-identical
+    taps = (g * np.sqrt(powers)[:, None]).astype(np.complex64)
     meta = {
         "model": "rayleigh",
         "max_excess_delay_s": cfg.max_excess_delay,
@@ -166,24 +173,80 @@ def rayleigh_cir(cfg: RayleighModelConfig, duration: float, fs: float,
     return ChannelRealization(taps, cfg.Ts, meta)
 
 
-def _windowed_sinc(x: np.ndarray) -> np.ndarray:
-    """Continuous-argument Hann-windowed sinc, support |x| <= KERNEL_HALF+1."""
-    ext = _KERNEL_HALF + 1
-    w = np.where(np.abs(x) < ext, 0.5 * (1 + np.cos(np.pi * x / ext)), 0.0)
-    return np.sinc(x) * w
+def hilbert(x) -> np.ndarray:
+    """Analytic signal x + jH{x} of a real 1-D signal: its spectrum with the
+    negative frequencies removed and the positive ones doubled."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise InputError("hilbert needs a nonempty 1-D signal")
+    n = x.size
+    spec = np.zeros(n, dtype=np.complex128)
+    spec[: n // 2 + 1] = np.fft.rfft(x)
+    spec[1:(n + 1) // 2] *= 2.0
+    return np.fft.ifft(spec)
 
 
-def _interp_at(samples: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Band-limited evaluation of `samples` at fractional positions; values
-    outside the support read as zero."""
+def _kernel(frac) -> np.ndarray:
+    """Interpolation kernel rows, shape frac.shape + (64,), for 0 <= frac <= 1."""
+    f = np.asarray(frac, dtype=np.float64)[..., None]
+    u = _KERNEL_OFFSETS - f
+    # sin(pi f) = sin(pi (1 - f)); the smaller argument keeps full precision
+    # as f -> 1, where sin(pi f) itself loses digits
+    sin_pf = np.sin(np.pi * np.minimum(f, 1.0 - f))
+    zero = u == 0  # only where f is 0 (or 1), at m = 0 (or 1): sinc is 1 there
+    sinc = np.where(zero, 1.0, _KERNEL_SIGN * sin_pf / (np.pi * np.where(zero, 1.0, u)))
+    a = np.pi * f / (_KERNEL_HALF + 1)
+    return sinc * 0.5 * (1.0 + _WINDOW_COS * np.cos(a) + _WINDOW_SIN * np.sin(a))
+
+
+def _interp_at(samples: np.ndarray, base: np.ndarray, frac) -> np.ndarray:
+    """Band-limited evaluation of `samples` at base + frac, with integer
+    `base` and one fraction per position or one for all; values outside the
+    support read as zero."""
+    n, width = samples.size, 2 * _KERNEL_HALF
+    padded = np.zeros(n + 2 * width)
+    padded[width:width + n] = samples
+    # a window wholly outside the support reads an all-zero padding window
+    start = np.clip(base + (width - _KERNEL_HALF + 1), 0, n + width)
+    vals = sliding_window_view(padded, width)[start]
+    kern = _kernel(frac)
+    return vals @ kern if kern.ndim == 1 else np.einsum("ij,ij->i", vals, kern)
+
+
+def _doppler_at(samples: np.ndarray, alpha_dop: float, t: np.ndarray) -> np.ndarray:
+    """The time-scaled signal samples((1 + alpha) t) at integer times t."""
+    positions = (1.0 + alpha_dop) * t
+    base = np.floor(positions)
+    return _interp_at(samples, base.astype(np.int64), positions - base)
+
+
+def _impair(samples: np.ndarray, alpha_dop: float, delta: float,
+            lam: int = 1) -> np.ndarray:
+    """Doppler scaling, then a shift by delta samples, at every lam-th output
+    sample: out[j] = D[lam j + delta] with D[t] = samples((1 + alpha) t).
+
+    Only the last interpolation stage is evaluated at the kept positions;
+    the Doppler stage runs at the full rate when a fractional shift reads it
+    between samples.  A fractional shift uses one kernel row throughout.
+    """
     n = samples.size
-    base = np.floor(positions).astype(np.int64)
-    frac = positions - base
-    idx = base[:, None] + _KERNEL_OFFSETS[None, :]
-    kern = _windowed_sinc(_KERNEL_OFFSETS[None, :] - frac[:, None])
-    valid = (idx >= 0) & (idx < n)
-    vals = np.where(valid, samples[np.clip(idx, 0, n - 1)], 0.0)
-    return np.einsum("ij,ij->i", vals, kern)
+    if abs(alpha_dop) >= 0.1:
+        raise ConfigurationError(f"|alpha_dop|={abs(alpha_dop)} outside physical regime")
+    if abs(delta) >= n:
+        raise InputError(f"|delta|={abs(delta)} exceeds waveform length {n}")
+    kept = np.arange(0, n, lam)
+    d_int = int(np.floor(delta))
+    frac = delta - d_int
+    if frac:
+        if alpha_dop:
+            samples = _doppler_at(samples, alpha_dop, np.arange(n))
+        return _interp_at(samples, kept + d_int, frac)
+    t = kept + d_int
+    inside = (t >= 0) & (t < n)
+    out = np.zeros(kept.size)
+    out[inside] = (_doppler_at(samples, alpha_dop, t[inside]) if alpha_dop
+                   else samples[t[inside]])
+    return out
 
 
 def apply_sto(w: Waveform, delta_samples: float) -> Waveform:
@@ -194,41 +257,31 @@ def apply_sto(w: Waveform, delta_samples: float) -> Waveform:
     """
     if delta_samples == 0:
         return w
-    n = len(w)
-    if abs(delta_samples) >= n:
-        raise InputError(f"|delta|={abs(delta_samples)} exceeds waveform length {n}")
-    d_int = int(np.floor(delta_samples))
-    frac = delta_samples - d_int
-    if frac == 0.0:
-        out = np.zeros(n)
-        if d_int >= 0:
-            out[: n - d_int] = w.samples[d_int:]
-        else:
-            out[-d_int:] = w.samples[: n + d_int]
-        return Waveform(out, w.fs)
-    positions = np.arange(n) + delta_samples
-    return Waveform(_interp_at(w.samples, positions), w.fs)
+    return Waveform(_impair(w.samples, 0.0, delta_samples), w.fs)
 
 
 def apply_doppler(w: Waveform, alpha_dop: float) -> Waveform:
     """Time-scale the waveform: out(t) = w((1 + alpha)t), resampled by
     band-limited interpolation and padded/truncated to the input length."""
-    if abs(alpha_dop) >= 0.1:
-        raise ConfigurationError(f"|alpha_dop|={abs(alpha_dop)} outside physical regime")
     if alpha_dop == 0:
         return w
-    positions = (1.0 + alpha_dop) * np.arange(len(w))
-    return Waveform(_interp_at(w.samples, positions), w.fs)
+    return Waveform(_impair(w.samples, alpha_dop, 0.0), w.fs)
 
 
 def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
-                  seed: int) -> Waveform:
-    """Tapped-delay-line convolution, then AWGN, Doppler scaling and STO.
+                  seed: int, lam: int = 1) -> Waveform:
+    """Tapped-delay-line convolution, then AWGN, Doppler scaling and STO,
+    returned at every lam-th sample (rate fs/lam).
 
-    Complex gains act on the analytic signal; the real part is kept.  Noise
-    power is the received signal power scaled by 10^(-snr/10).
+    Complex gains act on the analytic signal and the real part is kept; real
+    gains act on x itself, the real part of its analytic signal.  Noise power
+    is the received signal power scaled by 10^(-snr/10).  The result equals
+    downsample(apply_channel(x, h, imp, seed), lam), but the interpolation is
+    evaluated only where a sample is kept.
     """
     n = len(x)
+    if not (isinstance(lam, (int, np.integer)) and lam >= 1) or n % lam:
+        raise ConfigurationError(f"lam={lam} must be a positive integer dividing {n}")
     step = h.Ts * x.fs
     if abs(step - round(step)) > 1e-6:
         raise ConfigurationError(
@@ -237,28 +290,27 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
     if 1 < h.n_time < n:
         raise InputError(f"CIR has {h.n_time} time steps for {n} samples; "
                          f"it needs 1 (static) or at least {n}")
-    analytic = hilbert(x.samples)
-    acc = np.zeros(n, dtype=np.complex128)
+    taps = h.taps
+    if np.any(taps.imag):
+        sig = hilbert(x.samples)
+    else:
+        sig, taps = x.samples, taps.real
+    acc = np.zeros(n, dtype=sig.dtype)
     for k in range(h.n_taps):
         d = k * step
         if d >= n:
             break
-        gains = h.taps[k]
+        gains = taps[k]
         # a static CIR repeats its one column; a longer one is cut to n
         g = gains if gains.size == n else np.resize(gains, n)
-        acc[d:] += g[d:] * analytic[: n - d]
+        acc[d:] += g[d:] * sig[: n - d]
     r = acc.real
     if np.isfinite(imp.snr_db):
         rng = np.random.default_rng(seed)
         p_sig = float(np.mean(r * r))
         sigma = np.sqrt(p_sig * 10.0 ** (-imp.snr_db / 10.0))
         r = r + rng.standard_normal(n) * sigma
-    out = Waveform(r, x.fs)
-    if imp.alpha_dop != 0:
-        out = apply_doppler(out, imp.alpha_dop)
-    if imp.sto_samples != 0:
-        out = apply_sto(out, imp.sto_samples)
-    return out
+    return Waveform(_impair(r, imp.alpha_dop, imp.sto_samples, lam), x.fs / lam)
 
 
 def save_cir(path, h: ChannelRealization) -> None:

@@ -169,12 +169,16 @@ def cmd_bound(args) -> int:
 def _clean_received_symbol(bit, params, sto, speed):
     """Noise-free impaired symbol at the downsampled rate."""
     w = chirp_mod.generate_chirp(params, "down" if bit else "up")
-    alpha = channel_mod.ImpairmentSpec(rel_speed=speed).alpha_dop
-    if alpha:
-        w = channel_mod.apply_doppler(w, alpha)
-    if sto:
-        w = channel_mod.apply_sto(w, sto)
-    return chirp_mod.downsample(w, params.lam).samples
+    imp = channel_mod.ImpairmentSpec(sto_samples=sto, rel_speed=speed)
+    if not (imp.sto_samples or imp.alpha_dop):  # no impairment: no channel
+        return chirp_mod.downsample(w, params.lam).samples
+    h = channel_mod.identity_channel(Ts=1.0 / params.fs)
+    return channel_mod.apply_channel(w, h, imp, seed=0, lam=params.lam).samples
+
+
+def _noise_stream_key(ebn0_db):
+    """The per-SNR part of the ber-sweep seed: millidecibels, as 31 bits."""
+    return int(ebn0_db * 1000) & 0x7FFFFFFF
 
 
 def ber_monte_carlo(params, detector, ebn0_db, sto, speed, trials, seed,
@@ -184,7 +188,7 @@ def ber_monte_carlo(params, detector, ebn0_db, sto, speed, trials, seed,
     Noise level follows the binary-orthogonal convention: per-sample sigma =
     sqrt(Eb / (2 * ebn0)) with Eb the full-rate symbol energy.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, int(ebn0_db * 1000) & 0x7FFFFFFF]))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _noise_stream_key(ebn0_db)]))
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
     eb = float(np.sum(chirp_mod.generate_chirp(params, "up").samples ** 2))
     sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
@@ -215,6 +219,13 @@ def _wilson_half_width(ber, trials):
 
 def cmd_ber_sweep(args) -> int:
     detectors = args.detector.split(",")
+    if not all(math.isfinite(snr) for snr in args.snr_db):
+        print("ber-sweep: --snr-db values must be finite", file=sys.stderr)
+        return EXIT_USAGE
+    if len({_noise_stream_key(snr) for snr in args.snr_db}) < len(args.snr_db):
+        print("ber-sweep: two --snr-db values share one noise stream, keyed by "
+              "int(1000 * snr_db)", file=sys.stderr)
+        return EXIT_USAGE
     ckpt = None
     if "dnn" in detectors:
         if not args.checkpoint:
@@ -345,6 +356,9 @@ def cmd_cir(args) -> int:
         h = channel_mod.rayleigh_cir(cfg, args.duration, args.fs, args.seed)
         channel_mod.save_cir(args.out, h)
         return EXIT_OK
+    if args.path is None:
+        print("cir inspect: --path is required", file=sys.stderr)
+        return EXIT_USAGE
     h = channel_mod.load_cir(args.path)
     rows = [[h.n_taps, h.n_time, _fmt(h.Ts),
              ";".join(f"{k}={v}" for k, v in sorted(h.meta.items()))]]

@@ -15,7 +15,7 @@ import numpy as np
 from . import container
 from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
                       apply_channel, identity_channel)
-from .chirp import ChirpParams, downsample, generate_chirp
+from .chirp import ChirpParams, generate_chirp
 from .errors import ConfigurationError, ParseError
 from .receiver import LabeledBatch
 
@@ -96,8 +96,7 @@ def synthesize_symbol(bit: int, spec: DatasetSpec, snr_db: float, sto: float,
     """One received, downsampled symbol as a float64 vector of length N1."""
     tx = generate_chirp(spec.chirp, "down" if bit else "up")
     imp = ImpairmentSpec(snr_db=snr_db, sto_samples=sto, rel_speed=speed)
-    rx = apply_channel(tx, channel, imp, seed=noise_seed)
-    return downsample(rx, spec.chirp.lam).samples
+    return apply_channel(tx, channel, imp, seed=noise_seed, lam=spec.chirp.lam).samples
 
 
 def build_node_dataset(spec: DatasetSpec):
@@ -224,10 +223,24 @@ def save_dataset(path, train: SymbolSet, test: SymbolSet,
         return (s.batch.inputs, s.batch.labels, s.snr_db, s.sto_samples,
                 s.rel_speed, s.channel_tag)
 
-    n1 = train.batch.inputs.shape[1]
+    # the checks of load_dataset, made before anything is written
+    n1 = spec.chirp.n1
+    for s in (train, test):
+        if s.batch.inputs.shape[1] != n1:
+            raise ConfigurationError(
+                f"{s.batch.inputs.shape[1]}-sample records disagree with the spec's "
+                f"n1={n1} at lam={spec.chirp.lam}")
+        if s.tag_table != train.tag_table or not np.all(
+                (s.channel_tag >= 0) & (s.channel_tag < len(train.tag_table))):
+            raise ConfigurationError("tag index outside the tag table")
+        if not np.all((s.batch.labels == 0) | (s.batch.labels == 1)):
+            raise ConfigurationError("label is not a bit")
     rec = np.empty(len(train) + len(test), _record_dtype(n1))
-    for name, a, b in zip(rec.dtype.names, columns(train), columns(test)):
-        rec[name] = np.concatenate([a, b])
+    with np.errstate(over="ignore"):  # a sample past the f32 range is caught below
+        for name, a, b in zip(rec.dtype.names, columns(train), columns(test)):
+            rec[name] = np.concatenate([a, b])
+    if not np.all(np.isfinite(rec["x"])):
+        raise ConfigurationError("sample outside the float32 range")
     container.save(path, DATASET_MAGIC, DATASET_VERSION,
                    container.pack_fields("IQH", n1, rec.size, spec.chirp.lam),
                    rec.tobytes(), container.pack_strings(train.tag_table),

@@ -1,12 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chirpfed.channel import (ChannelRealization, ImpairmentSpec,
-                              RayleighModelConfig, apply_channel, apply_doppler,
-                              apply_sto, bell_spectrum, identity_channel,
+                              RayleighModelConfig, _kernel, _KERNEL_OFFSETS,
+                              apply_channel, apply_doppler, apply_sto,
+                              bell_spectrum, hilbert, identity_channel,
                               load_cir, rayleigh_cir, save_cir,
                               tap_mean_powers)
-from chirpfed.chirp import Waveform
+from chirpfed.chirp import ChirpParams, Waveform, downsample, generate_chirp
 from chirpfed.errors import ConfigurationError, InputError, ParseError
 
 
@@ -113,6 +116,72 @@ def test_tap_statistics_quick():
     assert acc.sum() == pytest.approx(1.0, rel=0.03)
     ratio_db = 10 * np.log10(acc[1:] / acc[:-1]).mean()
     assert ratio_db == pytest.approx(-0.66, abs=0.15)
+
+
+def test_rayleigh_cir_batched_taps_match_per_tap_loop():
+    # the per-tap synthesis that one batched draw and FFT replace
+    cfg = RayleighModelConfig(Ts=16 / 96000.0, fd=5.0)
+    fs, duration, seed = 96000.0, 0.01, 1234
+    rng = np.random.default_rng(seed)
+    n_time = 960
+    freqs = np.fft.fftfreq(n_time, d=1.0 / fs)
+    shape = bell_spectrum(freqs, cfg.fd, cfg.a)
+    norm = np.sqrt(shape.mean())
+    powers = tap_mean_powers(cfg)
+    ref = np.empty((cfg.n_taps, n_time), dtype=np.complex128)
+    for k in range(cfg.n_taps):
+        w = (rng.standard_normal(n_time) + 1j * rng.standard_normal(n_time)) / np.sqrt(2)
+        g = np.fft.ifft(np.fft.fft(w) * np.sqrt(shape)) / norm
+        ref[k] = (g * np.sqrt(powers[k])).astype(np.complex64)
+    h = rayleigh_cir(cfg, duration, fs, seed)
+    assert h.taps.tobytes() == ref.tobytes()
+
+
+# ------------------------------------------------------------------- hilbert
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 255, 960, 1001])
+def test_hilbert_matches_scipy(n):
+    from scipy.signal import hilbert as scipy_hilbert
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.max(np.abs(hilbert(x) - scipy_hilbert(x))) < 1e-12
+
+
+def test_hilbert_rejects_empty_and_2d():
+    for bad in (np.zeros(0), np.zeros((2, 3))):
+        with pytest.raises(InputError):
+            hilbert(bad)
+
+
+# -------------------------------------------------------- interpolation kernel
+
+def _mp_kernel(f):
+    """Hann-windowed sinc at m - f, m = -31..32, with 40-digit arithmetic."""
+    row = []
+    with mpmath.workdps(40):
+        for m in _KERNEL_OFFSETS:
+            u = mpmath.mpf(int(m)) - mpmath.mpf(float(f))
+            sinc = mpmath.mpf(1) if u == 0 else mpmath.sin(mpmath.pi * u) / (mpmath.pi * u)
+            row.append(float(sinc * (1 + mpmath.cos(mpmath.pi * u / 33)) / 2))
+    return np.array(row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.floats(0.0, 1.0, exclude_max=True))
+@example(f=0.0)
+@example(f=0.5)
+@example(f=1 - 1e-9)
+@example(f=np.nextafter(1.0, 0.0))
+@example(f=5e-324)
+def test_kernel_matches_mpmath(f):
+    assert np.max(np.abs(_kernel(f) - _mp_kernel(f))) <= 1e-15
+
+
+def test_kernel_rows_match_one_row_at_a_time():
+    fracs = np.random.default_rng(3).random(50)
+    rows = _kernel(fracs)
+    assert rows.shape == (50, _KERNEL_OFFSETS.size)
+    for f, row in zip(fracs, rows):
+        assert np.array_equal(row, _kernel(f))
 
 
 # ----------------------------------------------------------------------- STO
@@ -237,6 +306,51 @@ def test_noise_determinism():
     c = apply_channel(w, h, imp, seed=6).samples
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_real_taps_skip_the_analytic_signal():
+    w = Waveform(np.sin(np.arange(256) * 0.1), 6000.0)
+    out = apply_channel(w, identity_channel(Ts=1 / 6000.0), ImpairmentSpec(), seed=0)
+    assert np.array_equal(out.samples, w.samples)
+
+
+def _equivalence_channel(kind, seed):
+    fs = 96000.0
+    if kind == "identity":
+        return identity_channel(Ts=1 / fs)
+    if kind == "two-tap":  # complex gains: the analytic-signal path
+        return ChannelRealization(np.array([[1.0 + 0j], [0.3 - 0.4j]]), Ts=3 / fs)
+    return rayleigh_cir(RayleighModelConfig(Ts=16 / fs, fd=5.0), 0.01, fs, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sto=st.one_of(st.integers(-200, 200).map(float),
+                     st.floats(-200.0, 200.0, allow_subnormal=False)),
+       alpha=st.one_of(st.just(0.0), st.floats(-0.0999, 0.0999)),
+       lam=st.sampled_from([1, 6, 12]),
+       kind=st.sampled_from(["identity", "two-tap", "rayleigh"]),
+       snr=st.sampled_from([np.inf, 6.0]),
+       seed=st.integers(0, 2 ** 32),
+       bit=st.sampled_from(["up", "down"]))
+@example(sto=-0.5, alpha=0.0999, lam=12, kind="rayleigh", snr=6.0, seed=1, bit="up")
+@example(sto=37.0, alpha=-0.0999, lam=6, kind="identity", snr=np.inf, seed=0, bit="down")
+@example(sto=-1e-300, alpha=0.0, lam=6, kind="two-tap", snr=np.inf, seed=0, bit="up")
+def test_decimating_channel_matches_downsampled_full_rate(sto, alpha, lam, kind,
+                                                          snr, seed, bit):
+    x = generate_chirp(ChirpParams(), bit)
+    h = _equivalence_channel(kind, seed)
+    imp = ImpairmentSpec(snr_db=snr, sto_samples=sto, rel_speed=1500.0 * alpha)
+    kept = apply_channel(x, h, imp, seed=seed, lam=lam)
+    full = downsample(apply_channel(x, h, imp, seed=seed), lam)
+    assert kept.fs == full.fs == x.fs / lam
+    assert np.max(np.abs(kept.samples - full.samples)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0, 7, 2.0])
+def test_decimating_channel_rejects_bad_lam(lam):
+    w = Waveform(np.ones(12), 6000.0)
+    with pytest.raises(ConfigurationError):
+        apply_channel(w, identity_channel(Ts=1 / 6000.0), ImpairmentSpec(), seed=0, lam=lam)
 
 
 def test_cir_shorter_than_signal_rejected():

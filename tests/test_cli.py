@@ -1,5 +1,8 @@
 import csv
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -252,6 +255,13 @@ def test_cir_inspect_bad_metadata(tmp_path, capsys):
     assert "not UTF-8" in err and "Traceback" not in err
 
 
+def test_cir_inspect_without_path(capsys):
+    assert run(["cir", "inspect", "--seed", "1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--path" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 # ----------------------------------------------------------- error handling
 
 def test_seed_is_mandatory():
@@ -272,3 +282,33 @@ def test_determinism_sample(tmp_path):
     assert run(args + ["--out", str(a)]) == 0
     assert run(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("grid", ["6:0.0004:6.0008", "-3:0.0002:-2.9996"])
+def test_ber_sweep_rejects_colliding_noise_streams(tmp_path, capsys, grid):
+    # the noise seed is keyed by int(1000 * snr_db): 6 and 6.0004 dB used to
+    # give the same BER
+    out = tmp_path / "ber.csv"
+    rc = run(["ber-sweep", "--seed", "1", "--trials", "100", f"--snr-db={grid}",
+              "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "noise stream" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_ber_sweep_rejects_non_finite_snr(tmp_path, capsys, value):
+    rc = run(["ber-sweep", "--seed", "1", "--trials", "100", "--snr-db", value,
+              "--out", str(tmp_path / "ber.csv")])
+    assert rc == cli.EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c",
+                    "import chirpfed.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=60)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,3 +204,59 @@ def test_dataset_parse_errors(tmp_path):
     cut.write_bytes(good.read_bytes()[:100])
     with pytest.raises(ParseError):
         load_dataset(cut)
+
+
+def test_save_dataset_rejects_lam_mismatch(tmp_path):
+    spec = small_spec(n_symbols=10)  # lam = 6: 160-sample records
+    train, test = build_node_dataset(spec)
+    path = tmp_path / "node.uwds"
+    with pytest.raises(ConfigurationError):
+        save_dataset(path, train, test, small_spec(n_symbols=10, chirp=ChirpParams(lam=12)))
+    assert not path.exists()
+
+
+def test_save_dataset_rejects_bad_tags_and_labels(tmp_path):
+    spec = small_spec(n_symbols=10)
+    train, test = build_node_dataset(spec)
+    # a label past 1 gets past LabeledBatch only when changed in place
+    bad_label = replace(train, batch=LabeledBatch(train.batch.inputs,
+                                                  train.batch.labels.copy()))
+    bad_label.batch.labels[0] = 2.0
+    path = tmp_path / "node.uwds"
+    for bad_train, bad_test, match in (
+            (train, replace(test, channel_tag=np.full(len(test), 2)), "tag"),
+            (train, replace(test, channel_tag=np.full(len(test), -1)), "tag"),
+            (train, replace(test, tag_table=("rayleigh", "identity")), "tag"),
+            (bad_label, test, "label"),
+            (replace(train, batch=LabeledBatch(train.batch.inputs * 1e40,
+                                               train.batch.labels)), test, "float32")):
+        with pytest.raises(ConfigurationError, match=match):
+            save_dataset(path, bad_train, bad_test, spec)
+        assert not path.exists()
+
+
+# sha256 over the records of build_node_dataset (25 symbols, lam = 6, seed 7)
+# under the three impairment profiles of the synthesis benchmark, computed
+# with the full-rate interpolation that the decimating channel replaced
+GOLDEN_PROFILES = {
+    "sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0)),
+            "877f86bd94ae02d034c0f0e6494031b12e24cbc73c057c56f156bb8b9d179eb4"),
+    "doppler": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
+                     speed_range=(0.0, 10.0)),
+                "da771c39920ef241c69bb3f6cadb83e3436b03711948cb4f92c01a41868ed2b1"),
+    "rayleigh": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
+                      speed_range=(0.0, 10.0), channel_tag="rayleigh"),
+                 "b557e1f2c64dd07684e27e97a05003605bcd81b33757ed8788325393feb1fbc7"),
+}
+
+
+@pytest.mark.parametrize("profile", sorted(GOLDEN_PROFILES))
+def test_node_dataset_golden_digest(profile):
+    ranges, digest = GOLDEN_PROFILES[profile]
+    spec = DatasetSpec(n_symbols=25, chirp=ChirpParams(lam=6), seed=7, **ranges)
+    h = hashlib.sha256()
+    for s in build_node_dataset(spec):
+        for a in (s.batch.inputs, s.batch.labels, s.snr_db, s.sto_samples,
+                  s.rel_speed, s.channel_tag):
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
