@@ -87,10 +87,8 @@ def derive_constants(c: SmoothnessConstants,
     mu_pp = c.N * mu_p
     H_pp = c.N * H_p
     alpha_p = c.beta * (c.delta + c.alpha * c.C * (c.H * c.delta + c.B * c.sigma + c.tau))
-    if xi_variant == "theorem":
-        xi = 1 - 2 * H_pp * c.beta * (1 + mu_pp * c.beta / 2)
-    else:
-        xi = 1 - 2 * H_pp * c.beta * (1 + H_pp * c.beta / 2)
+    curvature = mu_pp if xi_variant == "theorem" else H_pp
+    xi = 1 - 2 * H_pp * c.beta * (1 + curvature * c.beta / 2)
     flags = []
     if mu_p <= 0:
         flags.append("mu_p_nonpositive")
@@ -156,9 +154,7 @@ class QuadraticFederationSpec:
             raise ConfigurationError("b must be (K, dim)")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-        theta0 = self.theta0
-        if theta0 is None:
-            theta0 = np.zeros(A.shape[0])
+        theta0 = np.zeros(A.shape[0]) if self.theta0 is None else self.theta0
         object.__setattr__(self, "theta0", np.asarray(theta0, dtype=np.float64))
 
     @property
@@ -182,8 +178,7 @@ class QuadraticFederationSpec:
 
     def _phi_map(self):
         """phi_i(x) = (I - alpha*A)x + alpha*b_i, shared linear part."""
-        dim = self.A.shape[0]
-        return np.eye(dim) - self.alpha * self.A
+        return np.eye(self.A.shape[0]) - self.alpha * self.A
 
     def meta_objective(self, theta: np.ndarray) -> float:
         """G(theta) = mean_i L_i(phi_i(theta))."""
@@ -216,19 +211,13 @@ def empirical_rounds_to_gap(task: QuadraticFederationSpec, epsilon: float):
     g_star = task.meta_optimum()
     theta = task.theta0.copy()
     A = task.A
-
-    def make_fns(bi):
-        grad_fn = lambda th: A @ th - bi
-        hvp_fn = lambda th, v: A @ v
-        return grad_fn, hvp_fn
-
     if task.meta_objective(theta) - g_star <= epsilon:
         return 0, False
     for t in range(1, task.max_rounds + 1):
         updates = []
         for bi in task.b:
-            grad_fn, hvp_fn = make_fns(bi)
-            new = maml_update(theta, grad_fn, hvp_fn, grad_fn,
+            new = maml_update(theta, lambda th: (A @ th - bi, lambda v: A @ v),
+                              lambda th: A @ th - bi,
                               task.alpha, task.beta, task.T0, mode="exact")
             updates.append((new, 1, 1))
         theta = aggregate(updates)

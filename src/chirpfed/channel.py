@@ -143,8 +143,9 @@ def rayleigh_cir(cfg: RayleighModelConfig, duration: float, fs: float,
     spectrally shaping white noise with sqrt(S(f)); tap k has mean power
     10^(-decay*k/10), renormalized so total mean power is 1.
     """
-    if duration <= 0:
-        raise ConfigurationError("duration must be positive")
+    if not (np.all(np.isfinite([duration, fs])) and min(duration, fs) > 0):
+        raise ConfigurationError(
+            f"duration={duration} and fs={fs} must be finite and positive")
     rng = np.random.default_rng(seed)
     n_time = max(1, int(round(duration * fs)))
     powers = tap_mean_powers(cfg)

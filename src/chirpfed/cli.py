@@ -25,7 +25,7 @@ from . import chirp as chirp_mod
 from . import data as data_mod
 from . import federation as fed_mod
 from . import receiver as recv_mod
-from .errors import ChirpfedError, TrainingError, ValidityError
+from .errors import ChirpfedError, ConfigurationError, TrainingError, ValidityError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,6 +75,8 @@ def _parse_grid(spec: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}, want start:step:stop")
     start, step, stop = map(float, parts)
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise argparse.ArgumentTypeError(f"grid {spec!r} is not finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
     n = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -166,63 +168,16 @@ def cmd_bound(args) -> int:
 
 # ----------------------------------------------------------------- ber-sweep
 
-def _clean_received_symbol(bit, params, sto, speed):
-    """Noise-free impaired symbol at the downsampled rate."""
-    w = chirp_mod.generate_chirp(params, "down" if bit else "up")
-    imp = channel_mod.ImpairmentSpec(sto_samples=sto, rel_speed=speed)
-    if not (imp.sto_samples or imp.alpha_dop):  # no impairment: no channel
-        return chirp_mod.downsample(w, params.lam).samples
-    h = channel_mod.identity_channel(Ts=1.0 / params.fs)
-    return channel_mod.apply_channel(w, h, imp, seed=0, lam=params.lam).samples
-
-
-def _noise_stream_key(ebn0_db):
-    """The per-SNR part of the ber-sweep seed: millidecibels, as 31 bits."""
-    return int(ebn0_db * 1000) & 0x7FFFFFFF
-
-
-def ber_monte_carlo(params, detector, ebn0_db, sto, speed, trials, seed,
-                    checkpoint_params=None, chunk=20000):
-    """Empirical BER: clean impaired symbols plus receiver-side AWGN.
-
-    Noise level follows the binary-orthogonal convention: per-sample sigma =
-    sqrt(Eb / (2 * ebn0)) with Eb the full-rate symbol energy.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _noise_stream_key(ebn0_db)]))
-    s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
-    eb = float(np.sum(chirp_mod.generate_chirp(params, "up").samples ** 2))
-    sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
-    n1 = params.n1
-    errors = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        bits = rng.integers(0, 2, size=m)
-        rx = np.where(bits[:, None] == 0, s_clean[0], s_clean[1])
-        rx = rx + rng.standard_normal((m, n1)) * sigma
-        if detector == "mf":
-            dec = chirp_mod.matched_filter_detect_batch(rx, params)
-        else:
-            dec = recv_mod.detect_batch(checkpoint_params, rx)
-        errors += int(np.sum(dec != bits))
-        done += m
-    return errors / trials
-
-
-def _wilson_half_width(ber, trials):
-    if trials == 0:
-        return 0.0
-    z = 1.959963984540054
-    denom = 1 + z * z / trials
-    return z * math.sqrt(ber * (1 - ber) / trials + z * z / (4 * trials ** 2)) / denom
-
-
 def cmd_ber_sweep(args) -> int:
     detectors = args.detector.split(",")
+    if not set(detectors) <= set(data_mod.DETECTORS):
+        print(f"ber-sweep: --detector {args.detector!r} is not a comma list of "
+              f"{','.join(data_mod.DETECTORS)}", file=sys.stderr)
+        return EXIT_USAGE
     if not all(math.isfinite(snr) for snr in args.snr_db):
         print("ber-sweep: --snr-db values must be finite", file=sys.stderr)
         return EXIT_USAGE
-    if len({_noise_stream_key(snr) for snr in args.snr_db}) < len(args.snr_db):
+    if len({data_mod.noise_stream_key(snr) for snr in args.snr_db}) < len(args.snr_db):
         print("ber-sweep: two --snr-db values share one noise stream, keyed by "
               "int(1000 * snr_db)", file=sys.stderr)
         return EXIT_USAGE
@@ -238,10 +193,10 @@ def cmd_ber_sweep(args) -> int:
     for snr in args.snr_db:
         for det in detectors:
             if args.trials > 0:
-                ber = ber_monte_carlo(params, det, snr, args.sto, args.speed,
-                                      args.trials, args.seed,
-                                      checkpoint_params=ckpt)
-                half = _wilson_half_width(ber, args.trials)
+                ber = data_mod.ber_monte_carlo(params, det, snr, args.sto, args.speed,
+                                               args.trials, args.seed,
+                                               checkpoint_params=ckpt)
+                half = data_mod.wilson_half_width(ber, args.trials)
                 rows.append([_fmt(snr), det, args.lam, _fmt(args.sto),
                              _fmt(args.speed), _fmt(ber), args.trials, _fmt(half)])
     header = ["snr_db", "detector", "lambda", "sto", "speed", "ber", "trials",
@@ -296,13 +251,16 @@ def _parse_group(text: str) -> dict:
     for part in text.split(","):
         key, _, val = part.partition("=")
         key = key.strip()
-        if key == "count":
-            out["count"] = int(val)
-        elif key in ("sto", "snr", "speed"):
-            lo, _, hi = val.partition(":")
-            out[key] = (float(lo), float(hi or lo))
-        else:
-            raise argparse.ArgumentTypeError(f"unknown group field {key!r}")
+        if key not in out:
+            raise ConfigurationError(f"unknown group field {key!r}")
+        try:
+            if key == "count":
+                out["count"] = int(val)
+            else:
+                lo, _, hi = val.partition(":")
+                out[key] = (float(lo), float(hi or lo))
+        except ValueError:
+            raise ConfigurationError(f"group field {key}={val!r} is not numeric") from None
     return out
 
 

@@ -2,12 +2,15 @@
 
 Each record is one received, downsampled symbol with its transmitted bit
 and the impairment draw that produced it.  Impairments are drawn i.i.d.
-per symbol so the augmentation ranges are densely covered.
+per symbol so the augmentation ranges are densely covered.  The
+Monte-Carlo BER estimator draws received symbols the same way, with
+receiver-side noise, and counts detection errors.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -15,20 +18,24 @@ import numpy as np
 from . import container
 from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
                       apply_channel, identity_channel)
-from .chirp import ChirpParams, generate_chirp
+from .chirp import (ChirpParams, downsample, generate_chirp,
+                    matched_filter_detect_batch)
 from .errors import ConfigurationError, ParseError
-from .receiver import LabeledBatch
+from .receiver import LabeledBatch, detect_batch
 
 DATASET_MAGIC = b"UWDS"
 DATASET_VERSION = 1
 
 CHANNEL_TAGS = ("identity", "rayleigh")
+DETECTORS = ("mf", "dnn")  # of ber_monte_carlo
 
 
 def _check_range(name, rng_pair):
     lo, hi = rng_pair
-    if hi < lo:
-        raise ConfigurationError(f"{name} range ({lo}, {hi}) is not well ordered")
+    # NaN fails hi >= lo; a point may be infinite, a wider range may not
+    if not (hi >= lo and (lo == hi or math.isfinite(hi - lo))):
+        raise ConfigurationError(
+            f"{name} range ({lo}, {hi}) must be ordered, and finite unless a point")
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,63 @@ def _rayleigh_for_symbol(spec: DatasetSpec, duration: float, seed: int):
     step = max(1, int(round(cfg.Ts * spec.chirp.fs)))
     cfg = replace(cfg, Ts=step / spec.chirp.fs)
     return rayleigh_cir(cfg, duration, spec.chirp.fs, seed)
+
+
+def _clean_received_symbol(bit, params, sto, speed):
+    """Noise-free impaired symbol at the downsampled rate."""
+    w = generate_chirp(params, "down" if bit else "up")
+    imp = ImpairmentSpec(sto_samples=sto, rel_speed=speed)
+    if not (imp.sto_samples or imp.alpha_dop):  # no impairment: no channel
+        return downsample(w, params.lam).samples
+    h = identity_channel(Ts=1.0 / params.fs)
+    return apply_channel(w, h, imp, seed=0, lam=params.lam).samples
+
+
+def noise_stream_key(ebn0_db):
+    """The per-SNR part of the BER seed: millidecibels, as 31 bits."""
+    return int(ebn0_db * 1000) & 0x7FFFFFFF
+
+
+def ber_monte_carlo(params, detector, ebn0_db, sto, speed, trials, seed,
+                    checkpoint_params=None, chunk=20000):
+    """Empirical BER: clean impaired symbols plus receiver-side AWGN.
+
+    Noise level follows the binary-orthogonal convention: per-sample sigma =
+    sqrt(Eb / (2 * ebn0)) with Eb the full-rate symbol energy.
+    """
+    if detector not in DETECTORS or (detector == "dnn" and checkpoint_params is None):
+        raise ConfigurationError(f"detector {detector!r} needs to be mf, or dnn "
+                                 "with checkpoint parameters")
+    if trials < 1:
+        raise ConfigurationError(f"need at least one trial, got {trials}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, noise_stream_key(ebn0_db)]))
+    s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
+    eb = float(np.sum(generate_chirp(params, "up").samples ** 2))
+    sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
+    n1 = params.n1
+    errors = 0
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        bits = rng.integers(0, 2, size=m)
+        rx = np.where(bits[:, None] == 0, s_clean[0], s_clean[1])
+        rx = rx + rng.standard_normal((m, n1)) * sigma
+        if detector == "mf":
+            dec = matched_filter_detect_batch(rx, params)
+        else:
+            dec = detect_batch(checkpoint_params, rx)
+        errors += int(np.sum(dec != bits))
+        done += m
+    return errors / trials
+
+
+def wilson_half_width(ber, trials):
+    """Half width of the 95% Wilson score interval of a BER over `trials`."""
+    if trials == 0:
+        return 0.0
+    z = 1.959963984540054
+    denom = 1 + z * z / trials
+    return z * math.sqrt(ber * (1 - ber) / trials + z * z / (4 * trials ** 2)) / denom
 
 
 @dataclass(frozen=True)

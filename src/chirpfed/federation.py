@@ -78,22 +78,20 @@ class RoundLog:
             raise ConfigurationError("successful ids must be a subset of scheduled")
 
 
-def maml_update(theta: np.ndarray, grad_train, hvp_train, grad_test, alpha: float,
-                beta: float, T0: int, mode: str = "exact") -> np.ndarray:
+def maml_update(theta: np.ndarray, train, grad_test, alpha: float, beta: float,
+                T0: int, mode: str = "exact") -> np.ndarray:
     """Generic MAML local update on a flat parameter vector.
 
-    grad_train(theta) and grad_test(theta) return gradients of the train and
-    test losses; hvp_train(theta, v) the train-loss Hessian-vector product.
-    Exact mode applies the full meta-gradient (I - alpha*H)*grad_test(phi).
+    train(theta) returns the train-loss gradient at theta and its
+    Hessian-vector product there, a callable v -> H v; grad_test(theta) the
+    test-loss gradient.  Exact mode applies the full meta-gradient
+    (I - alpha*H)*grad_test(phi); first-order mode never calls the product.
     """
     for step in range(T0):
-        g_tr = grad_train(theta)
+        g_tr, hvp_tr = train(theta)
         phi = theta - alpha * g_tr
         g_te = grad_test(phi)
-        if mode == "exact":
-            meta = g_te - alpha * hvp_train(theta, g_te)
-        else:
-            meta = g_te
+        meta = g_te - alpha * hvp_tr(g_te) if mode == "exact" else g_te
         theta = theta - beta * meta
         if not np.all(np.isfinite(theta)):
             raise TrainingError("local MAML update diverged", step_index=step)
@@ -106,10 +104,13 @@ def local_maml_step(node: NodeState, alpha: float, beta: float, T0: int,
     if len(node.train_split) == 0 or len(node.test_split) == 0:
         raise ConfigurationError("both data splits must be nonempty")
     p0 = node.theta
+
+    def train(th):
+        lin = receiver.linearize(p0.from_flat(th), node.train_split)
+        return lin.grad, lin.hvp
+
     theta = maml_update(
-        p0.to_flat(),
-        grad_train=lambda th: receiver.grad(p0.from_flat(th), node.train_split),
-        hvp_train=lambda th, v: receiver.hvp(p0.from_flat(th), node.train_split, v),
+        p0.to_flat(), train,
         grad_test=lambda th: receiver.grad(p0.from_flat(th), node.test_split),
         alpha=alpha, beta=beta, T0=T0, mode=mode)
     return p0.from_flat(theta)
@@ -139,10 +140,8 @@ def schedule(K: int, N: int, p_decode: float, rng):
         raise ConfigurationError(f"need 1 <= N <= K, got N={N}, K={K}")
     chosen = rng.choice(K, size=N, replace=False)
     scheduled = tuple(sorted(int(i) for i in chosen))
-    u = {i: 0 for i in range(K)}
-    for i in scheduled:
-        u[i] = 1 if rng.random() < p_decode else 0
-    return scheduled, u
+    decoded = {i for i in scheduled if rng.random() < p_decode}
+    return scheduled, {i: int(i in decoded) for i in range(K)}
 
 
 def aggregate(updates) -> np.ndarray:

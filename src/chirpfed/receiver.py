@@ -172,18 +172,60 @@ def loss(p: MlpParams, batch: LabeledBatch) -> float:
     return float(np.mean((batch.labels - out) ** 2))
 
 
-def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:
-    """Exact loss gradient in the canonical flat ordering."""
+class Linearization:
+    """A batch's loss at fixed parameters: its exact gradient, and exact
+    Hessian-vector products that reuse the gradient's forward pass."""
+
+    def __init__(self, grad: np.ndarray, cache: tuple):
+        self.grad, self._cache = grad, cache
+
+    def hvp(self, v: np.ndarray) -> np.ndarray:
+        """Exact Hessian-vector product H v, in the canonical flat ordering."""
+        p, x, a1, a2, out, m1, m2, d_out = self._cache
+        v = np.asarray(v, dtype=np.float64)
+        if v.size != p.n_params:
+            raise InputError(f"tangent has {v.size} entries, expected {p.n_params}")
+        v1, c1, v2, c2, v3, c3 = _views(p._sizes, v)
+        _, w2, w3 = p.weights
+
+        # forward tangent sweep
+        ra1 = m1 * (x @ v1.T + c1)
+        ra2 = m2 * (a1 @ v2.T + ra1 @ w2.T + c2)
+        rz3 = (a2 @ v3.T + ra2 @ w3.T + c3)[:, 0]
+        sp = out * (1.0 - out)                    # sigmoid'
+
+        # reverse sweep with tangents; d3 and d2 are rounded as d_out*sp, not
+        # as in the gradient, which keeps the HVP's recorded outputs bit-exact
+        r_d_out = 2.0 * (sp * rz3) / x.shape[0]
+        d3 = d_out * sp
+        r_d3 = r_d_out * sp + d_out * sp * (1.0 - 2.0 * out) * rz3
+        d2 = (d3[:, None] * w3) * m2
+        r_d2 = (d3[:, None] * v3 + r_d3[:, None] * w3) * m2
+        r_d1 = (d2 @ v2 + r_d2 @ w2) * m1
+
+        hv = np.empty(p.n_params)
+        rg_w1, rg_b1, rg_w2, rg_b2, rg_w3, rg_b3 = _views(p._sizes, hv)
+        np.add(r_d3[None, :] @ a2, d3[None, :] @ ra2, out=rg_w3)
+        rg_b3[0] = r_d3.sum()
+        np.add(r_d2.T @ a1, d2.T @ ra1, out=rg_w2)
+        r_d2.sum(axis=0, out=rg_b2)
+        np.matmul(r_d1.T, x, out=rg_w1)
+        r_d1.sum(axis=0, out=rg_b1)
+        return hv
+
+
+def linearize(p: MlpParams, batch: LabeledBatch) -> Linearization:
+    """One forward and one backward pass over `batch` at `p`."""
     if len(batch) == 0:
         raise InputError("batch is empty")
     x, y = batch.inputs, batch.labels
-    w1, w2, w3 = p.weights
-    z1, a1, z2, a2, z3, out = _forward_pass(p, x)
-    n = y.size
-    d_out = 2.0 * (out - y) / n
+    _, w2, w3 = p.weights
+    z1, a1, z2, a2, _, out = _forward_pass(p, x)
+    m1, m2 = z1 > 0, z2 > 0
+    d_out = 2.0 * (out - y) / y.size
     d3 = d_out * out * (1.0 - out)
-    d2 = (d3[:, None] * w3) * (z2 > 0)
-    d1 = (d2 @ w2) * (z1 > 0)
+    d2 = (d3[:, None] * w3) * m2
+    d1 = (d2 @ w2) * m1
     g = np.empty(p.n_params)
     g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = _views(p._sizes, g)
     np.matmul(d3[None, :], a2, out=g_w3)
@@ -192,52 +234,17 @@ def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:
     d2.sum(axis=0, out=g_b2)
     np.matmul(d1.T, x, out=g_w1)
     d1.sum(axis=0, out=g_b1)
-    return g
+    return Linearization(g, (p, x, a1, a2, out, m1, m2, d_out))
+
+
+def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:
+    """Exact loss gradient in the canonical flat ordering."""
+    return linearize(p, batch).grad
 
 
 def hvp(p: MlpParams, batch: LabeledBatch, v: np.ndarray) -> np.ndarray:
     """Exact Hessian-vector product via the R-operator."""
-    if len(batch) == 0:
-        raise InputError("batch is empty")
-    v = np.asarray(v, dtype=np.float64)
-    if v.size != p.n_params:
-        raise InputError(f"tangent has {v.size} entries, expected {p.n_params}")
-    v1, c1, v2, c2, v3, c3 = _views(p._sizes, v)
-    x, y = batch.inputs, batch.labels
-    w1, w2, w3 = p.weights
-    z1, a1, z2, a2, z3, out = _forward_pass(p, x)
-    m1 = (z1 > 0).astype(np.float64)
-    m2 = (z2 > 0).astype(np.float64)
-    n = y.size
-
-    # forward tangent sweep
-    rz1 = x @ v1.T + c1
-    ra1 = m1 * rz1
-    rz2 = a1 @ v2.T + ra1 @ w2.T + c2
-    ra2 = m2 * rz2
-    rz3 = (a2 @ v3.T + ra2 @ w3.T + c3)[:, 0]
-    sp = out * (1.0 - out)                    # sigmoid'
-    r_out = sp * rz3
-
-    # reverse sweep with tangents
-    d_out = 2.0 * (out - y) / n
-    r_d_out = 2.0 * r_out / n
-    d3 = d_out * sp
-    r_d3 = r_d_out * sp + d_out * sp * (1.0 - 2.0 * out) * rz3
-    d2 = (d3[:, None] * w3) * m2
-    r_d2 = (d3[:, None] * v3 + r_d3[:, None] * w3) * m2
-    d1 = (d2 @ w2) * m1
-    r_d1 = (d2 @ v2 + r_d2 @ w2) * m1
-
-    hv = np.empty(p.n_params)
-    rg_w1, rg_b1, rg_w2, rg_b2, rg_w3, rg_b3 = _views(p._sizes, hv)
-    np.add(r_d3[None, :] @ a2, d3[None, :] @ ra2, out=rg_w3)
-    rg_b3[0] = r_d3.sum()
-    np.add(r_d2.T @ a1, d2.T @ ra1, out=rg_w2)
-    r_d2.sum(axis=0, out=rg_b2)
-    np.matmul(r_d1.T, x, out=rg_w1)
-    r_d1.sum(axis=0, out=rg_b1)
-    return hv
+    return linearize(p, batch).hvp(v)
 
 
 def detect(p: MlpParams, x) -> int:
@@ -269,6 +276,9 @@ class _Rows(LabeledBatch):
 def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
           batch_size: int, rng) -> MlpParams:
     """Minibatch Adam; raises TrainingError if the parameters diverge."""
+    if batch_size < 1 or epochs < 0:
+        raise ConfigurationError(
+            f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     theta = p.to_flat().copy()
     live = _wrap(p._sizes, theta.view())  # sees the in-place updates of theta
     m = np.zeros_like(theta)

@@ -18,11 +18,11 @@ from chirpfed.channel import (RayleighModelConfig, apply_doppler, bell_spectrum,
                               rayleigh_cir)
 from chirpfed.chirp import (ChirpParams, Waveform, downsample, generate_chirp,
                             matched_filter_detect_batch)
-from chirpfed.data import DatasetSpec, build_node_dataset
+from chirpfed.data import DatasetSpec, ber_monte_carlo, build_node_dataset
 from chirpfed.federation import FmlConfig, NodeState, maml_update, run_rounds, \
     schedule
 from chirpfed.receiver import (LabeledBatch, default_hidden, detect_batch,
-                               grad, hvp, init_params, loss, train)
+                               grad, hvp, init_params, linearize, loss, train)
 
 
 def report(num, ok, detail):
@@ -76,7 +76,7 @@ def test_criterion_02_mf_sanity():
     trials = 100000
     ratios = []
     for ebn0 in (6.0, 9.0, 12.0):
-        ber = cli.ber_monte_carlo(params, "mf", ebn0, 0.0, 0.0, trials, seed=5)
+        ber = ber_monte_carlo(params, "mf", ebn0, 0.0, 0.0, trials, seed=5)
         q = float(norm.sf(math.sqrt(10 ** (ebn0 / 10))))
         ratios.append(ber / q)
     ok = all(0.5 <= r <= 2.0 for r in ratios)
@@ -196,10 +196,12 @@ def test_criterion_05_maml_meta_gradient():
             phi = th - alpha * grad(p0.from_flat(th), tr)
             return loss(p0.from_flat(phi), te)
 
+        def train(th):
+            lin = linearize(p0.from_flat(th), tr)
+            return lin.grad, lin.hvp
+
         new = maml_update(
-            theta,
-            grad_train=lambda th: grad(p0.from_flat(th), tr),
-            hvp_train=lambda th, v: hvp(p0.from_flat(th), tr, v),
+            theta, train,
             grad_test=lambda th: grad(p0.from_flat(th), te),
             alpha=alpha, beta=1.0, T0=1, mode="exact")
         meta = theta - new

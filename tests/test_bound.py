@@ -232,8 +232,7 @@ def test_homogeneous_contraction_within_xi_proof():
     for _ in range(20):
         ups = []
         for bi in task.b:
-            new = maml_update(theta, lambda th, bi=bi: A @ th - bi,
-                              lambda th, v: A @ v,
+            new = maml_update(theta, lambda th, bi=bi: (A @ th - bi, lambda v: A @ v),
                               lambda th, bi=bi: A @ th - bi,
                               task.alpha, task.beta, task.T0)
             ups.append((new, 1, 1))

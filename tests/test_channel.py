@@ -88,6 +88,13 @@ def test_tap_powers_decay_and_normalize():
     assert np.allclose(ratios, -0.66)
 
 
+@pytest.mark.parametrize("duration, fs", [(0.1, 0.0), (0.1, np.nan), (0.1, -5.0),
+                                          (np.inf, 1000.0), (0.0, 1000.0)])
+def test_rayleigh_cir_rejects_bad_grid(duration, fs):
+    with pytest.raises(ConfigurationError):
+        rayleigh_cir(RayleighModelConfig(Ts=0.001), duration, fs, seed=0)
+
+
 def test_rayleigh_cir_shape_and_determinism():
     cfg = RayleighModelConfig(Ts=0.001, fd=10.0)
     h1 = rayleigh_cir(cfg, 0.1, 1000.0, seed=7)

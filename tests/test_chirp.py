@@ -223,7 +223,7 @@ def test_detection_symmetry_under_shared_noise():
 
 
 def test_ber_monotone_and_downsampling_degradation():
-    from chirpfed.cli import ber_monte_carlo
+    from chirpfed.data import ber_monte_carlo
     p1 = ChirpParams(lam=1)
     p6 = ChirpParams(lam=6)
     trials = 20000

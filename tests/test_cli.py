@@ -305,6 +305,53 @@ def test_ber_sweep_rejects_non_finite_snr(tmp_path, capsys, value):
     assert "Traceback" not in capsys.readouterr().err
 
 
+BAD_ARGV = [
+    ["ber-sweep", "--detector", "foo"],
+    ["ber-sweep", "--detector", "mf,foo"],
+    ["ber-sweep", "--snr-db", "0:1:inf"],
+    ["ber-sweep", "--snr-db", "0:inf:3"],
+    ["ber-sweep", "--snr-db", "nan:1:3"],
+    ["run-fed", "--group", "count=abc"],
+    ["run-fed", "--group", "bogus=1"],
+    ["run-fed", "--group", "snr=a:b"],
+    ["train-single", "--data", "{data}", "--batch-size", "0"],
+    ["train-single", "--data", "{data}", "--batch-size", "-3"],
+    ["train-single", "--data", "{data}", "--epochs", "-1"],
+    ["cir", "generate", "--fs", "0"],
+    ["cir", "generate", "--fs", "nan"],
+    ["cir", "generate", "--duration", "inf"],
+    ["gen-data", "--snr-range", "nan", "nan"],
+    ["gen-data", "--snr-range", "6", "inf"],
+    ["gen-data", "--sto-range", "0", "inf"],
+]
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "node.uwds"
+    assert run(["gen-data", "--seed", "4", "--symbols", "40", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
+def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, small_dataset, argv):
+    out = tmp_path / "out"
+    argv = [a.format(data=small_dataset) for a in argv]
+    try:
+        rc = run(argv + ["--seed", "1", "--out", str(out)])
+    except SystemExit as exc:  # rejected by the argument parser
+        rc = exc.code
+    assert rc == cli.EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_noise_free_snr_range_stays_valid(tmp_path):
+    out = tmp_path / "node.uwds"
+    assert run(["gen-data", "--seed", "1", "--symbols", "10", "--snr-range", "inf",
+                "inf", "--out", str(out)]) == 0
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -31,6 +31,11 @@ def test_spec_defaults():
     dict(n_symbols=1),
     dict(snr_db_range=(10.0, 5.0)),
     dict(sto_range=(3.0, 1.0)),
+    dict(snr_db_range=(np.nan, np.nan)),
+    dict(snr_db_range=(6.0, np.inf)),
+    dict(snr_db_range=(-np.inf, np.inf)),
+    dict(sto_range=(0.0, np.inf)),
+    dict(speed_range=(np.nan, 1.0)),
     dict(split=0.0),
     dict(split=1.0),
     dict(channel_tag="bellhop"),
@@ -38,6 +43,10 @@ def test_spec_defaults():
 def test_spec_validation(kwargs):
     with pytest.raises(ConfigurationError):
         small_spec(**kwargs)
+
+
+def test_noise_free_snr_point_stays_valid():
+    assert small_spec(snr_db_range=(np.inf, np.inf)).snr_db_range == (np.inf, np.inf)
 
 
 def test_rayleigh_tag_autofills_config():

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from chirpfed import federation
+from chirpfed import federation, receiver
 from chirpfed.errors import ConfigurationError, EmptyRoundError
 from chirpfed.federation import (FmlConfig, NodeState, RoundLog, aggregate,
                                  evaluate, local_fedavg_step, local_maml_step,
@@ -49,8 +51,8 @@ def test_maml_alpha_zero_is_sgd_on_test_split():
     # alpha must be > 0 in config, but maml_update itself accepts alpha=0
     flat = maml_update(
         node.theta.to_flat(),
-        grad_train=lambda th: grad(node.theta.from_flat(th), node.train_split),
-        hvp_train=lambda th, v: hvp(node.theta.from_flat(th), node.train_split, v),
+        train=lambda th: (grad(node.theta.from_flat(th), node.train_split),
+                          lambda v: hvp(node.theta.from_flat(th), node.train_split, v)),
         grad_test=lambda th: grad(node.theta.from_flat(th), node.test_split),
         alpha=0.0, beta=0.05, T0=1)
     want = sgd_step(node.theta, node.test_split, 0.05)
@@ -71,8 +73,8 @@ def test_exact_meta_gradient_matches_composed_fd():
     beta = 1.0
     new = maml_update(
         theta,
-        grad_train=lambda th: grad(p0.from_flat(th), node.train_split),
-        hvp_train=lambda th, v: hvp(p0.from_flat(th), node.train_split, v),
+        train=lambda th: (grad(p0.from_flat(th), node.train_split),
+                          lambda v: hvp(p0.from_flat(th), node.train_split, v)),
         grad_test=lambda th: grad(p0.from_flat(th), node.test_split),
         alpha=alpha, beta=beta, T0=1, mode="exact")
     meta = (theta - new) / beta
@@ -93,8 +95,7 @@ def test_maml_on_quadratic_matches_hand_update():
     theta = np.array([0.7, -0.2])
     new = maml_update(
         theta,
-        grad_train=lambda th: A @ th - b_tr,
-        hvp_train=lambda th, v: A @ v,
+        train=lambda th: (A @ th - b_tr, lambda v: A @ v),
         grad_test=lambda th: A @ th - b_te,
         alpha=alpha, beta=beta, T0=1, mode="exact")
     phi = theta - alpha * (A @ theta - b_tr)
@@ -106,7 +107,7 @@ def test_first_order_drops_hessian_term():
     A = np.diag([3.0, 1.0])
     b = np.zeros(2)
     theta = np.array([1.0, 1.0])
-    new = maml_update(theta, lambda th: A @ th - b, lambda th, v: A @ v,
+    new = maml_update(theta, lambda th: (A @ th - b, lambda v: A @ v),
                       lambda th: A @ th - b, alpha=0.1, beta=0.1, T0=1,
                       mode="first_order")
     phi = theta - 0.1 * (A @ theta)
@@ -308,3 +309,42 @@ def test_local_steps_only_on_scheduled_nodes(monkeypatch, mode, step):
     logs, _ = run_rounds(cfg, nodes, mode)
     assert len(stepped) == cfg.N * cfg.rounds
     assert stepped == [i for log in logs for i in log.scheduled]
+
+
+@pytest.mark.parametrize("mode, T0", [("exact", 1), ("exact", 3), ("first_order", 2)])
+def test_local_maml_step_runs_one_train_forward_pass_per_step(monkeypatch, mode, T0):
+    # the train-side gradient and Hessian-vector product share one forward pass
+    node = make_node(0, 11)
+    seen = []
+    original = receiver._forward_pass
+
+    def counted(p, x):
+        seen.append(x is node.train_split.inputs)
+        return original(p, x)
+
+    monkeypatch.setattr(receiver, "_forward_pass", counted)
+    local_maml_step(node, alpha=0.05, beta=0.05, T0=T0, mode=mode)
+    assert seen.count(True) == T0
+    assert seen.count(False) == T0  # the test-side gradient at phi
+
+
+# sha256 of the final parameter bytes and repr(logs) of 4 nodes, T0=2,
+# recorded when the HVP still ran its own forward pass.  The nets and batches
+# are large enough, and alpha high enough, that rounding the HVP's d3 as the
+# gradient does changes the fml-exact digest.
+GOLDEN_RUNS = {
+    ("fml", "exact"): "6585b6891da40d81479d4656cd37dd7905e4bffb257a5add53c787a0a59e29a3",
+    ("fml", "first_order"): "b2a51fb0b846f0891d8f436b77401c95cf4c6535ac3f6fd1e09c6a26db2e7011",
+    ("fl", "exact"): "9a6dda676d9155ce7393218c98b4ef98121b813851f37a75ca3789125d83c0e9",
+}
+
+
+@pytest.mark.parametrize("mode, meta", list(GOLDEN_RUNS))
+def test_run_rounds_golden_digest(mode, meta):
+    theta = init_params([32, 32, 28, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 90 + i, n_in=32, n_rows=64, theta=theta) for i in range(4)]
+    cfg = FmlConfig(K=4, G=0.5, alpha=0.1, beta=0.05, T0=2, rounds=5,
+                    p_decode=0.8, seed=7, mode=meta)
+    logs, out = run_rounds(cfg, nodes, mode)
+    digest = hashlib.sha256(out.to_flat().tobytes() + repr(logs).encode()).hexdigest()
+    assert digest == GOLDEN_RUNS[mode, meta]

@@ -9,7 +9,8 @@ from chirpfed.errors import (ConfigurationError, InputError, ParseError,
 from chirpfed.receiver import (LabeledBatch, MlpParams, ber_eval,
                                default_hidden, detect, detect_batch, forward,
                                forward_batch, grad, hvp, init_params,
-                               load_params, loss, save_params, sgd_step, train)
+                               linearize, load_params, loss, save_params,
+                               sgd_step, train)
 
 
 def random_net(rng, sizes=None):
@@ -239,6 +240,23 @@ def test_hvp_matches_grad_differences():
         assert np.linalg.norm(hv - num) / denom < 1e-3
 
 
+def test_linearization_matches_grad_and_hvp_bitwise():
+    rng = np.random.default_rng(12)
+    p = random_net(rng)
+    b = random_batch(rng, p.layer_sizes[0])
+    u = rng.standard_normal(p.n_params)
+    v = rng.standard_normal(p.n_params)
+    lin = linearize(p, b)
+    assert np.array_equal(lin.grad, grad(p, b))
+    hu = lin.hvp(u)
+    assert np.array_equal(hu, hvp(p, b, u))
+    # one linearization serves many tangents and is not changed by them
+    assert np.array_equal(lin.hvp(v), hvp(p, b, v))
+    assert np.array_equal(lin.hvp(u), hu)
+    with pytest.raises(InputError):
+        lin.hvp(np.ones(p.n_params + 1))
+
+
 def test_hvp_symmetry_and_linearity():
     rng = np.random.default_rng(11)
     p = random_net(rng)
@@ -329,6 +347,15 @@ def test_train_loop_reduces_loss():
                rng=np.random.default_rng(17))
     assert loss(p1, batch) < loss(p0, batch)
     assert ber_eval(p1, batch) < 0.1
+
+
+@pytest.mark.parametrize("batch_size, epochs", [(0, 1), (-3, 1), (8, -1)])
+def test_train_rejects_bad_schedule(batch_size, epochs):
+    rng = np.random.default_rng(23)
+    p = init_params([3, 6, 5, 1], rng)
+    with pytest.raises(ConfigurationError):
+        train(p, random_batch(rng, 3, 8), epochs=epochs, lr=1e-3,
+              batch_size=batch_size, rng=rng)
 
 
 def test_train_divergence_is_a_training_error():
