@@ -19,6 +19,7 @@ from .errors import ConfigurationError, InputError
 
 CIR_MAGIC = b"UWAC"
 CIR_VERSION = 1
+MAX_CIR_ENTRIES = 2 ** 21  # n_taps x n_time; about 190 MB peak at the cap
 
 # Windowed-sinc interpolation kernel: 64 taps m = -31..32 at m - f for a
 # fraction 0 <= f < 1, Hann-windowed over |m - f| < 33.  By the angle-addition
@@ -146,8 +147,12 @@ def rayleigh_cir(cfg: RayleighModelConfig, duration: float, fs: float,
     if not (np.all(np.isfinite([duration, fs])) and min(duration, fs) > 0):
         raise ConfigurationError(
             f"duration={duration} and fs={fs} must be finite and positive")
+    n_time = max(1.0, np.rint(duration * fs))  # inf if the product overflows
+    if cfg.n_taps * n_time > MAX_CIR_ENTRIES:
+        raise ConfigurationError(f"{cfg.n_taps} taps x {n_time:.6g} time steps "
+                                 f"exceed {MAX_CIR_ENTRIES} entries")
+    n_time = int(n_time)
     rng = np.random.default_rng(seed)
-    n_time = max(1, int(round(duration * fs)))
     powers = tap_mean_powers(cfg)
     freqs = np.fft.fftfreq(n_time, d=1.0 / fs)
     if cfg.fd > 0:

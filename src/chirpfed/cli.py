@@ -32,6 +32,8 @@ EXIT_USAGE = 2
 EXIT_VALIDITY = 3
 EXIT_RUNTIME = 4
 
+MAX_GRID_POINTS = 10_000  # per --snr-db grid, checked before the list is built
+
 # Published complexity table (operation counts per symbol decision):
 # columns MF lambda=1/2/6 and DNN lambda=6 at 960 samples per symbol.
 TABLE2 = {
@@ -79,8 +81,10 @@ def _parse_grid(spec: str):
         raise argparse.ArgumentTypeError(f"grid {spec!r} is not finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(n)]
+    span = (stop - start) / step + 1e-9  # inf if the bounds are far apart
+    if not span < MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid {spec!r} exceeds {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def _fmt(x: float) -> str:
@@ -177,6 +181,9 @@ def cmd_ber_sweep(args) -> int:
     if not all(math.isfinite(snr) for snr in args.snr_db):
         print("ber-sweep: --snr-db values must be finite", file=sys.stderr)
         return EXIT_USAGE
+    if args.trials < 0:
+        print("ber-sweep: --trials must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     if len({data_mod.noise_stream_key(snr) for snr in args.snr_db}) < len(args.snr_db):
         print("ber-sweep: two --snr-db values share one noise stream, keyed by "
               "int(1000 * snr_db)", file=sys.stderr)
@@ -261,6 +268,8 @@ def _parse_group(text: str) -> dict:
                 out[key] = (float(lo), float(hi or lo))
         except ValueError:
             raise ConfigurationError(f"group field {key}={val!r} is not numeric") from None
+    if out["count"] < 1:
+        raise ConfigurationError(f"group count {out['count']} must be >= 1")
     return out
 
 
@@ -367,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ber-sweep", cmd_ber_sweep, help="Monte-Carlo BER grid")
     p.add_argument("--snr-db", type=_parse_grid, default=[6.0, 9.0, 12.0],
-                   help="Eb/N0 grid start:step:stop in dB")
+                   help=f"Eb/N0 grid start:step:stop in dB, <= {MAX_GRID_POINTS} points")
     p.add_argument("--detector", default="mf", help="comma list: mf,dnn")
     p.add_argument("--lambda", dest="lam", type=int, default=1)
     p.add_argument("--sto", type=float, default=0.0,

@@ -99,14 +99,17 @@ def maml_update(theta: np.ndarray, train, grad_test, alpha: float, beta: float,
 
 
 def local_maml_step(node: NodeState, alpha: float, beta: float, T0: int,
-                    mode: str = "exact") -> MlpParams:
-    """T0 MAML steps on the node's own splits; returns new parameters."""
+                    mode: str = "exact", first=None) -> MlpParams:
+    """T0 MAML steps on the node's own splits; returns new parameters.  The
+    first step uses `first`, if given: the train split linearized at node.theta."""
     if len(node.train_split) == 0 or len(node.test_split) == 0:
         raise ConfigurationError("both data splits must be nonempty")
     p0 = node.theta
 
     def train(th):
-        lin = receiver.linearize(p0.from_flat(th), node.train_split)
+        nonlocal first
+        lin = first or receiver.linearize(p0.from_flat(th), node.train_split)
+        first = None
         return lin.grad, lin.hvp
 
     theta = maml_update(
@@ -160,25 +163,37 @@ def aggregate(updates) -> np.ndarray:
     return acc
 
 
+def _accuracies(theta: MlpParams, node: NodeState, alpha: float, g, total):
+    """The node's weighted test accuracy at theta and after the step -alpha*g,
+    g being its train-split gradient at theta."""
+    w = node.data_size / total
+    phi = theta.from_flat(theta.to_flat() - alpha * g)
+    return (w * (1.0 - receiver.ber_eval(theta, node.test_split)),
+            w * (1.0 - receiver.ber_eval(phi, node.test_split)))
+
+
 def evaluate(theta: MlpParams, nodes, alpha: float):
     """(weighted test accuracy, weighted one-step-adapted test accuracy)."""
     total = sum(n.data_size for n in nodes)
-    acc = 0.0
-    adapted = 0.0
+    acc = adapted = 0.0
     for node in nodes:
-        w = node.data_size / total
-        acc += w * (1.0 - receiver.ber_eval(theta, node.test_split))
-        phi = receiver.sgd_step(theta, node.train_split, alpha)
-        adapted += w * (1.0 - receiver.ber_eval(phi, node.test_split))
+        g = receiver.grad(theta, node.train_split)
+        a, b = _accuracies(theta, node, alpha, g, total)
+        acc, adapted = acc + a, adapted + b
     return acc, adapted
 
 
 def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     """Execute cfg.rounds communication rounds; returns (logs, final params).
 
-    The schedule is drawn before the local steps, which run on the N
-    scheduled nodes only.  mode 'fml' runs MAML local steps, 'fl' runs the
-    FedAvg baseline with the inner rate alpha as its local learning rate.
+    mode 'fml' runs MAML local steps, 'fl' runs FedAvg with local rate alpha.
+    Each broadcast theta gets one pass over the nodes that linearizes each
+    train split once, for the loss of the round theta opens, the one-step
+    adaptation that evaluates the round that made it, and a scheduled node's
+    first MAML step.  A round's schedule is drawn just before its pass, and
+    only the N scheduled nodes step.  The first pass takes a plain loss on
+    the other nodes; the last only evaluates, leaving the nodes at the last
+    broadcast theta.
     """
     if mode not in ("fml", "fl"):
         raise ConfigurationError(f"mode must be 'fml' or 'fl', got {mode!r}")
@@ -188,32 +203,42 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
         raise ConfigurationError(f"config says K={cfg.K} but got {len(nodes)} nodes")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5C4ED]))
     theta = nodes[0].theta
+    total = sum(n.data_size for n in nodes)
     logs = []
-    for t in range(cfg.rounds):
-        losses = []
-        for node in nodes:
-            node.theta = theta
-            losses.append(receiver.loss(theta, node.train_split))
+    for t in range(cfg.rounds + 1):
+        opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
         # schedule() draws positions into the node list; logs carry node ids
-        positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng)
-        updates = []
-        for pos in positions:
-            node = nodes[pos]
+        positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
+        losses, updates, acc, adapted = [], [], 0.0, 0.0
+        for pos, node in enumerate(nodes):
+            lin = None  # one node's activations at a time
+            if t or (pos in positions and mode == "fml"):
+                lin = receiver.linearize(theta, node.train_split)
+            if opens:
+                node.theta = theta
+                losses.append(lin.loss if lin else receiver.loss(theta, node.train_split))
+            if pos in positions:
+                try:
+                    if mode == "fml":
+                        new = local_maml_step(node, cfg.alpha, cfg.beta, cfg.T0,
+                                              cfg.mode, lin)
+                    else:
+                        new = local_fedavg_step(node, cfg.alpha, cfg.T0)
+                except TrainingError as exc:
+                    raise TrainingError(str(exc), round_index=t) from exc
+                updates.append((new.to_flat(), node.data_size, u[pos]))
+            if t:
+                a, b = _accuracies(theta, node, cfg.alpha, lin.grad, total)
+                acc, adapted = acc + a, adapted + b
+        lin = new = None  # held through aggregate, they raise the peak RSS
+        if t:
+            logs.append(RoundLog(*opened, acc, adapted))
+        if opens:
+            opened = (t, tuple(nodes[pos].id for pos in positions),
+                      tuple(nodes[pos].id for pos in positions if u[pos]),
+                      float(np.mean(losses)))
             try:
-                if mode == "fml":
-                    new = local_maml_step(node, cfg.alpha, cfg.beta, cfg.T0, cfg.mode)
-                else:
-                    new = local_fedavg_step(node, cfg.alpha, cfg.T0)
-            except TrainingError as exc:
-                raise TrainingError(str(exc), round_index=t) from exc
-            updates.append((new.to_flat(), node.data_size, u[pos]))
-        scheduled = tuple(nodes[pos].id for pos in positions)
-        successful = tuple(nodes[pos].id for pos in positions if u[pos])
-        try:
-            theta = theta.from_flat(aggregate(updates))
-        except EmptyRoundError:
-            pass  # keep previous global parameters
-        test_acc, adapted_acc = evaluate(theta, nodes, cfg.alpha)
-        logs.append(RoundLog(t, scheduled, successful,
-                             float(np.mean(losses)), test_acc, adapted_acc))
+                theta = theta.from_flat(aggregate(updates))
+            except EmptyRoundError:
+                pass  # keep previous global parameters
     return logs, theta

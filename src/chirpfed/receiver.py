@@ -136,16 +136,14 @@ def _sigmoid(z):
 
 
 def _forward_pass(p: MlpParams, x: np.ndarray):
-    """All intermediate activations for a (B, N1) batch."""
+    """Hidden activations a1, a2 (each made in place) and the output."""
     w1, w2, w3 = p.weights
     b1, b2, b3 = p.biases
-    z1 = x @ w1.T + b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w2.T + b2
-    a2 = np.maximum(z2, 0.0)
-    z3 = (a2 @ w3.T + b3)[:, 0]
-    out = _sigmoid(z3)
-    return z1, a1, z2, a2, z3, out
+    a1 = x @ w1.T
+    np.maximum(np.add(a1, b1, out=a1), 0.0, out=a1)
+    a2 = a1 @ w2.T
+    np.maximum(np.add(a2, b2, out=a2), 0.0, out=a2)
+    return a1, a2, _sigmoid((a2 @ w3.T + b3)[:, 0])
 
 
 def forward_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
@@ -173,11 +171,16 @@ def loss(p: MlpParams, batch: LabeledBatch) -> float:
 
 
 class Linearization:
-    """A batch's loss at fixed parameters: its exact gradient, and exact
-    Hessian-vector products that reuse the gradient's forward pass."""
+    """A batch's loss at fixed parameters: its value, its exact gradient, and
+    exact Hessian-vector products, all from the gradient's forward pass."""
 
-    def __init__(self, grad: np.ndarray, cache: tuple):
-        self.grad, self._cache = grad, cache
+    def __init__(self, grad: np.ndarray, cache: tuple, labels: np.ndarray):
+        self.grad, self._cache, self._labels = grad, cache, labels
+
+    @property
+    def loss(self) -> float:
+        """The batch's mean squared error, rounded as `loss` rounds it."""
+        return float(np.mean((self._labels - self._cache[4]) ** 2))
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """Exact Hessian-vector product H v, in the canonical flat ordering."""
@@ -220,8 +223,8 @@ def linearize(p: MlpParams, batch: LabeledBatch) -> Linearization:
         raise InputError("batch is empty")
     x, y = batch.inputs, batch.labels
     _, w2, w3 = p.weights
-    z1, a1, z2, a2, _, out = _forward_pass(p, x)
-    m1, m2 = z1 > 0, z2 > 0
+    a1, a2, out = _forward_pass(p, x)
+    m1, m2 = a1 > 0, a2 > 0  # the bits of z > 0, for -0.0 and NaN too
     d_out = 2.0 * (out - y) / y.size
     d3 = d_out * out * (1.0 - out)
     d2 = (d3[:, None] * w3) * m2
@@ -234,7 +237,7 @@ def linearize(p: MlpParams, batch: LabeledBatch) -> Linearization:
     d2.sum(axis=0, out=g_b2)
     np.matmul(d1.T, x, out=g_w1)
     d1.sum(axis=0, out=g_b1)
-    return Linearization(g, (p, x, a1, a2, out, m1, m2, d_out))
+    return Linearization(g, (p, x, a1, a2, out, m1, m2, d_out), y)
 
 
 def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chirpfed.channel import (ChannelRealization, ImpairmentSpec,
+from chirpfed.channel import (MAX_CIR_ENTRIES, ChannelRealization, ImpairmentSpec,
                               RayleighModelConfig, _kernel, _KERNEL_OFFSETS,
                               apply_channel, apply_doppler, apply_sto,
                               bell_spectrum, hilbert, identity_channel,
@@ -93,6 +93,15 @@ def test_tap_powers_decay_and_normalize():
 def test_rayleigh_cir_rejects_bad_grid(duration, fs):
     with pytest.raises(ConfigurationError):
         rayleigh_cir(RayleighModelConfig(Ts=0.001), duration, fs, seed=0)
+
+
+# 13 taps x 161320 steps is the smallest grid above MAX_CIR_ENTRIES = 2**21
+@pytest.mark.parametrize("duration, fs", [(161.32, 1000.0), (1.0, 1e7), (1e300, 1e300)])
+def test_rayleigh_cir_rejects_oversized_grid(duration, fs):
+    cfg = RayleighModelConfig(Ts=0.001)
+    assert cfg.n_taps * 161319 <= MAX_CIR_ENTRIES
+    with pytest.raises(ConfigurationError, match="exceed"):
+        rayleigh_cir(cfg, duration, fs, seed=0)
 
 
 def test_rayleigh_cir_shape_and_determinism():

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import struct
@@ -323,6 +324,19 @@ BAD_ARGV = [
     ["gen-data", "--snr-range", "nan", "nan"],
     ["gen-data", "--snr-range", "6", "inf"],
     ["gen-data", "--sto-range", "0", "inf"],
+    ["ber-sweep", "--snr-db=-1e308:1:1e308"],
+    ["ber-sweep", "--trials", "-5"],
+    ["run-fed", "--group", "count=-1", "--group", "count=2"],
+    ["run-fed", "--group", "count=0"],
+    ["cir", "generate", "--duration", "1e300", "--fs", "1e300"],
+]
+
+# Arguments that would size an allocation of gigabytes (or without end) if
+# their cap were lost; they run in a child with a bounded address space.
+OVERSIZED_ARGV = [
+    ["ber-sweep", "--snr-db", "0:1e-6:1"],
+    ["ber-sweep", "--snr-db", "0:1:1e300"],
+    ["cir", "generate", "--fs", "1e7"],
 ]
 
 
@@ -344,6 +358,36 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, small_dataset,
     assert rc == cli.EXIT_USAGE
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARGV, ids=" ".join)
+def test_oversized_arguments_exit_2_in_bounded_memory(tmp_path, argv):
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from chirpfed import cli; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--seed", "1", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_USAGE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_grid_point_cap():
+    cap = cli.MAX_GRID_POINTS
+    assert len(cli._parse_grid(f"0:1:{cap - 1}")) == cap
+    assert cli._parse_grid("5:1:0") == []
+    with pytest.raises(argparse.ArgumentTypeError):
+        cli._parse_grid(f"0:1:{cap}")
+
+
+def test_group_count_has_its_own_message(tmp_path, capsys):
+    rc = run(["run-fed", "--seed", "1", "--group", "count=-1", "--group", "count=2",
+              "--out", str(tmp_path / "fed.csv")])
+    assert rc == cli.EXIT_USAGE
+    assert "group count -1 must be >= 1" in capsys.readouterr().err
 
 
 def test_noise_free_snr_range_stays_valid(tmp_path):

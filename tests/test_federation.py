@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chirpfed import federation, receiver
-from chirpfed.errors import ConfigurationError, EmptyRoundError
+from chirpfed.errors import ConfigurationError, EmptyRoundError, TrainingError
 from chirpfed.federation import (FmlConfig, NodeState, RoundLog, aggregate,
                                  evaluate, local_fedavg_step, local_maml_step,
                                  maml_update, run_rounds, schedule)
@@ -348,3 +348,61 @@ def test_run_rounds_golden_digest(mode, meta):
     logs, out = run_rounds(cfg, nodes, mode)
     digest = hashlib.sha256(out.to_flat().tobytes() + repr(logs).encode()).hexdigest()
     assert digest == GOLDEN_RUNS[mode, meta]
+
+
+# recorded with the parent code of the per-theta node pass: K=5, N=2, T0=1,
+# seed 11, whose rounds 0, 3 and 5 decode no upload
+GOLDEN_EMPTY_ROUND_RUNS = {
+    ("fml", "exact"): "83326a5b119b34231d98a4f9461ad06d62602be49f1c28eba3f51da36b66da5d",
+    ("fml", "first_order"): "0a919a656003465c400aef108bc2f2e93e4657d6fe97b034d5af21338232bf6b",
+    ("fl", "exact"): "2ea0b2fe1160cbde04813aecf76ca0278b5c3a12bd0ea91e0b34cf6d526cda89",
+}
+
+
+@pytest.mark.parametrize("mode, meta", list(GOLDEN_EMPTY_ROUND_RUNS))
+def test_run_rounds_golden_digest_with_empty_rounds(mode, meta):
+    theta = init_params([32, 32, 28, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 90 + i, n_in=32, n_rows=64, theta=theta) for i in range(5)]
+    cfg = FmlConfig(K=5, G=0.4, alpha=0.1, beta=0.05, T0=1, rounds=6,
+                    p_decode=0.5, seed=11, mode=meta)
+    logs, out = run_rounds(cfg, nodes, mode)
+    assert [log.round_index for log in logs if not log.successful] == [0, 3, 5]
+    digest = hashlib.sha256(out.to_flat().tobytes() + repr(logs).encode()).hexdigest()
+    assert digest == GOLDEN_EMPTY_ROUND_RUNS[mode, meta]
+
+
+@pytest.mark.parametrize("T0", [1, 3])
+def test_run_rounds_linearizes_each_train_split_once_per_theta(monkeypatch, T0):
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 80 + i, theta=theta) for i in range(5)]
+    cfg = FmlConfig(K=5, G=0.4, alpha=0.05, beta=0.05, T0=T0, rounds=4,
+                    p_decode=0.5, seed=3)
+    train_inputs = [node.train_split.inputs for node in nodes]
+    seen = []
+    original = receiver._forward_pass
+
+    def counted(p, x):
+        seen.append(any(x is inputs for inputs in train_inputs))
+        return original(p, x)
+
+    monkeypatch.setattr(receiver, "_forward_pass", counted)
+    run_rounds(cfg, nodes, "fml")
+    K, N, R = cfg.K, cfg.N, cfg.rounds
+    # one pass per broadcast theta, plus the later steps of each local update;
+    # before the per-theta pass it was R * (2K + N*T0)
+    assert seen.count(True) == K * (R + 1) + N * R * (T0 - 1)
+
+
+@pytest.mark.parametrize("mode", ["fml", "fl"])
+def test_diverging_local_step_names_its_round(mode):
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 100 + i, theta=theta) for i in range(5)]
+    bad = nodes[2]  # first scheduled in round 3 under seed 7
+    huge = np.where(bad.train_split.inputs > 0, 1.7e308, -1.7e308)  # overflows x @ W.T
+    nodes[2] = NodeState(bad.id, theta, LabeledBatch(huge, bad.train_split.labels),
+                         bad.test_split)
+    cfg = FmlConfig(K=5, G=0.4, alpha=0.05, beta=0.05, rounds=6, p_decode=0.5,
+                    seed=7)
+    with np.errstate(all="ignore"), pytest.raises(TrainingError) as info:
+        run_rounds(cfg, nodes, mode)
+    assert info.value.round_index == 3
