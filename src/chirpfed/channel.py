@@ -306,10 +306,9 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
         d = k * step
         if d >= n:
             break
-        gains = taps[k]
-        # a static CIR repeats its one column; a longer one is cut to n
-        g = gains if gains.size == n else np.resize(gains, n)
-        acc[d:] += g[d:] * sig[: n - d]
+        # a static CIR applies its one gain throughout; a longer one is cut to n
+        g = taps[k, 0] if h.n_time == 1 else taps[k, d:n]
+        acc[d:] += g * sig[: n - d]
     r = acc.real
     if np.isfinite(imp.snr_db):
         rng = np.random.default_rng(seed)

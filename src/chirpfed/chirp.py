@@ -91,10 +91,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.fs
-
 
 @dataclass(frozen=True)
 class ComplexityReport:
@@ -131,18 +127,6 @@ def generate_chirp(params: ChirpParams, direction: str = "up") -> Waveform:
     return Waveform(np.cos(phase), params.fs)
 
 
-def modulate_frame(bits, params: ChirpParams) -> Waveform:
-    """Concatenate one chirp symbol per bit: 0 -> up-chirp, 1 -> down-chirp."""
-    bits = np.asarray(bits)
-    if bits.size == 0:
-        raise InputError("bit sequence is empty")
-    if not np.all((bits == 0) | (bits == 1)):
-        raise InputError("bits must be 0 or 1")
-    s = [generate_chirp(params, "up").samples, generate_chirp(params, "down").samples]
-    out = np.concatenate([s[int(b)] for b in bits])
-    return Waveform(out, params.fs)
-
-
 def downsample(w: Waveform, lam: int) -> Waveform:
     """Keep every lam-th sample starting at index 0."""
     if not (isinstance(lam, (int, np.integer)) and lam >= 1):
@@ -158,22 +142,6 @@ def symbol_templates(params: ChirpParams) -> tuple[np.ndarray, np.ndarray]:
     s1 = downsample(generate_chirp(params, "up"), params.lam)
     s2 = downsample(generate_chirp(params, "down"), params.lam)
     return s1.samples, s2.samples
-
-
-def matched_filter_detect(rx: Waveform, params: ChirpParams):
-    """Correlate one received symbol against both templates.
-
-    Returns (bit, c1, c2).  The decision is argmax of correlation: bit 0 iff
-    c1 >= c2, ties breaking to bit 0.
-    """
-    s1, s2 = symbol_templates(params)
-    if len(rx) != s1.size:
-        raise InputError(
-            f"received symbol has {len(rx)} samples, templates have {s1.size}")
-    c1 = float(np.dot(rx.samples, s1))
-    c2 = float(np.dot(rx.samples, s2))
-    bit = 0 if c1 >= c2 else 1
-    return bit, c1, c2
 
 
 def matched_filter_detect_batch(rx: np.ndarray, params: ChirpParams) -> np.ndarray:

@@ -33,6 +33,7 @@ EXIT_VALIDITY = 3
 EXIT_RUNTIME = 4
 
 MAX_GRID_POINTS = 10_000  # per --snr-db grid, checked before the list is built
+SNR_CONVENTION = "Eb/N0 = SNR + 10*log10(T*fs/2), 26.8 dB more at 960 samples/symbol"
 
 # Published complexity table (operation counts per symbol decision):
 # columns MF lambda=1/2/6 and DNN lambda=6 at 960 samples per symbol.
@@ -214,20 +215,18 @@ def cmd_ber_sweep(args) -> int:
 
 # ------------------------------------------------------------------ gen-data
 
-def _spec_from_args(args, seed) -> data_mod.DatasetSpec:
+def _spec_from_args(args, seed, snr, sto, speed, channel="identity"):
+    """A node's DatasetSpec: size and rate from args, impairments given."""
     return data_mod.DatasetSpec(
-        n_symbols=args.symbols,
-        split=args.split,
-        chirp=chirp_mod.ChirpParams(lam=args.lam),
-        snr_db_range=tuple(args.snr_range),
-        sto_range=tuple(args.sto_range),
-        speed_range=tuple(args.speed_range),
-        channel_tag=args.channel,
+        n_symbols=args.symbols, split=args.split,
+        chirp=chirp_mod.ChirpParams(lam=args.lam), snr_db_range=tuple(snr),
+        sto_range=tuple(sto), speed_range=tuple(speed), channel_tag=channel,
         seed=seed)
 
 
 def cmd_gen_data(args) -> int:
-    spec = _spec_from_args(args, args.seed)
+    spec = _spec_from_args(args, args.seed, args.snr_range, args.sto_range,
+                           args.speed_range, args.channel)
     train, test = data_mod.build_node_dataset(spec)
     data_mod.save_dataset(args.out, train, test, spec)
     return EXIT_OK
@@ -273,22 +272,13 @@ def _parse_group(text: str) -> dict:
     return out
 
 
-def build_group_nodes(groups, lam, symbols, split, seed, theta):
-    nodes = []
-    nid = 0
-    for gi, g in enumerate(groups):
-        for _ in range(g["count"]):
-            spec = data_mod.DatasetSpec(
-                n_symbols=symbols, split=split,
-                chirp=chirp_mod.ChirpParams(lam=lam),
-                snr_db_range=g["snr"], sto_range=g["sto"],
-                speed_range=g["speed"],
-                seed=int(np.random.default_rng(
-                    np.random.SeedSequence([seed, gi, nid])).integers(2 ** 31)))
-            train, test = data_mod.build_node_dataset(spec)
-            nodes.append(fed_mod.NodeState(nid, theta, train.batch, test.batch))
-            nid += 1
-    return nodes
+def _group_specs(args, groups):
+    """One DatasetSpec per node, lazily: ids run across the groups in order."""
+    members = ((gi, g) for gi, g in enumerate(groups) for _ in range(g["count"]))
+    for nid, (gi, g) in enumerate(members):
+        rng = np.random.default_rng(np.random.SeedSequence([args.seed, gi, nid]))
+        yield _spec_from_args(args, int(rng.integers(2 ** 31)), g["snr"], g["sto"],
+                              g["speed"])
 
 
 def cmd_run_fed(args) -> int:
@@ -301,8 +291,7 @@ def cmd_run_fed(args) -> int:
     h1, h2 = recv_mod.default_hidden(params.n1)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0x1417]))
     theta = recv_mod.init_params([params.n1, h1, h2, 1], rng)
-    nodes = build_group_nodes(groups, args.lam, args.symbols, args.split,
-                              args.seed, theta)
+    nodes = fed_mod.build_nodes(_group_specs(args, groups), theta)
     logs, _ = fed_mod.run_rounds(cfg, nodes, args.mode)
     rows = [[log.round_index,
              ";".join(str(i) for i in log.scheduled),
@@ -376,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ber-sweep", cmd_ber_sweep, help="Monte-Carlo BER grid")
     p.add_argument("--snr-db", type=_parse_grid, default=[6.0, 9.0, 12.0],
-                   help=f"Eb/N0 grid start:step:stop in dB, <= {MAX_GRID_POINTS} points")
+                   help=f"Eb/N0 grid start:step:stop in dB, <= {MAX_GRID_POINTS} "
+                        "points, not the per-sample SNR of gen-data and "
+                        f"run-fed: {SNR_CONVENTION}")
     p.add_argument("--detector", default="mf", help="comma list: mf,dnn")
     p.add_argument("--lambda", dest="lam", type=int, default=1)
     p.add_argument("--sto", type=float, default=0.0,
@@ -389,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbols", type=int, default=1250)
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--lambda", dest="lam", type=int, default=6)
-    p.add_argument("--snr-range", type=float, nargs=2, default=[np.inf, np.inf])
+    p.add_argument("--snr-range", type=float, nargs=2, default=[np.inf, np.inf],
+                   help="per-sample SNR range of the received symbols in dB, "
+                        f"not Eb/N0: {SNR_CONVENTION}")
     p.add_argument("--sto-range", type=float, nargs=2, default=[0.0, 0.0])
     p.add_argument("--speed-range", type=float, nargs=2, default=[0.0, 0.0])
     p.add_argument("--channel", choices=data_mod.CHANNEL_TAGS, default="identity")
@@ -403,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("run-fed", cmd_run_fed, help="federated (meta) learning rounds")
     p.add_argument("--mode", choices=["fml", "fl"], default="fml")
     p.add_argument("--group", action="append", default=[],
-                   help="node group, e.g. count=3,sto=0:60,snr=6:12")
+                   help="node group, e.g. count=3,sto=0:60,snr=6:12; snr is the "
+                        f"per-sample SNR in dB, not Eb/N0: {SNR_CONVENTION}")
     p.add_argument("--g", type=float, default=0.3, help="scheduling ratio G")
     p.add_argument("--t0", type=int, default=1)
     p.add_argument("--rounds", type=int, default=50)
@@ -425,9 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_grid_values(argv):
+    """'--snr-db -6:3:0' -> '--snr-db=-6:3:0': argparse reads a value that
+    starts with '-' as an option unless it is a plain negative number."""
+    out = []
+    for arg in argv:
+        if out[-1:] == ["--snr-db"] and arg.startswith("-"):
+            arg = out.pop() + "=" + arg
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValidityError as exc:

@@ -28,6 +28,7 @@ DATASET_VERSION = 1
 
 CHANNEL_TAGS = ("identity", "rayleigh")
 DETECTORS = ("mf", "dnn")  # of ber_monte_carlo
+MAX_DATASET_SAMPLES = 2 ** 24  # records x n1; 128 MB of float64 samples
 
 
 def _check_range(name, rng_pair):
@@ -40,7 +41,12 @@ def _check_range(name, rng_pair):
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Synthesis recipe for one node's local dataset."""
+    """Synthesis recipe for one node's local dataset.
+
+    snr_db_range bounds the per-sample SNR of each received symbol, not the
+    Eb/N0 of ber_monte_carlo: Eb/N0 = SNR + 10*log10(T*fs/2) in dB, 26.8 dB
+    more at the default 960-sample symbol.
+    """
 
     n_symbols: int = 1250
     split: float = 0.8               # train fraction; 1250 -> 1000 + 250
@@ -55,6 +61,9 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_symbols < 2:
             raise ConfigurationError("need at least 2 symbols to split")
+        if self.n_symbols * self.chirp.n1 > MAX_DATASET_SAMPLES:
+            raise ConfigurationError(f"{self.n_symbols} symbols x {self.chirp.n1} "
+                                     f"samples exceed {MAX_DATASET_SAMPLES}")
         _check_range("snr", self.snr_db_range)
         _check_range("sto", self.sto_range)
         _check_range("speed", self.speed_range)
@@ -70,10 +79,6 @@ class DatasetSpec:
     @property
     def n_train(self) -> int:
         return int(round(self.n_symbols * self.split))
-
-    @property
-    def n_test(self) -> int:
-        return self.n_symbols - self.n_train
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,9 @@ def ber_monte_carlo(params, detector, ebn0_db, sto, speed, trials, seed,
     """Empirical BER: clean impaired symbols plus receiver-side AWGN.
 
     Noise level follows the binary-orthogonal convention: per-sample sigma =
-    sqrt(Eb / (2 * ebn0)) with Eb the full-rate symbol energy.
+    sqrt(Eb / (2 * ebn0)) with Eb the full-rate symbol energy, so ebn0_db is
+    10*log10(T*fs/2) dB, 26.8 dB at 960 samples, above the per-sample SNR of
+    DatasetSpec.snr_db_range.
     """
     if detector not in DETECTORS or (detector == "dnn" and checkpoint_params is None):
         raise ConfigurationError(f"detector {detector!r} needs to be mf, or dnn "
@@ -219,35 +226,6 @@ def wilson_half_width(ber, trials):
     z = 1.959963984540054
     denom = 1 + z * z / trials
     return z * math.sqrt(ber * (1 - ber) / trials + z * z / (4 * trials ** 2)) / denom
-
-
-@dataclass(frozen=True)
-class DomainShift:
-    """Replacement impairment ranges for a target (emergency) task."""
-
-    snr_db_range: tuple = None
-    sto_range: tuple = None
-    speed_range: tuple = None
-    require_disjoint: bool = True
-
-
-def _disjoint(a, b) -> bool:
-    return a[1] < b[0] or b[1] < a[0]
-
-
-def shift_domain(spec: DatasetSpec, delta: DomainShift) -> DatasetSpec:
-    """Spec for a shifted task whose ranges lie outside the source ranges."""
-    changes = {}
-    for name in ("snr_db_range", "sto_range", "speed_range"):
-        new = getattr(delta, name)
-        if new is None:
-            continue
-        _check_range(name, new)
-        if delta.require_disjoint and not _disjoint(getattr(spec, name), new):
-            raise ConfigurationError(
-                f"{name} {new} overlaps the source range {getattr(spec, name)}")
-        changes[name] = tuple(new)
-    return replace(spec, **changes) if changes else spec
 
 
 def _spec_to_json(spec: DatasetSpec, n_train: int) -> str:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import receiver
+from .data import MAX_DATASET_SAMPLES, build_node_dataset
 from .errors import ConfigurationError, EmptyRoundError, TrainingError
 from .receiver import LabeledBatch, MlpParams
 
@@ -62,6 +63,28 @@ class NodeState:
     @property
     def data_size(self) -> int:
         return len(self.train_split) + len(self.test_split)
+
+
+def build_nodes(specs, theta: MlpParams) -> list[NodeState]:
+    """One node per DatasetSpec, with ids 0..K-1 and parameters theta; both
+    splits are scaled to give the train inputs unit variance.  The specs'
+    total samples are capped before any node is synthesized."""
+    checked, total = [], 0
+    for spec in specs:
+        total += spec.n_symbols * spec.chirp.n1
+        if total > MAX_DATASET_SAMPLES:
+            raise ConfigurationError(
+                f"the nodes' datasets exceed {MAX_DATASET_SAMPLES} samples in total")
+        checked.append(spec)
+    nodes = []
+    for nid, spec in enumerate(checked):
+        train, test = build_node_dataset(spec)
+        scale = 1.0 / np.std(train.batch.inputs)
+        nodes.append(NodeState(
+            nid, theta,
+            LabeledBatch(train.batch.inputs * scale, train.batch.labels),
+            LabeledBatch(test.batch.inputs * scale, test.batch.labels)))
+    return nodes
 
 
 @dataclass(frozen=True)

@@ -154,14 +154,6 @@ def forward_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return _forward_pass(p, inputs)[-1]
 
 
-def forward(p: MlpParams, x) -> float:
-    """Network output in (0, 1) for a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != p.layer_sizes[0]:
-        raise InputError(f"expected input of length {p.layer_sizes[0]}, got {x.shape}")
-    return float(forward_batch(p, x[None, :])[0])
-
-
 def loss(p: MlpParams, batch: LabeledBatch) -> float:
     """Mean squared error between label bits and network outputs."""
     if len(batch) == 0:
@@ -250,17 +242,12 @@ def hvp(p: MlpParams, batch: LabeledBatch, v: np.ndarray) -> np.ndarray:
     return linearize(p, batch).hvp(v)
 
 
-def detect(p: MlpParams, x) -> int:
-    """Threshold the network output at 0.5 (ties decide 1)."""
-    return int(forward(p, x) >= 0.5)
-
-
 def detect_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return (forward_batch(p, inputs) >= 0.5).astype(np.uint8)
 
 
 def ber_eval(p: MlpParams, batch: LabeledBatch) -> float:
-    """Fraction of rows where detect() disagrees with the label."""
+    """Fraction of rows where detect_batch disagrees with the label."""
     if len(batch) == 0:
         raise InputError("batch is empty")
     pred = detect_batch(p, batch.inputs)

@@ -18,9 +18,9 @@ from chirpfed.channel import (RayleighModelConfig, apply_doppler, bell_spectrum,
                               rayleigh_cir)
 from chirpfed.chirp import (ChirpParams, Waveform, downsample, generate_chirp,
                             matched_filter_detect_batch)
-from chirpfed.data import DatasetSpec, ber_monte_carlo, build_node_dataset
-from chirpfed.federation import FmlConfig, NodeState, maml_update, run_rounds, \
-    schedule
+from chirpfed.data import DatasetSpec, ber_monte_carlo
+from chirpfed.federation import (FmlConfig, NodeState, build_nodes, maml_update,
+                                 run_rounds, schedule)
 from chirpfed.receiver import (LabeledBatch, default_hidden, detect_batch,
                                grad, hvp, init_params, linearize, loss, train)
 
@@ -284,31 +284,19 @@ def test_criterion_07_scheduling_fairness():
 
 # --------------------------------------------------------------- criterion 8
 
-def _two_group_nodes(seed, theta, chirp):
-    nodes, nid = [], 0
-    for slo, shi in ((0.0, 60.0), (180.0, 240.0)):
-        for _ in range(3):
-            spec = DatasetSpec(n_symbols=300, split=2 / 3, chirp=chirp,
-                               snr_db_range=(-12.0, -12.0),
-                               sto_range=(slo, shi), seed=seed * 100 + nid)
-            tr, te = build_node_dataset(spec)
-            scale = 1.0 / np.std(tr.batch.inputs)
-            nodes.append(NodeState(
-                nid, theta,
-                LabeledBatch(tr.batch.inputs * scale, tr.batch.labels),
-                LabeledBatch(te.batch.inputs * scale, te.batch.labels)))
-            nid += 1
-    return nodes
-
-
 def test_criterion_08_fml_vs_fl():
     t0 = time.time()
     chirp = ChirpParams(lam=12)
     h1, h2 = default_hidden(chirp.n1)
+    bands = [(0.0, 60.0)] * 3 + [(180.0, 240.0)] * 3
     margins = []
     for seed in range(5):
         theta = init_params([chirp.n1, h1, h2, 1], np.random.default_rng(seed))
-        nodes = _two_group_nodes(seed, theta, chirp)
+        nodes = build_nodes(
+            [DatasetSpec(n_symbols=300, split=2 / 3, chirp=chirp,
+                         snr_db_range=(-12.0, -12.0), sto_range=sto,
+                         seed=seed * 100 + nid)
+             for nid, sto in enumerate(bands)], theta)
         acc = {}
         for mode in ("fml", "fl"):
             fresh = [NodeState(n.id, theta, n.train_split, n.test_split)
@@ -334,19 +322,14 @@ def test_criterion_09_local_epoch_trend():
     h1, h2 = default_hidden(chirp.n1)
     seed = 0
     theta = init_params([chirp.n1, h1, h2, 1], np.random.default_rng(seed))
-    nodes0 = []
-    for nid in range(4):
-        spec = DatasetSpec(n_symbols=300, split=2 / 3, chirp=chirp,
-                           snr_db_range=(-4.0, -4.0), sto_range=(0.0, 60.0),
-                           seed=seed * 100 + nid)
-        tr, te = build_node_dataset(spec)
-        scale = 1.0 / np.std(tr.batch.inputs)
-        nodes0.append((nid,
-                       LabeledBatch(tr.batch.inputs * scale, tr.batch.labels),
-                       LabeledBatch(te.batch.inputs * scale, te.batch.labels)))
+    nodes0 = build_nodes(
+        [DatasetSpec(n_symbols=300, split=2 / 3, chirp=chirp,
+                     snr_db_range=(-4.0, -4.0), sto_range=(0.0, 60.0),
+                     seed=seed * 100 + nid) for nid in range(4)], theta)
 
     def rounds_to_90(t0_epochs, cap):
-        fresh = [NodeState(i, theta, a, b) for i, a, b in nodes0]
+        fresh = [NodeState(n.id, theta, n.train_split, n.test_split)
+                 for n in nodes0]
         cfg = FmlConfig(K=4, G=1.0, alpha=0.5, beta=0.1, T0=t0_epochs,
                         rounds=cap, p_decode=1.0, seed=seed)
         logs, _ = run_rounds(cfg, fresh, "fml")

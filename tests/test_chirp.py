@@ -4,8 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from chirpfed.chirp import (ChirpParams, ComplexityReport, Waveform,
                             dnn_op_count, downsample, generate_chirp,
-                            matched_filter_detect, matched_filter_detect_batch,
-                            mf_op_count, modulate_frame, symbol_templates)
+                            matched_filter_detect_batch, mf_op_count,
+                            symbol_templates)
 from chirpfed.errors import ConfigurationError, InputError
 
 
@@ -111,35 +111,6 @@ def test_bad_direction_rejected():
         generate_chirp(ChirpParams(), "sideways")
 
 
-# -------------------------------------------------------------------- frames
-
-def test_single_zero_bit_equals_up_chirp():
-    p = ChirpParams()
-    frame = modulate_frame([0], p)
-    assert np.array_equal(frame.samples, generate_chirp(p, "up").samples)
-
-
-def test_two_bit_frame_is_concatenation():
-    p = ChirpParams()
-    frame = modulate_frame([0, 1], p)
-    n = p.symbol_samples
-    assert np.array_equal(frame.samples[:n], generate_chirp(p, "up").samples)
-    assert np.array_equal(frame.samples[n:], generate_chirp(p, "down").samples)
-
-
-def test_200_symbol_frame_length():
-    p = ChirpParams()
-    bits = np.zeros(200, dtype=int)
-    assert len(modulate_frame(bits, p)) == 200 * p.symbol_samples
-
-
-def test_frame_input_validation():
-    with pytest.raises(InputError):
-        modulate_frame([], ChirpParams())
-    with pytest.raises(InputError):
-        modulate_frame([0, 2], ChirpParams())
-
-
 # --------------------------------------------------------------- downsample
 
 def test_downsample_identity():
@@ -178,18 +149,23 @@ def test_downsample_composes(a, b):
 
 # ------------------------------------------------------------ matched filter
 
+def mf_bit(rx, p):
+    """The batch detector's decision for one received symbol."""
+    return int(matched_filter_detect_batch(rx[None, :], p)[0])
+
+
 def test_clean_symbols_detected():
     p = ChirpParams()
-    bit, c1, c2 = matched_filter_detect(generate_chirp(p, "up"), p)
-    assert bit == 0 and c1 > c2
-    bit, c1, c2 = matched_filter_detect(generate_chirp(p, "down"), p)
-    assert bit == 1 and c2 > c1
+    s1, s2 = symbol_templates(p)
+    up, down = generate_chirp(p, "up").samples, generate_chirp(p, "down").samples
+    assert mf_bit(up, p) == 0 and up @ s1 > up @ s2
+    assert mf_bit(down, p) == 1 and down @ s2 > down @ s1
 
 
 def test_detect_length_mismatch():
     p = ChirpParams(lam=6)
     with pytest.raises(InputError):
-        matched_filter_detect(generate_chirp(p, "up"), p)  # not downsampled
+        mf_bit(generate_chirp(p, "up").samples, p)  # not downsampled
 
 
 def test_detect_batch_matches_scalar():
@@ -200,8 +176,8 @@ def test_detect_batch_matches_scalar():
                    s2 + rng.standard_normal(160) * 5])
     batch = matched_filter_detect_batch(rx, p)
     for row, want in zip(rx, batch):
-        bit, _, _ = matched_filter_detect(Waveform(row, p.fs / 6), p)
-        assert bit == want
+        # argmax of correlation, ties breaking to bit 0
+        assert want == (0 if np.dot(row, s1) >= np.dot(row, s2) else 1)
 
 
 def test_detection_symmetry_under_shared_noise():
@@ -214,10 +190,9 @@ def test_detection_symmetry_under_shared_noise():
     checked = 0
     for _ in range(50):
         n = rng.standard_normal(s1.size) * 3.0
-        b_a, c1a, c2a = matched_filter_detect(Waveform(s1 + n, p.fs), p)
-        b_b, c1b, c2b = matched_filter_detect(Waveform(s2 - n, p.fs), p)
-        if min(abs(c1a - c2a), abs(c1b - c2b)) > mismatch:
-            assert b_b == 1 - b_a
+        a, b = s1 + n, s2 - n
+        if min(abs(a @ s1 - a @ s2), abs(b @ s1 - b @ s2)) > mismatch:
+            assert mf_bit(b, p) == 1 - mf_bit(a, p)
             checked += 1
     assert checked > 30
 

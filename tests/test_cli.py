@@ -207,6 +207,21 @@ def test_run_fed_two_nodes_id_join(tmp_path):
         assert cols["scheduled"] == "0;1" and cols["successful"] == "0;1"
 
 
+def test_readme_run_fed_example_fml_beats_fl(tmp_path):
+    # the README's run-fed example: two STO bands at -12 dB per-sample SNR
+    argv = ["run-fed", "--seed", "4", "--rounds", "50", "--g", "0.3",
+            "--alpha", "0.5", "--beta", "0.2", "--symbols", "250",
+            "--group", "count=5,sto=0:60,snr=-12",
+            "--group", "count=5,sto=180:240,snr=-12"]
+    adapted = {}
+    for mode in ("fml", "fl"):
+        out = tmp_path / f"{mode}.csv"
+        assert run(argv + ["--mode", mode, "--out", str(out)]) == 0
+        _, header, data = read_csv(out)
+        adapted[mode] = float(dict(zip(header, data[-1]))["adapted_acc"])
+    assert adapted["fml"] > adapted["fl"]
+
+
 def test_run_fed_default_hyperparameters():
     parser = cli.build_parser()
     args = parser.parse_args(["run-fed", "--seed", "0"])
@@ -285,6 +300,16 @@ def test_determinism_sample(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_negative_grid_in_plain_form(tmp_path):
+    plain, joined = tmp_path / "plain.csv", tmp_path / "joined.csv"
+    base = ["ber-sweep", "--seed", "1", "--trials", "200"]
+    assert run(base + ["--snr-db", "-6:3:0", "--out", str(plain)]) == 0
+    assert run(base + ["--snr-db=-6:3:0", "--out", str(joined)]) == 0
+    assert plain.read_bytes() == joined.read_bytes()
+    _, _, data = read_csv(plain)
+    assert [row[0] for row in data] == ["-6", "-3", "0"]
+
+
 @pytest.mark.parametrize("grid", ["6:0.0004:6.0008", "-3:0.0002:-2.9996"])
 def test_ber_sweep_rejects_colliding_noise_streams(tmp_path, capsys, grid):
     # the noise seed is keyed by int(1000 * snr_db): 6 and 6.0004 dB used to
@@ -329,6 +354,8 @@ BAD_ARGV = [
     ["run-fed", "--group", "count=-1", "--group", "count=2"],
     ["run-fed", "--group", "count=0"],
     ["cir", "generate", "--duration", "1e300", "--fs", "1e300"],
+    ["gen-data", "--symbols", "1000000000"],
+    ["run-fed", "--g", "1", "--group", "count=100000"],
 ]
 
 # Arguments that would size an allocation of gigabytes (or without end) if
@@ -337,6 +364,8 @@ OVERSIZED_ARGV = [
     ["ber-sweep", "--snr-db", "0:1e-6:1"],
     ["ber-sweep", "--snr-db", "0:1:1e300"],
     ["cir", "generate", "--fs", "1e7"],
+    ["gen-data", "--symbols", "1000000000"],
+    ["run-fed", "--g", "1", "--group", "count=100000"],
 ]
 
 

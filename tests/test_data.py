@@ -6,8 +6,8 @@ import pytest
 
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
-from chirpfed.data import (DatasetSpec, DomainShift, build_node_dataset,
-                           load_dataset, save_dataset, shift_domain)
+from chirpfed.data import (MAX_DATASET_SAMPLES, DatasetSpec, build_node_dataset,
+                           load_dataset, save_dataset)
 from chirpfed.errors import ConfigurationError, ParseError
 from chirpfed.receiver import LabeledBatch, ber_eval, default_hidden, \
     init_params, train
@@ -24,7 +24,7 @@ def small_spec(**kw):
 def test_spec_defaults():
     spec = DatasetSpec()
     assert spec.n_train == 1000
-    assert spec.n_test == 250
+    assert spec.n_symbols - spec.n_train == 250
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -43,6 +43,14 @@ def test_spec_defaults():
 def test_spec_validation(kwargs):
     with pytest.raises(ConfigurationError):
         small_spec(**kwargs)
+
+
+def test_spec_sample_cap():
+    # lam=6: 160 samples per record
+    n = MAX_DATASET_SAMPLES // 160
+    assert small_spec(n_symbols=n).n_symbols == n
+    with pytest.raises(ConfigurationError):
+        small_spec(n_symbols=n + 1)
 
 
 def test_noise_free_snr_point_stays_valid():
@@ -126,34 +134,12 @@ def test_rayleigh_records_differ_from_identity():
 
 # ------------------------------------------------------------- domain shift
 
-def test_shift_domain_disjoint():
-    spec = small_spec(speed_range=(0.0, 5.0))
-    out = shift_domain(spec, DomainShift(speed_range=(8.0, 12.0)))
-    assert out.speed_range == (8.0, 12.0)
-    assert out.sto_range == spec.sto_range
-
-
-def test_shift_domain_overlap_rejected():
-    spec = small_spec(speed_range=(0.0, 5.0))
-    with pytest.raises(ConfigurationError):
-        shift_domain(spec, DomainShift(speed_range=(4.0, 9.0)))
-    # explicit opt-out allows overlap
-    out = shift_domain(spec, DomainShift(speed_range=(4.0, 9.0),
-                                         require_disjoint=False))
-    assert out.speed_range == (4.0, 9.0)
-
-
-def test_shift_domain_identity():
-    spec = small_spec()
-    assert shift_domain(spec, DomainShift()) == spec
-
-
 def test_domain_shift_degrades_trained_receiver():
     # train on one STO band, evaluate on a disjoint band: accuracy must drop
     cp = ChirpParams(lam=12)
     src = DatasetSpec(n_symbols=400, split=0.75, chirp=cp,
                       snr_db_range=(-8.0, -8.0), sto_range=(0.0, 40.0), seed=11)
-    tgt = shift_domain(src, DomainShift(sto_range=(200.0, 240.0)))
+    tgt = replace(src, sto_range=(200.0, 240.0))
     s_train, s_test = build_node_dataset(src)
     t_train, t_test = build_node_dataset(tgt)
     scale = 1.0 / np.std(s_train.batch.inputs)

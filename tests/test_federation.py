@@ -1,15 +1,19 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from chirpfed import federation, receiver
+from chirpfed.chirp import ChirpParams
+from chirpfed.data import MAX_DATASET_SAMPLES, DatasetSpec, build_node_dataset
 from chirpfed.errors import ConfigurationError, EmptyRoundError, TrainingError
 from chirpfed.federation import (FmlConfig, NodeState, RoundLog, aggregate,
-                                 evaluate, local_fedavg_step, local_maml_step,
-                                 maml_update, run_rounds, schedule)
-from chirpfed.receiver import (LabeledBatch, grad, hvp, init_params, loss,
-                               sgd_step)
+                                 build_nodes, evaluate, local_fedavg_step,
+                                 local_maml_step, maml_update, run_rounds,
+                                 schedule)
+from chirpfed.receiver import (LabeledBatch, default_hidden, grad, hvp,
+                               init_params, loss, sgd_step)
 
 
 def make_node(nid, seed, n_in=4, n_rows=8, theta=None):
@@ -21,6 +25,19 @@ def make_node(nid, seed, n_in=4, n_rows=8, theta=None):
     te = LabeledBatch(rng.standard_normal((n_rows, n_in)),
                       rng.integers(0, 2, n_rows).astype(float))
     return NodeState(nid, theta, tr, te)
+
+
+def two_group_specs(seed=0, n_symbols=30):
+    """Criterion 8's node recipe, one node per STO band."""
+    return [DatasetSpec(n_symbols=n_symbols, split=2 / 3, chirp=ChirpParams(lam=12),
+                        snr_db_range=(-12.0, -12.0), sto_range=sto,
+                        seed=seed * 100 + nid)
+            for nid, sto in enumerate([(0.0, 60.0), (180.0, 240.0)])]
+
+
+def fresh_theta():
+    n1 = ChirpParams(lam=12).n1
+    return init_params([n1, *default_hidden(n1), 1], np.random.default_rng(0))
 
 
 # -------------------------------------------------------------------- config
@@ -406,3 +423,52 @@ def test_diverging_local_step_names_its_round(mode):
     with np.errstate(all="ignore"), pytest.raises(TrainingError) as info:
         run_rounds(cfg, nodes, mode)
     assert info.value.round_index == 3
+
+
+# ------------------------------------------------------------------ builder
+
+def test_build_nodes_scales_by_the_train_split():
+    specs = two_group_specs()
+    nodes = build_nodes(specs, fresh_theta())
+    for node, spec in zip(nodes, specs):
+        train, test = build_node_dataset(spec)
+        scale = 1.0 / np.std(train.batch.inputs)
+        assert abs(np.std(node.train_split.inputs) - 1.0) < 1e-12
+        assert np.array_equal(node.train_split.inputs, train.batch.inputs * scale)
+        assert np.array_equal(node.test_split.inputs, test.batch.inputs * scale)
+        assert np.array_equal(node.train_split.labels, train.batch.labels)
+        assert np.array_equal(node.test_split.labels, test.batch.labels)
+
+
+def test_build_nodes_ids_and_parameters():
+    theta = fresh_theta()
+    specs = two_group_specs() + two_group_specs(seed=1)
+    nodes = build_nodes(iter(specs), theta)
+    assert [node.id for node in nodes] == [0, 1, 2, 3]
+    assert all(node.theta is theta for node in nodes)
+
+
+# sha256 of each node's train then test inputs and labels, recorded with the
+# inline node builder that criterion 8 used before build_nodes existed
+GOLDEN_NODES = "544dbe17e87b68b4f09c73adbc7e5c27de253fe1f36e8fc949bce7d4f607f1f2"
+
+
+def test_build_nodes_golden_digest():
+    h = hashlib.sha256()
+    for node in build_nodes(two_group_specs(), fresh_theta()):
+        for split in (node.train_split, node.test_split):
+            h.update(split.inputs.tobytes())
+            h.update(split.labels.tobytes())
+    assert h.hexdigest() == GOLDEN_NODES
+
+
+def test_build_nodes_checks_the_total_before_synthesis(monkeypatch):
+    def unreachable(spec):
+        raise AssertionError("synthesized a node before the total was checked")
+
+    monkeypatch.setattr(federation, "build_node_dataset", unreachable)
+    spec = two_group_specs(n_symbols=MAX_DATASET_SAMPLES // 80)[0]  # 80 samples a record
+    with pytest.raises(ConfigurationError):
+        build_nodes([spec, spec], fresh_theta())
+    with pytest.raises(ConfigurationError):  # a lazy endless recipe stops at the cap
+        build_nodes(itertools.repeat(two_group_specs()[0]), fresh_theta())

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from chirpfed.errors import (ConfigurationError, InputError, ParseError,
                              TrainingError)
 from chirpfed.receiver import (LabeledBatch, MlpParams, ber_eval,
-                               default_hidden, detect, detect_batch, forward,
-                               forward_batch, grad, hvp, init_params,
-                               linearize, load_params, loss, save_params,
-                               sgd_step, train)
+                               default_hidden, detect_batch, forward_batch,
+                               grad, hvp, init_params, linearize, load_params,
+                               loss, save_params, sgd_step, train)
 
 
 def random_net(rng, sizes=None):
@@ -114,7 +113,7 @@ def test_batch_validation():
 def test_zero_net_outputs_half():
     p = MlpParams(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
                   (np.zeros(3), np.zeros(3), np.zeros(1)))
-    assert forward(p, np.ones(4)) == pytest.approx(0.5)
+    assert forward_batch(p, np.ones((1, 4)))[0] == pytest.approx(0.5)
 
 
 def test_relu_gating():
@@ -125,7 +124,7 @@ def test_relu_gating():
     p = MlpParams(p.weights, (np.full(5, -100.0), np.full(5, -100.0),
                               np.array([0.7])))
     expect = 1.0 / (1.0 + np.exp(-0.7))
-    assert forward(p, rng.standard_normal(4)) == pytest.approx(expect)
+    assert forward_batch(p, rng.standard_normal((1, 4)))[0] == pytest.approx(expect)
 
 
 def test_forward_matches_straight_line_evaluator():
@@ -138,14 +137,16 @@ def test_forward_matches_straight_line_evaluator():
         z = np.array([float(np.dot(w[i], h)) + b[i] for i in range(w.shape[0])])
         h = z if last else np.maximum(z, 0.0)
     expect = 1.0 / (1.0 + np.exp(-h[0]))
-    assert forward(p, x) == pytest.approx(expect, rel=1e-12)
+    assert forward_batch(p, x[None, :])[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_forward_shape_checks():
     rng = np.random.default_rng(5)
     p = random_net(rng, [4, 3, 3, 1])
     with pytest.raises(InputError):
-        forward(p, np.ones(5))
+        forward_batch(p, np.ones(4))  # one row is still a (1, N1) block
+    with pytest.raises(InputError):
+        forward_batch(p, np.ones((1, 5)))
     with pytest.raises(InputError):
         forward_batch(p, np.ones((2, 5)))
 
@@ -286,7 +287,7 @@ def test_hvp_symmetry_property(seed):
 def test_detect_threshold_convention():
     p = MlpParams(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
                   (np.zeros(3), np.zeros(3), np.zeros(1)))
-    assert detect(p, np.ones(4)) == 1  # output exactly 0.5 -> 1
+    assert detect_batch(p, np.ones((1, 4)))[0] == 1  # output exactly 0.5 -> 1
 
 
 def test_ber_eval_basics():
