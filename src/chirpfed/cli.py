@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -198,15 +199,13 @@ def cmd_ber_sweep(args) -> int:
         ckpt = recv_mod.load_params(args.checkpoint)
     params = chirp_mod.ChirpParams(lam=args.lam)
     rows = []
-    for snr in args.snr_db:
-        for det in detectors:
-            if args.trials > 0:
-                ber = data_mod.ber_monte_carlo(params, det, snr, args.sto, args.speed,
-                                               args.trials, args.seed,
-                                               checkpoint_params=ckpt)
-                half = data_mod.wilson_half_width(ber, args.trials)
-                rows.append([_fmt(snr), det, args.lam, _fmt(args.sto),
-                             _fmt(args.speed), _fmt(ber), args.trials, _fmt(half)])
+    for snr in args.snr_db if args.trials > 0 else []:
+        bers = data_mod.ber_monte_carlo(params, detectors, snr, args.sto, args.speed,
+                                        args.trials, args.seed, checkpoint_params=ckpt)
+        for det, ber in zip(detectors, bers):
+            half = data_mod.wilson_half_width(ber, args.trials)
+            rows.append([_fmt(snr), det, args.lam, _fmt(args.sto),
+                         _fmt(args.speed), _fmt(ber), args.trials, _fmt(half)])
     header = ["snr_db", "detector", "lambda", "sto", "speed", "ber", "trials",
               "wilson95_half_width"]
     _emit(args.out, args, rows, header)
@@ -419,20 +418,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_grid_values(argv):
-    """'--snr-db -6:3:0' -> '--snr-db=-6:3:0': argparse reads a value that
-    starts with '-' as an option unless it is a plain negative number."""
-    out = []
-    for arg in argv:
-        if out[-1:] == ["--snr-db"] and arg.startswith("-"):
-            arg = out.pop() + "=" + arg
-        out.append(arg)
-    return out
+def _is_minus_value(arg: str) -> bool:
+    """'-1e1', '-inf', '-6:3:0': a number or grid with a leading minus sign
+    that argparse would read as an option.  It already takes plain negative
+    numbers such as -10 or -1.5 as values, so they stay as they are."""
+    if not arg.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", arg):
+        return False
+    try:
+        for part in arg.split(":"):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _shield_minus_values(argv):
+    """'-1e1' -> ' -1e1': every option here is long, so a number or grid that
+    starts with '-' is a value, and a leading space keeps argparse from
+    reading it as an option.  float() and _parse_grid ignore the space."""
+    return [" " + arg if _is_minus_value(arg) else arg for arg in argv]
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_grid_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_shield_minus_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValidityError as exc:

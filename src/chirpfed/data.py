@@ -28,6 +28,10 @@ DATASET_VERSION = 1
 
 CHANNEL_TAGS = ("identity", "rayleigh")
 DETECTORS = ("mf", "dnn")  # of ber_monte_carlo
+# Symbols drawn per ber_monte_carlo chunk.  Part of the noise stream: the bits
+# and noise of each chunk are drawn in turn, so another size reorders the
+# draws and changes every BER.
+NOISE_CHUNK = 20000
 MAX_DATASET_SAMPLES = 2 ** 24  # records x n1; 128 MB of float64 samples
 
 
@@ -184,39 +188,51 @@ def noise_stream_key(ebn0_db):
     return int(ebn0_db * 1000) & 0x7FFFFFFF
 
 
-def ber_monte_carlo(params, detector, ebn0_db, sto, speed, trials, seed,
-                    checkpoint_params=None, chunk=20000):
-    """Empirical BER: clean impaired symbols plus receiver-side AWGN.
+def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
+                    checkpoint_params=None):
+    """Empirical BER of each detector, in order: clean impaired symbols plus
+    receiver-side AWGN.
 
-    Noise level follows the binary-orthogonal convention: per-sample sigma =
-    sqrt(Eb / (2 * ebn0)) with Eb the full-rate symbol energy, so ebn0_db is
-    10*log10(T*fs/2) dB, 26.8 dB at 960 samples, above the per-sample SNR of
-    DatasetSpec.snr_db_range.
+    The detectors share their bits and noise: each chunk of symbols is drawn
+    once and every detector decides on the same block, so a comparison of
+    detectors at one Eb/N0 is paired, and a detector's BER does not depend on
+    which others run beside it.  Noise level follows the binary-orthogonal
+    convention: per-sample sigma = sqrt(Eb / (2 * ebn0)) with Eb the
+    full-rate symbol energy, so ebn0_db is 10*log10(T*fs/2) dB, 26.8 dB at
+    960 samples, above the per-sample SNR of DatasetSpec.snr_db_range.
     """
-    if detector not in DETECTORS or (detector == "dnn" and checkpoint_params is None):
-        raise ConfigurationError(f"detector {detector!r} needs to be mf, or dnn "
-                                 "with checkpoint parameters")
+    detectors = list(detectors)
+    if not detectors or not set(detectors) <= set(DETECTORS) or (
+            "dnn" in detectors and checkpoint_params is None):
+        raise ConfigurationError(f"detectors {detectors!r} need to be a non-empty "
+                                 "list of mf, and dnn with checkpoint parameters")
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, noise_stream_key(ebn0_db)]))
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
     eb = float(np.sum(generate_chirp(params, "up").samples ** 2))
     sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
-    n1 = params.n1
-    errors = 0
+    buf = np.empty((min(NOISE_CHUNK, trials), params.n1))
+    errors = [0] * len(detectors)
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(NOISE_CHUNK, trials - done)
         bits = rng.integers(0, 2, size=m)
-        rx = np.where(bits[:, None] == 0, s_clean[0], s_clean[1])
-        rx = rx + rng.standard_normal((m, n1)) * sigma
-        if detector == "mf":
-            dec = matched_filter_detect_batch(rx, params)
-        else:
-            dec = detect_batch(checkpoint_params, rx)
-        errors += int(np.sum(dec != bits))
+        rx = buf[:m]
+        # rounded once per element as s_bit + z*sigma, with no temporaries
+        rng.standard_normal(out=rx)
+        np.multiply(rx, sigma, out=rx)
+        one = (bits == 1)[:, None]
+        np.add(rx, s_clean[0], out=rx, where=~one)
+        np.add(rx, s_clean[1], out=rx, where=one)
+        for k, detector in enumerate(detectors):
+            if detector == "mf":
+                dec = matched_filter_detect_batch(rx, params)
+            else:
+                dec = detect_batch(checkpoint_params, rx)
+            errors[k] += int(np.count_nonzero(dec != bits))
         done += m
-    return errors / trials
+    return [e / trials for e in errors]
 
 
 def wilson_half_width(ber, trials):

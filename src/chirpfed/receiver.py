@@ -273,6 +273,8 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
     live = _wrap(p._sizes, theta.view())  # sees the in-place updates of theta
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
+    tmp = np.empty_like(theta)
+    step = np.empty_like(theta)
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
     n = len(batch)
@@ -284,12 +286,19 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
                 sel = order[start: start + batch_size]
                 g = grad(live, _Rows(batch.inputs[sel], batch.labels[sel]))
                 t += 1
-                # in place, but rounded as b1*m + (1-b1)*g and b2*v + (1-b2)*g*g
+                # in buffers, but rounded as b1*m + (1-b1)*g, b2*v + (1-b2)*g*g
+                # and lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
                 m *= b1
-                m += (1 - b1) * g
+                m += np.multiply(g, 1 - b1, out=tmp)
                 v *= b2
-                v += (1 - b2) * g * g
-                theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+                np.multiply(g, 1 - b2, out=tmp)
+                v += np.multiply(tmp, g, out=tmp)
+                np.divide(m, 1 - b1 ** t, out=step)
+                step *= lr
+                np.divide(v, 1 - b2 ** t, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += eps
+                theta -= np.divide(step, tmp, out=step)
     # NaN and inf never turn finite again under these updates
     if not np.all(np.isfinite(theta)):
         raise TrainingError(f"training diverged within {epochs} epochs")

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import os
 import struct
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 from chirpfed import cli
 from chirpfed.chirp import ChirpParams
-from chirpfed.data import DatasetSpec, build_node_dataset, save_dataset
+from chirpfed.data import DatasetSpec, build_node_dataset, load_dataset, \
+    save_dataset
 from chirpfed.receiver import default_hidden, init_params, load_params, \
     save_params
 
@@ -123,6 +125,24 @@ def test_ber_sweep_two_detectors(tmp_path):
                 "--checkpoint", str(ckpt), "--out", str(out)]) == 0
     _, header, data = read_csv(out)
     assert len(data) == 6  # 3 SNRs x 2 detectors
+
+
+# sha256 of the mf,dnn sweep below, recorded when each (SNR, detector) pair
+# still drew its own bits and noise; 25000 trials are one full chunk of
+# symbols and one partial chunk
+SWEEP_GOLDEN = "acb4e7dbc0fa14988ae8e429e471ecef2e5e8bd0020803cd1d0068b0993cb804"
+
+
+def test_ber_sweep_golden_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the checkpoint path is part of the config hash
+    n1 = 160
+    h1, h2 = default_hidden(n1)
+    save_params("net.cdnn", init_params([n1, h1, h2, 1], np.random.default_rng(0)))
+    assert run(["ber-sweep", "--seed", "7", "--snr-db", "3:6:9", "--detector", "mf,dnn",
+                "--lambda", "6", "--trials", "25000", "--checkpoint", "net.cdnn",
+                "--out", "sweep.csv"]) == 0
+    raw = (tmp_path / "sweep.csv").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == SWEEP_GOLDEN
 
 
 def test_ber_sweep_zero_width_checkpoint(tmp_path, capsys):
@@ -308,6 +328,37 @@ def test_negative_grid_in_plain_form(tmp_path):
     assert plain.read_bytes() == joined.read_bytes()
     _, _, data = read_csv(plain)
     assert [row[0] for row in data] == ["-6", "-3", "0"]
+
+
+# Other values that start with a minus sign, each beside a form argparse always
+# took; both must parse to the same values and write the same bytes.
+MINUS_VALUE_ARGV = [
+    (["gen-data", "--symbols", "20", "--speed-range", "-1e1", "0"],
+     ["gen-data", "--symbols", "20", "--speed-range", "-10", "0"]),
+    (["ber-sweep", "--trials", "200", "--sto", "-1.5e1"],
+     ["ber-sweep", "--trials", "200", "--sto", "-15"]),
+    (["ber-sweep", "--trials", "200", "--snr", "-6:3:0"],
+     ["ber-sweep", "--trials", "200", "--snr-db=-6:3:0"]),
+]
+
+
+@pytest.mark.parametrize("minus, plain", MINUS_VALUE_ARGV, ids=lambda a: " ".join(a))
+def test_values_with_a_leading_minus(tmp_path, minus, plain):
+    a, b = tmp_path / "minus.out", tmp_path / "plain.out"
+    assert run(minus + ["--seed", "1", "--out", str(a)]) == 0
+    assert run(plain + ["--seed", "1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    if minus[0] == "gen-data":
+        train, test, spec = load_dataset(str(a))
+        assert spec.speed_range == (-10.0, 0.0)
+        assert min(train.rel_speed.min(), test.rel_speed.min()) < 0
+    else:
+        _, header, data = read_csv(a)
+        cols = [dict(zip(header, row)) for row in data]
+        if "--sto" in minus:
+            assert [c["sto"] for c in cols] == ["-15"] * 3
+        else:
+            assert [c["snr_db"] for c in cols] == ["-6", "-3", "0"]
 
 
 @pytest.mark.parametrize("grid", ["6:0.0004:6.0008", "-3:0.0002:-2.9996"])

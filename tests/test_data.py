@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
-from chirpfed.data import (MAX_DATASET_SAMPLES, DatasetSpec, build_node_dataset,
-                           load_dataset, save_dataset)
+from chirpfed.data import (MAX_DATASET_SAMPLES, NOISE_CHUNK, DatasetSpec,
+                           ber_monte_carlo, build_node_dataset, load_dataset,
+                           save_dataset)
 from chirpfed.errors import ConfigurationError, ParseError
 from chirpfed.receiver import LabeledBatch, ber_eval, default_hidden, \
     init_params, train
@@ -255,3 +257,47 @@ def test_node_dataset_golden_digest(profile):
                   s.rel_speed, s.channel_tag):
             h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == digest
+
+
+# ------------------------------------------------------------ ber_monte_carlo
+
+@pytest.fixture(scope="module")
+def untrained_receiver():
+    n1 = ChirpParams(lam=6).n1
+    h1, h2 = default_hidden(n1)
+    return init_params([n1, h1, h2, 1], np.random.default_rng(0))
+
+
+def test_ber_monte_carlo_detectors_share_bits_and_noise(untrained_receiver):
+    # one full chunk and one partial one; every detector scores the same draws,
+    # so its BER does not depend on the detectors beside it or their order
+    p6 = ChirpParams(lam=6)
+    trials = NOISE_CHUNK + 5000
+
+    def bers(detectors):
+        return ber_monte_carlo(p6, detectors, 3.0, 0.0, 0.0, trials, seed=7,
+                               checkpoint_params=untrained_receiver)
+
+    mf, dnn = bers(["mf", "dnn"])
+    assert bers(("dnn", "mf")) == [dnn, mf]
+    assert bers(["mf"]) == [mf] and bers(["dnn"]) == [dnn]
+    assert mf != dnn
+
+
+@pytest.mark.parametrize("detectors", [[], "mf", ["mf", "zf"], ["dnn"]])
+def test_ber_monte_carlo_rejects_bad_detector_lists(detectors):
+    with pytest.raises(ConfigurationError):
+        ber_monte_carlo(ChirpParams(lam=6), detectors, 9.0, 0.0, 0.0, 10, seed=1)
+
+
+def test_ber_monte_carlo_builds_each_chunk_in_one_buffer():
+    # tracemalloc sees numpy's allocations: a full chunk of received symbols
+    # must be the only block of its size alive at once
+    chunk_bytes = NOISE_CHUNK * ChirpParams(lam=1).n1 * 8
+    tracemalloc.start()
+    try:
+        ber_monte_carlo(ChirpParams(lam=1), ["mf"], 9.0, 0, 0, NOISE_CHUNK, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * chunk_bytes, peak / chunk_bytes

@@ -350,6 +350,29 @@ def test_train_loop_reduces_loss():
     assert ber_eval(p1, batch) < 0.1
 
 
+def test_train_rounds_adam_as_the_textbook_update():
+    # the update runs in buffers, but each value is rounded as in the
+    # expressions below, so the result is bit-identical
+    rng = np.random.default_rng(18)
+    p = random_net(rng, [5, 6, 4, 1])
+    batch = random_batch(rng, 5, 37)
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    theta = p.to_flat().copy()
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    order_rng, t = np.random.default_rng(19), 0
+    for _ in range(3):
+        order = order_rng.permutation(len(batch))
+        for start in range(0, len(batch), 8):
+            sel = order[start: start + 8]
+            g = grad(p.from_flat(theta), LabeledBatch(batch.inputs[sel], batch.labels[sel]))
+            t += 1
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            theta = theta - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    out = train(p, batch, epochs=3, lr=lr, batch_size=8, rng=np.random.default_rng(19))
+    assert np.array_equal(out.to_flat(), theta)
+
+
 @pytest.mark.parametrize("batch_size, epochs", [(0, 1), (-3, 1), (8, -1)])
 def test_train_rejects_bad_schedule(batch_size, epochs):
     rng = np.random.default_rng(23)
