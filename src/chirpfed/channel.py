@@ -25,12 +25,16 @@ MAX_CIR_ENTRIES = 2 ** 21  # n_taps x n_time; about 190 MB peak at the cap
 # fraction 0 <= f < 1, Hann-windowed over |m - f| < 33.  By the angle-addition
 # formulas, sin(pi(m - f)) = -(-1)^m sin(pi f) and the window's
 # cos(pi(m - f)/33) splits into per-tap constants times cos and sin of
-# pi f/33, so a kernel row costs three transcendentals, not 128.
+# pi f/33, so a kernel row costs three transcendentals, not 128.  The sign
+# and the window's factor 1/2 sit in the per-tap constants; as sign flips and
+# scalings by 2 commute with rounding, only a subnormal kernel value (f below
+# about 1e-307) can differ from the unfolded form's, by one rounding.
 _KERNEL_HALF = 32
 _KERNEL_OFFSETS = np.arange(-_KERNEL_HALF + 1, _KERNEL_HALF + 1)
-_KERNEL_SIGN = -(-1.0) ** _KERNEL_OFFSETS
-_WINDOW_COS = np.cos(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
-_WINDOW_SIN = np.sin(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
+_PI_SIGN = -(-1.0) ** _KERNEL_OFFSETS * np.pi
+_HALF_WINDOW_COS = 0.5 * np.cos(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
+_HALF_WINDOW_SIN = 0.5 * np.sin(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
+_KERNEL_BLOCK = 128  # rows: each (128, 64) float64 temporary is 64 KiB
 
 
 @dataclass(frozen=True)
@@ -194,15 +198,26 @@ def hilbert(x) -> np.ndarray:
 
 def _kernel(frac) -> np.ndarray:
     """Interpolation kernel rows, shape frac.shape + (64,), for 0 <= frac <= 1."""
-    f = np.asarray(frac, dtype=np.float64)[..., None]
-    u = _KERNEL_OFFSETS - f
+    frac = np.asarray(frac, dtype=np.float64)
+    f = frac.reshape(-1, 1)
+    a = np.pi * f / (_KERNEL_HALF + 1)
+    window = np.multiply(_HALF_WINDOW_COS, np.cos(a))
+    window += 0.5
+    sinc = np.multiply(_HALF_WINDOW_SIN, np.sin(a))  # a buffer until below
+    window += sinc
     # sin(pi f) = sin(pi (1 - f)); the smaller argument keeps full precision
     # as f -> 1, where sin(pi f) itself loses digits
     sin_pf = np.sin(np.pi * np.minimum(f, 1.0 - f))
-    zero = u == 0  # only where f is 0 (or 1), at m = 0 (or 1): sinc is 1 there
-    sinc = np.where(zero, 1.0, _KERNEL_SIGN * sin_pf / (np.pi * np.where(zero, 1.0, u)))
-    a = np.pi * f / (_KERNEL_HALF + 1)
-    return sinc * 0.5 * (1.0 + _WINDOW_COS * np.cos(a) + _WINDOW_SIN * np.sin(a))
+    # sinc = sin(pi f) / (-(-1)^m pi (m - f)), in place
+    np.subtract(_KERNEL_OFFSETS, f, out=sinc)
+    sinc *= _PI_SIGN
+    with np.errstate(invalid="ignore"):  # 0/0 where m - f is 0
+        np.divide(sin_pf, sinc, out=sinc)
+    # m - f is 0 only where f is 0 (or 1), at m = 0 (or 1): sinc is 1 there
+    sinc[f[:, 0] == 0.0, _KERNEL_HALF - 1] = 1.0
+    sinc[f[:, 0] == 1.0, _KERNEL_HALF] = 1.0
+    sinc *= window
+    return sinc.reshape(frac.shape + (-1,))
 
 
 def _interp_at(samples: np.ndarray, base: np.ndarray, frac) -> np.ndarray:
@@ -214,9 +229,17 @@ def _interp_at(samples: np.ndarray, base: np.ndarray, frac) -> np.ndarray:
     padded[width:width + n] = samples
     # a window wholly outside the support reads an all-zero padding window
     start = np.clip(base + (width - _KERNEL_HALF + 1), 0, n + width)
-    vals = sliding_window_view(padded, width)[start]
-    kern = _kernel(frac)
-    return vals @ kern if kern.ndim == 1 else np.einsum("ij,ij->i", vals, kern)
+    windows = sliding_window_view(padded, width)
+    if np.ndim(frac) == 0:
+        return windows[start] @ _kernel(frac)
+    # one kernel row per position, made a block of rows at a time: the
+    # (rows, 64) temporaries stay in cache and reuse freed memory, where
+    # whole-symbol ones (480 KiB at 960 rows) fault in fresh pages each call
+    out = np.empty(start.size)
+    for lo in range(0, start.size, _KERNEL_BLOCK):
+        rows = slice(lo, lo + _KERNEL_BLOCK)
+        out[rows] = np.einsum("ij,ij->i", windows[start[rows]], _kernel(frac[rows]))
+    return out
 
 
 def _doppler_at(samples: np.ndarray, alpha_dop: float, t: np.ndarray) -> np.ndarray:

@@ -180,6 +180,10 @@ def cmd_ber_sweep(args) -> int:
         print(f"ber-sweep: --detector {args.detector!r} is not a comma list of "
               f"{','.join(data_mod.DETECTORS)}", file=sys.stderr)
         return EXIT_USAGE
+    if len(set(detectors)) < len(detectors):
+        print(f"ber-sweep: --detector {args.detector!r} names a detector more than once",
+              file=sys.stderr)
+        return EXIT_USAGE
     if not all(math.isfinite(snr) for snr in args.snr_db):
         print("ber-sweep: --snr-db values must be finite", file=sys.stderr)
         return EXIT_USAGE
@@ -323,8 +327,16 @@ def cmd_cir(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose error messages quote a shielded value (see
+    _shield_minus_values) as it was typed."""
+
+    def error(self, message):
+        super().error(re.sub(r"'( -[^']*)'", lambda m: repr(_unshield(m[1])), message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chirpfed",
         description="Underwater chirp link, C-DNN receiver and federated "
                     "meta-learning experiment driver")
@@ -435,13 +447,22 @@ def _is_minus_value(arg: str) -> bool:
 def _shield_minus_values(argv):
     """'-1e1' -> ' -1e1': every option here is long, so a number or grid that
     starts with '-' is a value, and a leading space keeps argparse from
-    reading it as an option.  float() and _parse_grid ignore the space."""
+    reading it as an option.  float() and _parse_grid ignore the space;
+    _unshield takes it off string values and error messages."""
     return [" " + arg if _is_minus_value(arg) else arg for arg in argv]
+
+
+def _unshield(value: str) -> str:
+    """The value as typed: ' -1e1' -> '-1e1'; any other string unchanged."""
+    return value[1:] if value[:1] == " " and _is_minus_value(value[1:]) else value
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_shield_minus_values(sys.argv[1:] if argv is None else argv))
+    for key, value in vars(args).items():
+        if isinstance(value, str):
+            setattr(args, key, _unshield(value))
     try:
         return args.func(args)
     except ValidityError as exc:

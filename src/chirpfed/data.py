@@ -17,7 +17,8 @@ import numpy as np
 
 from . import container
 from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
-                      apply_channel, identity_channel)
+                      apply_channel, identity_channel, rayleigh_cir,
+                      tap_mean_powers)
 from .chirp import (ChirpParams, downsample, generate_chirp,
                     matched_filter_detect_batch)
 from .errors import ConfigurationError, ParseError
@@ -50,6 +51,12 @@ class DatasetSpec:
     snr_db_range bounds the per-sample SNR of each received symbol, not the
     Eb/N0 of ber_monte_carlo: Eb/N0 = SNR + 10*log10(T*fs/2) in dB, 26.8 dB
     more at the default 960-sample symbol.
+
+    The rayleigh channel is block fading while fd < 1/T (5 Hz against 100 Hz
+    by default): each symbol gets its own static CN(0, p_k) gain per tap,
+    with p_k from tap_mean_powers, drawn independently of the other symbols,
+    so fd does not shape the data.  From fd >= 1/T on, the taps vary within
+    the symbol as rayleigh_cir draws them.
     """
 
     n_symbols: int = 1250
@@ -128,7 +135,6 @@ def build_node_dataset(spec: DatasetSpec):
     speed = np.empty(n, dtype=np.float32)
     if spec.channel_tag == "identity":
         base_channel = identity_channel(Ts=1.0 / spec.chirp.fs)
-    symbol_dur = spec.chirp.T
     for i in range(n):
         bit = int(rng.random() < 0.5)
         snr_i = _draw(rng, *spec.snr_db_range)
@@ -137,7 +143,7 @@ def build_node_dataset(spec: DatasetSpec):
         noise_seed = int(rng.integers(0, 2 ** 63 - 1))
         if spec.channel_tag == "rayleigh":
             cir_seed = int(rng.integers(0, 2 ** 63 - 1))
-            channel = _rayleigh_for_symbol(spec, symbol_dur, cir_seed)
+            channel = _rayleigh_for_symbol(spec, cir_seed)
         else:
             channel = base_channel
         try:
@@ -164,13 +170,25 @@ def _split(k, samples, labels, snr, sto, speed, tag_idx, tag_table):
     return part(slice(0, k)), part(slice(k, None))
 
 
-def _rayleigh_for_symbol(spec: DatasetSpec, duration: float, seed: int):
-    from .channel import rayleigh_cir
+def _rayleigh_for_symbol(spec: DatasetSpec, seed: int):
+    """The CIR of one symbol.  While fd is below the first FFT bin of the
+    symbol, 1/T, rayleigh_cir's bell spectrum keeps only the DC bin and every
+    tap is static: the DC bin of n i.i.d. CN(0, 1) draws over sqrt(n) is
+    CN(0, 1).  So one CN(0, p_k) gain is drawn per tap that reaches into the
+    symbol, as rayleigh_cir would round it, and the taps past it are skipped."""
     cfg = spec.rayleigh
+    fs = spec.chirp.fs
     # tap spacing snapped to an integer number of samples at the chirp rate
-    step = max(1, int(round(cfg.Ts * spec.chirp.fs)))
-    cfg = replace(cfg, Ts=step / spec.chirp.fs)
-    return rayleigh_cir(cfg, duration, spec.chirp.fs, seed)
+    step = max(1, int(round(cfg.Ts * fs)))
+    cfg = replace(cfg, Ts=step / fs)
+    n = spec.chirp.symbol_samples
+    if n > 1 and cfg.fd >= np.fft.fftfreq(n, d=1.0 / fs)[1]:
+        return rayleigh_cir(cfg, spec.chirp.T, fs, seed)
+    n_taps = min(cfg.n_taps, -(-n // step))  # the taps with k * step < n
+    z = np.random.default_rng(seed).standard_normal((n_taps, 2))
+    g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+    taps = (g * np.sqrt(tap_mean_powers(cfg)[:n_taps])).astype(np.complex64)
+    return ChannelRealization(taps[:, None], cfg.Ts)
 
 
 def _clean_received_symbol(bit, params, sto, speed):

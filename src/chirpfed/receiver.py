@@ -10,6 +10,7 @@ derivative of ReLU at its kink is taken as zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,11 +32,17 @@ def _n_params(sizes) -> int:
     return sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(sizes: tuple) -> tuple:
+    """(start, stop, shape) of W1, b1, W2, b2, W3, b3 in the flat vector."""
+    shapes = [s for a, b in zip(sizes[:-1], sizes[1:]) for s in ((b, a), (b,))]
+    ends = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+    return tuple(zip(ends[:-1], ends[1:], shapes))
+
+
 def _views(sizes, flat) -> list:
     """W1, b1, W2, b2, W3, b3 as views into a flat vector laid out for `sizes`."""
-    shapes = [s for a, b in zip(sizes[:-1], sizes[1:]) for s in ((b, a), (b,))]
-    ends = np.cumsum([math.prod(s) for s in shapes])[:-1]
-    return [part.reshape(s) for part, s in zip(np.split(flat, ends), shapes)]
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in _layout(tuple(sizes))]
 
 
 def _wrap(sizes, flat) -> "MlpParams":

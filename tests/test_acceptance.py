@@ -70,6 +70,7 @@ def test_criterion_01_complexity_table(tmp_path):
 
 # --------------------------------------------------------------- criterion 2
 
+@pytest.mark.slow
 def test_criterion_02_mf_sanity():
     t0 = time.time()
     params = ChirpParams(lam=1)
@@ -88,6 +89,7 @@ def test_criterion_02_mf_sanity():
 
 # --------------------------------------------------------------- criterion 3
 
+@pytest.mark.slow
 def test_criterion_03_impairment_trend():
     # Doppler variant of the impairment criterion: v = 10 m/s at
     # Eb/N0 = 12 dB, lambda = 6, speed-augmented training set.
@@ -284,6 +286,7 @@ def test_criterion_07_scheduling_fairness():
 
 # --------------------------------------------------------------- criterion 8
 
+@pytest.mark.slow
 def test_criterion_08_fml_vs_fl():
     t0 = time.time()
     chirp = ChirpParams(lam=12)
@@ -316,6 +319,7 @@ def test_criterion_08_fml_vs_fl():
 
 # --------------------------------------------------------------- criterion 9
 
+@pytest.mark.slow
 def test_criterion_09_local_epoch_trend():
     t0 = time.time()
     chirp = ChirpParams(lam=12)

@@ -192,6 +192,23 @@ def test_kernel_matches_mpmath(f):
     assert np.max(np.abs(_kernel(f) - _mp_kernel(f))) <= 1e-15
 
 
+def test_kernel_folds_its_constants_exactly():
+    # the textbook form: sign * sin(pi f) / (pi u) times 0.5 * (1 + window);
+    # equal bit for bit wherever no kernel value is subnormal
+    fracs = np.concatenate([[0.0, 0.5, 1e-300, np.nextafter(1.0, 0.0), 1.0],
+                            np.random.default_rng(4).random(2000)])
+    f = fracs[:, None]
+    u = _KERNEL_OFFSETS - f
+    sign = -(-1.0) ** _KERNEL_OFFSETS
+    sin_pf = np.sin(np.pi * np.minimum(f, 1.0 - f))
+    zero = u == 0
+    sinc = np.where(zero, 1.0, sign * sin_pf / (np.pi * np.where(zero, 1.0, u)))
+    a = np.pi * f / 33
+    m = np.pi * _KERNEL_OFFSETS / 33
+    ref = sinc * 0.5 * (1.0 + np.cos(m) * np.cos(a) + np.sin(m) * np.sin(a))
+    assert _kernel(fracs).tobytes() == ref.tobytes()
+
+
 def test_kernel_rows_match_one_row_at_a_time():
     fracs = np.random.default_rng(3).random(50)
     rows = _kernel(fracs)

@@ -382,6 +382,46 @@ def test_ber_sweep_rejects_non_finite_snr(tmp_path, capsys, value):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# Each error message quotes the value as it was typed, leading minus and all.
+TYPED_VALUE_ARGV = [
+    (["ber-sweep", "--detector", "-1e3"], "--detector '-1e3' is not a comma list"),
+    (["ber-sweep", "--snr-db", "-1:1:1:1"], "bad grid '-1:1:1:1'"),
+    (["ber-sweep", "--trials", "-1e3"], "invalid int value: '-1e3'"),
+    (["run-fed", "--mode", "-1e1"], "invalid choice: '-1e1'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", TYPED_VALUE_ARGV, ids=lambda a: " ".join(a))
+def test_error_messages_quote_the_value_as_typed(tmp_path, capsys, argv, message):
+    try:
+        rc = run(argv + ["--seed", "1", "--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # rejected by the argument parser
+        rc = exc.code
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "' -" not in err
+
+
+@pytest.mark.parametrize("detectors", ["mf,mf", "dnn,mf,dnn"])
+def test_ber_sweep_rejects_a_repeated_detector(tmp_path, capsys, detectors):
+    out = tmp_path / "ber.csv"
+    rc = run(["ber-sweep", "--seed", "1", "--trials", "100", "--detector", detectors,
+              "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--detector '{detectors}' names a detector more than once" in err
+    assert not out.exists()
+
+
+def test_gen_data_rayleigh_reruns_byte_identical(tmp_path):
+    a, b = tmp_path / "a.uwds", tmp_path / "b.uwds"
+    argv = ["gen-data", "--seed", "6", "--symbols", "20", "--channel", "rayleigh",
+            "--snr-range", "6", "12", "--sto-range", "0", "60"]
+    assert run(argv + ["--out", str(a)]) == 0
+    assert run(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 BAD_ARGV = [
     ["ber-sweep", "--detector", "foo"],
     ["ber-sweep", "--detector", "mf,foo"],

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chirpfed.channel import RayleighModelConfig, rayleigh_cir, tap_mean_powers
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
 from chirpfed.data import (MAX_DATASET_SAMPLES, NOISE_CHUNK, DatasetSpec,
-                           ber_monte_carlo, build_node_dataset, load_dataset,
-                           save_dataset)
+                           _rayleigh_for_symbol, ber_monte_carlo,
+                           build_node_dataset, load_dataset, save_dataset)
 from chirpfed.errors import ConfigurationError, ParseError
 from chirpfed.receiver import LabeledBatch, ber_eval, default_hidden, \
     init_params, train
@@ -134,6 +135,46 @@ def test_rayleigh_records_differ_from_identity():
     assert fady.tag_table[fady.channel_tag[0]] == "rayleigh"
 
 
+def test_dataset_rayleigh_taps_follow_the_tap_law():
+    # one CN(0, p_k) gain per tap and symbol: per-delay mean power against
+    # tap_mean_powers, Gaussian real and imaginary parts, and no correlation
+    # between them, over 2000 symbols' draws
+    from scipy import stats
+    spec = small_spec(channel_tag="rayleigh")
+    cirs = [_rayleigh_for_symbol(spec, seed) for seed in range(2000)]
+    g = np.array([h.taps[:, 0] for h in cirs])
+    p = tap_mean_powers(replace(spec.rayleigh, Ts=cirs[0].Ts))[:g.shape[1]]
+    power = np.mean(np.abs(g) ** 2, axis=0) / p
+    assert np.max(np.abs(power - 1.0)) < 0.12  # 5.4 sigma per delay
+    assert abs(power.mean() - 1.0) < 0.015
+    z = g / np.sqrt(p / 2)
+    for part in (z.real, z.imag):
+        assert stats.kstest(part.ravel(), "norm").pvalue > 1e-3
+    assert abs(np.mean(z.real * z.imag)) < 0.02
+
+
+def test_dataset_rayleigh_taps_are_static_and_stop_at_the_symbol():
+    # fd = 5 Hz is below the 100 Hz bins of a 10 ms symbol: one gain per tap,
+    # and only the 60 taps of delay k * 16 < 960 samples
+    spec = small_spec(channel_tag="rayleigh")
+    h = _rayleigh_for_symbol(spec, seed=3)
+    assert h.n_time == 1 and h.n_taps == 60
+    assert np.array_equal(h.taps.astype(np.complex64), h.taps)
+
+
+@pytest.mark.parametrize("fd", [100.0, 250.0])
+def test_fast_fading_rayleigh_symbol_is_rayleigh_cir(fd):
+    # from the first FFT bin of the symbol, 1/T = 100 Hz, up, the taps vary
+    # within the symbol and come from rayleigh_cir unchanged
+    spec = small_spec(channel_tag="rayleigh", rayleigh=RayleighModelConfig(
+        Ts=1.0 / 6000.0, fd=fd))
+    h = _rayleigh_for_symbol(spec, seed=5)
+    ref = rayleigh_cir(RayleighModelConfig(Ts=16 / spec.chirp.fs, fd=fd),
+                       spec.chirp.T, spec.chirp.fs, seed=5)
+    assert h.Ts == ref.Ts and h.taps.tobytes() == ref.taps.tobytes()
+    assert h.n_time == 960 and np.any(h.taps[:, 1:] != h.taps[:, :1])
+
+
 # ------------------------------------------------------------- domain shift
 
 def test_domain_shift_degrades_trained_receiver():
@@ -234,7 +275,9 @@ def test_save_dataset_rejects_bad_tags_and_labels(tmp_path):
 
 # sha256 over the records of build_node_dataset (25 symbols, lam = 6, seed 7)
 # under the three impairment profiles of the synthesis benchmark, computed
-# with the full-rate interpolation that the decimating channel replaced
+# with the full-rate interpolation that the decimating channel replaced; the
+# rayleigh digest was recorded when its static taps came to be drawn directly
+# (block fading), one CN(0, p_k) draw per tap, a new stream of the same law
 GOLDEN_PROFILES = {
     "sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0)),
             "877f86bd94ae02d034c0f0e6494031b12e24cbc73c057c56f156bb8b9d179eb4"),
@@ -243,7 +286,7 @@ GOLDEN_PROFILES = {
                 "da771c39920ef241c69bb3f6cadb83e3436b03711948cb4f92c01a41868ed2b1"),
     "rayleigh": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
                       speed_range=(0.0, 10.0), channel_tag="rayleigh"),
-                 "b557e1f2c64dd07684e27e97a05003605bcd81b33757ed8788325393feb1fbc7"),
+                 "8e11ce8c00c68fddf64ce64d7c07a284bdc7dad464c8e94f7eb5c2fdc82c6b97"),
 }
 
 
