@@ -77,10 +77,10 @@ class ImpairmentSpec:
     def __post_init__(self):
         if self.sound_speed <= 0:
             raise ConfigurationError("sound_speed must be positive")
-        if abs(self.rel_speed) >= self.sound_speed:
+        if not abs(self.rel_speed) < self.sound_speed:  # NaN too
             raise ConfigurationError("|rel_speed| must stay below sound_speed")
-        if np.isnan(self.snr_db):
-            raise ConfigurationError("snr_db must not be NaN")
+        if np.isnan(self.snr_db) or np.isnan(self.sto_samples):
+            raise ConfigurationError("snr_db and sto_samples must not be NaN")
 
     @property
     def alpha_dop(self) -> float:
@@ -259,9 +259,9 @@ def _impair(samples: np.ndarray, alpha_dop: float, delta: float,
     between samples.  A fractional shift uses one kernel row throughout.
     """
     n = samples.size
-    if abs(alpha_dop) >= 0.1:
+    if not abs(alpha_dop) < 0.1:  # NaN too
         raise ConfigurationError(f"|alpha_dop|={abs(alpha_dop)} outside physical regime")
-    if abs(delta) >= n:
+    if not abs(delta) < n:
         raise InputError(f"|delta|={abs(delta)} exceeds waveform length {n}")
     kept = np.arange(0, n, lam)
     d_int = int(np.floor(delta))

@@ -83,7 +83,8 @@ def _parse_grid(spec: str):
         raise argparse.ArgumentTypeError(f"grid {spec!r} is not finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
-    span = (stop - start) / step + 1e-9  # inf if the bounds are far apart
+    # +-inf if the bounds are far apart; a descending grid is empty
+    span = max(-1.0, (stop - start) / step + 1e-9)
     if not span < MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid {spec!r} exceeds {MAX_GRID_POINTS} points")
     return [start + i * step for i in range(math.floor(span) + 1)]

@@ -33,6 +33,9 @@ DETECTORS = ("mf", "dnn")  # of ber_monte_carlo
 # and noise of each chunk are drawn in turn, so another size reorders the
 # draws and changes every BER.
 NOISE_CHUNK = 20000
+# Rows of a chunk that ber_monte_carlo draws and scores at a time.  Not part
+# of the stream: the normals of a chunk come in the same order in any block.
+BLOCK_ROWS = 5000
 MAX_DATASET_SAMPLES = 2 ** 24  # records x n1; 128 MB of float64 samples
 
 
@@ -203,7 +206,10 @@ def _clean_received_symbol(bit, params, sto, speed):
 
 def noise_stream_key(ebn0_db):
     """The per-SNR part of the BER seed: millidecibels, as 31 bits."""
-    return int(ebn0_db * 1000) & 0x7FFFFFFF
+    millidecibels = ebn0_db * 1000
+    if not math.isfinite(millidecibels):
+        raise ConfigurationError(f"Eb/N0 of {ebn0_db} dB has no noise stream")
+    return int(millidecibels) & 0x7FFFFFFF
 
 
 def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
@@ -218,6 +224,10 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     convention: per-sample sigma = sqrt(Eb / (2 * ebn0)) with Eb the
     full-rate symbol energy, so ebn0_db is 10*log10(T*fs/2) dB, 26.8 dB at
     960 samples, above the per-sample SNR of DatasetSpec.snr_db_range.
+
+    Each call starts one helper thread that draws the noise of the next
+    block while the calling thread scores the current one; the helper is
+    joined before the call returns or raises.
     """
     detectors = list(detectors)
     if not detectors or not set(detectors) <= set(DETECTORS) or (
@@ -226,30 +236,64 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
                                  "list of mf, and dnn with checkpoint parameters")
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
+    eb = float(np.sum(generate_chirp(params, "up").samples ** 2))
+    try:
+        sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not 0 < sigma < math.inf:  # NaN too
+        raise ConfigurationError(f"Eb/N0 of {ebn0_db} dB gives no finite, nonzero noise level")
     rng = np.random.default_rng(np.random.SeedSequence([seed, noise_stream_key(ebn0_db)]))
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
-    eb = float(np.sum(generate_chirp(params, "up").samples ** 2))
-    sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
-    buf = np.empty((min(NOISE_CHUNK, trials), params.n1))
-    errors = [0] * len(detectors)
-    done = 0
-    while done < trials:
-        m = min(NOISE_CHUNK, trials - done)
-        bits = rng.integers(0, 2, size=m)
-        rx = buf[:m]
+    rows = min(BLOCK_ROWS, trials)
+    bufs = (np.empty((rows, params.n1)), np.empty((rows, params.n1)))
+    bits = None
+
+    def build(chunk, r0, rx):
+        """Block rows r0.. of a chunk of `chunk` symbols, drawn into rx; the
+        chunk's bits are drawn before its first block.  Runs on the helper
+        and calls numpy only."""
+        nonlocal bits
+        if r0 == 0:
+            bits = rng.integers(0, 2, size=chunk)
+        b = bits[r0:r0 + len(rx)]
         # rounded once per element as s_bit + z*sigma, with no temporaries
         rng.standard_normal(out=rx)
         np.multiply(rx, sigma, out=rx)
-        one = (bits == 1)[:, None]
+        one = (b == 1)[:, None]
         np.add(rx, s_clean[0], out=rx, where=~one)
         np.add(rx, s_clean[1], out=rx, where=one)
-        for k, detector in enumerate(detectors):
-            if detector == "mf":
-                dec = matched_filter_detect_batch(rx, params)
-            else:
-                dec = detect_batch(checkpoint_params, rx)
-            errors[k] += int(np.count_nonzero(dec != bits))
-        done += m
+        return b, rx
+
+    def blocks():
+        """(chunk size, first row, buffer) of each block, in draw order."""
+        k = 0
+        for c0 in range(0, trials, NOISE_CHUNK):
+            chunk = min(NOISE_CHUNK, trials - c0)
+            for r0 in range(0, chunk, BLOCK_ROWS):
+                yield chunk, r0, bufs[k % 2][:min(BLOCK_ROWS, chunk - r0)]
+                k += 1
+
+    # imported here, as it loads logging: 10 ms that only a sweep needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    errors = [0] * len(detectors)
+    # The helper builds block k+1 into one buffer while this thread scores
+    # block k in the other.  Only the helper draws, in block order, so the
+    # stream is the serial one; leaving the with-block joins the helper.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        plan = blocks()
+        pending = helper.submit(build, *next(plan))
+        while pending is not None:
+            b, rx = pending.result()
+            block = next(plan, None)
+            pending = None if block is None else helper.submit(build, *block)
+            for i, detector in enumerate(detectors):
+                if detector == "mf":
+                    dec = matched_filter_detect_batch(rx, params)
+                else:
+                    dec = detect_batch(checkpoint_params, rx)
+                errors[i] += int(np.count_nonzero(dec != b))
     return [e / trials for e in errors]
 
 

@@ -24,19 +24,18 @@ class ParseError(ChirpfedError):
 
 
 class TrainingError(ChirpfedError):
-    """Training diverged; carries round/step context."""
+    """Training diverged; carries the round, node and step it diverged in,
+    where known, as attributes and in one context suffix of the message."""
 
-    def __init__(self, message, round_index=None, step_index=None):
-        ctx = []
-        if round_index is not None:
-            ctx.append(f"round {round_index}")
-        if step_index is not None:
-            ctx.append(f"step {step_index}")
-        if ctx:
-            message = f"{message} ({', '.join(ctx)})"
-        super().__init__(message)
+    def __init__(self, message, round_index=None, node_id=None, step_index=None):
+        self.reason = message
         self.round_index = round_index
+        self.node_id = node_id
         self.step_index = step_index
+        ctx = [f"{name} {value}" for name, value in (
+            ("round", round_index), ("node", node_id), ("step", step_index))
+            if value is not None]
+        super().__init__(f"{message} ({', '.join(ctx)})" if ctx else message)
 
 
 class ValidityError(ChirpfedError):

@@ -248,7 +248,8 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
                     else:
                         new = local_fedavg_step(node, cfg.alpha, cfg.T0)
                 except TrainingError as exc:
-                    raise TrainingError(str(exc), round_index=t) from exc
+                    raise TrainingError(exc.reason, round_index=t, node_id=node.id,
+                                        step_index=exc.step_index) from exc
                 updates.append((new.to_flat(), node.data_size, u[pos]))
             if t:
                 a, b = _accuracies(theta, node, cfg.alpha, lin.grad, total)

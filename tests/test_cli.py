@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import struct
 import subprocess
@@ -8,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chirpfed import cli
 from chirpfed.chirp import ChirpParams
@@ -442,6 +445,10 @@ BAD_ARGV = [
     ["gen-data", "--sto-range", "0", "inf"],
     ["ber-sweep", "--snr-db=-1e308:1:1e308"],
     ["ber-sweep", "--trials", "-5"],
+    ["ber-sweep", "--sto", "nan"],
+    ["ber-sweep", "--speed", "nan"],
+    ["ber-sweep", "--snr-db", "1e300"],
+    ["ber-sweep", "--snr-db", "-1e300"],
     ["run-fed", "--group", "count=-1", "--group", "count=2"],
     ["run-fed", "--group", "count=0"],
     ["cir", "generate", "--duration", "1e300", "--fs", "1e300"],
@@ -495,10 +502,71 @@ def test_oversized_arguments_exit_2_in_bounded_memory(tmp_path, argv):
     assert not out.exists()
 
 
+def ber_sweep_options():
+    """Drawn ber-sweep options: numbers such as 0, -1, nan, inf and 1e300,
+    grids well and badly formed, and small trial counts."""
+    number = st.sampled_from(["0", "-1", "1", "6", "0.5", "nan", "inf", "-inf",
+                              "1e300", "-1e300", "1e-300", "abc", ""]) | \
+        st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    grid = number | st.lists(number, min_size=2, max_size=4).map(":".join)
+    options = {
+        "--snr-db": grid,
+        "--trials": st.sampled_from(["-1", "nan", "1e300", "2.5", ""]) |
+        st.integers(0, 40).map(str),
+        "--lambda": st.sampled_from(["0", "-1", "1", "6", "7", "961", "nan", "1e300"]),
+        "--sto": number,
+        "--speed": number,
+        "--detector": st.sampled_from(["mf", "dnn", "mf,dnn", "dnn,mf", "mf,mf",
+                                       "", ",", "zf", "-1"]),
+    }
+    option = st.sampled_from(sorted(options)).flatmap(
+        lambda name: options[name].map(lambda value: [name, value]))
+    return st.lists(option, max_size=6).map(lambda pairs: sum(pairs, []))
+
+
+def check_ber_sweep_argv(workdir, examples):
+    """Every drawn ber-sweep argv exits 0, 2, 3 or 4 without a traceback.
+    Made to run in a child process with a bounded address space."""
+    ckpt = os.path.join(workdir, "net.cdnn")
+    base = ["ber-sweep", "--seed", "1", "--trials", "5", "--checkpoint", ckpt,
+            "--out", os.path.join(workdir, "ber.csv")]
+
+    @settings(max_examples=examples, deadline=None, database=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ber_sweep_options())
+    def check(options):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(base + options)
+            except SystemExit as exc:  # rejected by the argument parser
+                rc = exc.code
+        assert rc in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), \
+            (options, rc, err.getvalue())
+
+    check()
+
+
+def test_drawn_ber_sweep_arguments_exit_cleanly(tmp_path):
+    n1 = ChirpParams(lam=6).n1
+    save_params(str(tmp_path / "net.cdnn"),
+                init_params([n1, *default_hidden(n1), 1], np.random.default_rng(0)))
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, here] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "import test_cli; test_cli.check_ber_sweep_argv(sys.argv[1], 150)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+
+
 def test_grid_point_cap():
     cap = cli.MAX_GRID_POINTS
     assert len(cli._parse_grid(f"0:1:{cap - 1}")) == cap
     assert cli._parse_grid("5:1:0") == []
+    assert cli._parse_grid("0:1e-4:-1e304") == []
     with pytest.raises(argparse.ArgumentTypeError):
         cli._parse_grid(f"0:1:{cap}")
 

@@ -1,4 +1,7 @@
 import hashlib
+import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -8,12 +11,14 @@ import pytest
 from chirpfed.channel import RayleighModelConfig, rayleigh_cir, tap_mean_powers
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
-from chirpfed.data import (MAX_DATASET_SAMPLES, NOISE_CHUNK, DatasetSpec,
-                           _rayleigh_for_symbol, ber_monte_carlo,
-                           build_node_dataset, load_dataset, save_dataset)
+from chirpfed import data
+from chirpfed.data import (BLOCK_ROWS, MAX_DATASET_SAMPLES, NOISE_CHUNK, DatasetSpec,
+                           _clean_received_symbol, _rayleigh_for_symbol,
+                           ber_monte_carlo, build_node_dataset, load_dataset,
+                           noise_stream_key, save_dataset)
 from chirpfed.errors import ConfigurationError, ParseError
 from chirpfed.receiver import LabeledBatch, ber_eval, default_hidden, \
-    init_params, train
+    detect_batch, init_params, train
 
 
 def small_spec(**kw):
@@ -344,3 +349,99 @@ def test_ber_monte_carlo_builds_each_chunk_in_one_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * chunk_bytes, peak / chunk_bytes
+
+
+def whole_chunk_bers(params, detectors, ebn0_db, sto, speed, trials, seed, theta):
+    """ber_monte_carlo as one thread computed it a whole chunk at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, noise_stream_key(ebn0_db)]))
+    s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
+    eb = float(np.sum(generate_chirp(params, "up").samples ** 2))
+    sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
+    errors = [0] * len(detectors)
+    for done in range(0, trials, NOISE_CHUNK):
+        bits = rng.integers(0, 2, size=min(NOISE_CHUNK, trials - done))
+        z = rng.standard_normal((bits.size, params.n1)) * sigma
+        rx = np.where((bits == 1)[:, None], z + s_clean[1], z + s_clean[0])
+        for k, det in enumerate(detectors):
+            dec = (matched_filter_detect_batch(rx, params) if det == "mf"
+                   else detect_batch(theta, rx))
+            errors[k] += int(np.count_nonzero(dec != bits))
+    return [e / trials for e in errors]
+
+
+@pytest.mark.parametrize("detectors", [["mf"], ["dnn"], ["mf", "dnn"]])
+def test_ber_monte_carlo_matches_the_whole_chunk_loop(untrained_receiver, detectors):
+    # crosses a chunk and a block boundary and ends in a partial block
+    trials = NOISE_CHUNK + BLOCK_ROWS + 123
+    assert trials % NOISE_CHUNK % BLOCK_ROWS != 0
+    args = (ChirpParams(lam=6), detectors, 4.0, 3.5, 1.5, trials, 11)
+    assert ber_monte_carlo(*args, checkpoint_params=untrained_receiver) == \
+        whole_chunk_bers(*args, untrained_receiver)
+
+
+def test_ber_monte_carlo_holds_blocks_not_chunks(untrained_receiver):
+    # two noise blocks and one block's hidden activations; the whole-chunk
+    # loop held a chunk, its two hidden layers and more (2.9 chunks)
+    p6 = ChirpParams(lam=6)
+    chunk_bytes = NOISE_CHUNK * p6.n1 * 8
+    tracemalloc.start()
+    try:
+        for ebn0_db in (3.0, 6.0):
+            ber_monte_carlo(p6, ["mf", "dnn"], ebn0_db, 0, 0, 25000, seed=2,
+                            checkpoint_params=untrained_receiver)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * chunk_bytes, peak / chunk_bytes
+
+
+def test_ber_monte_carlo_joins_its_helper(untrained_receiver, monkeypatch):
+    p6 = ChirpParams(lam=6)
+    threads = threading.active_count()
+    ber_monte_carlo(p6, ["mf", "dnn"], 6.0, 0, 0, 3 * BLOCK_ROWS, seed=3,
+                    checkpoint_params=untrained_receiver)
+    assert threading.active_count() == threads
+    boom = RuntimeError("detector failed")
+    calls = []
+
+    def failing(p, rx):
+        calls.append(len(rx))
+        if len(calls) == 2:
+            raise boom
+        return detect_batch(p, rx)
+
+    monkeypatch.setattr(data, "detect_batch", failing)
+    with pytest.raises(RuntimeError) as info:
+        ber_monte_carlo(p6, ["mf", "dnn"], 6.0, 0, 0, 3 * BLOCK_ROWS, seed=3,
+                        checkpoint_params=untrained_receiver)
+    assert info.value is boom and len(calls) == 2
+    assert threading.active_count() == threads
+
+
+def test_ber_monte_carlo_threads_do_not_interfere(untrained_receiver, monkeypatch):
+    # many tiny blocks, four sweeps at once and a thread switch every
+    # microsecond: a lost hand-off or shared state would change a BER
+    monkeypatch.setattr(data, "BLOCK_ROWS", 7)
+    p6 = ChirpParams(lam=6)
+    cases = [(["mf", "dnn"], 3.0 + k, 3000 + k) for k in range(4)]
+    got = [None] * len(cases)
+
+    def sweep(k):
+        detectors, ebn0_db, trials = cases[k]
+        got[k] = ber_monte_carlo(p6, detectors, ebn0_db, 0.0, 0.0, trials, seed=5,
+                                 checkpoint_params=untrained_receiver)
+
+    threads = [threading.Thread(target=sweep, args=(k,)) for k in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, (detectors, ebn0_db, trials) in enumerate(cases):
+        assert got[k] == whole_chunk_bers(p6, detectors, ebn0_db, 0.0, 0.0, trials, 5,
+                                          untrained_receiver)

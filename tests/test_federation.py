@@ -423,6 +423,9 @@ def test_diverging_local_step_names_its_round(mode):
     with np.errstate(all="ignore"), pytest.raises(TrainingError) as info:
         run_rounds(cfg, nodes, mode)
     assert info.value.round_index == 3
+    assert info.value.step_index == 0
+    assert info.value.node_id == 2
+    assert str(info.value).endswith("update diverged (round 3, node 2, step 0)")
 
 
 # ------------------------------------------------------------------ builder
