@@ -8,6 +8,7 @@ offset (fractional samples), and Doppler time scaling.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,11 @@ _KERNEL_OFFSETS = np.arange(-_KERNEL_HALF + 1, _KERNEL_HALF + 1)
 _PI_SIGN = -(-1.0) ** _KERNEL_OFFSETS * np.pi
 _HALF_WINDOW_COS = 0.5 * np.cos(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
 _HALF_WINDOW_SIN = 0.5 * np.sin(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
-_KERNEL_BLOCK = 128  # rows: each (128, 64) float64 temporary is 64 KiB
+# Rows of kernel made at a time: one block holds every kept row of a
+# 960-sample symbol at lam >= 5; each (192, 64) float64 temporary is 96 KiB.
+_KERNEL_BLOCK = 192
+
+_ANALYTIC_SPECTRA = weakref.WeakKeyDictionary()  # Waveform -> _analytic_spectrum
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,16 @@ class RayleighModelConfig:
     Ts: float = 1.0 / 6000.0  # 1/B for the default 6 kHz band
 
     def __post_init__(self):
-        if self.max_excess_delay <= 0:
+        # each check fails on NaN
+        if not self.max_excess_delay > 0:
             raise ConfigurationError("max_excess_delay must be positive")
-        if self.fd < 0:
+        if not self.fd >= 0:
             raise ConfigurationError("fd must be non-negative")
-        if self.a <= 0:
+        if not self.a > 0:
             raise ConfigurationError("bell-shape parameter a must be positive")
-        if self.decay_db_per_tap < 0:
+        if not self.decay_db_per_tap >= 0:
             raise ConfigurationError("decay_db_per_tap must be non-negative")
-        if self.Ts <= 0:
+        if not self.Ts > 0:
             raise ConfigurationError("Ts must be positive")
 
     @property
@@ -79,8 +85,10 @@ class ImpairmentSpec:
             raise ConfigurationError("sound_speed must be positive")
         if not abs(self.rel_speed) < self.sound_speed:  # NaN too
             raise ConfigurationError("|rel_speed| must stay below sound_speed")
-        if np.isnan(self.snr_db) or np.isnan(self.sto_samples):
-            raise ConfigurationError("snr_db and sto_samples must not be NaN")
+        if np.isnan(self.sto_samples):
+            raise ConfigurationError("sto_samples must not be NaN")
+        if not self.snr_db > -np.inf:  # NaN too; -inf would read as noiseless
+            raise ConfigurationError(f"snr_db={self.snr_db} must be a number above -inf")
 
     @property
     def alpha_dop(self) -> float:
@@ -196,6 +204,19 @@ def hilbert(x) -> np.ndarray:
     return np.fft.ifft(spec)
 
 
+def _analytic_spectrum(x: Waveform) -> np.ndarray:
+    """FFT of the analytic signal of x zero-padded to twice its length.  Kept
+    while x lives if its samples are read-only and own their memory, as
+    generate_chirp's do."""
+    spectrum = _ANALYTIC_SPECTRA.get(x)
+    if spectrum is None:
+        spectrum = np.fft.fft(hilbert(x.samples), 2 * len(x))
+        if not x.samples.flags.writeable and x.samples.base is None:
+            spectrum.flags.writeable = False
+            _ANALYTIC_SPECTRA[x] = spectrum
+    return spectrum
+
+
 def _kernel(frac) -> np.ndarray:
     """Interpolation kernel rows, shape frac.shape + (64,), for 0 <= frac <= 1."""
     frac = np.asarray(frac, dtype=np.float64)
@@ -243,7 +264,7 @@ def _interp_at(samples: np.ndarray, base: np.ndarray, frac) -> np.ndarray:
 
 
 def _doppler_at(samples: np.ndarray, alpha_dop: float, t: np.ndarray) -> np.ndarray:
-    """The time-scaled signal samples((1 + alpha) t) at integer times t."""
+    """The time-scaled signal samples((1 + alpha) t) at the times t."""
     positions = (1.0 + alpha_dop) * t
     base = np.floor(positions)
     return _interp_at(samples, base.astype(np.int64), positions - base)
@@ -252,11 +273,13 @@ def _doppler_at(samples: np.ndarray, alpha_dop: float, t: np.ndarray) -> np.ndar
 def _impair(samples: np.ndarray, alpha_dop: float, delta: float,
             lam: int = 1) -> np.ndarray:
     """Doppler scaling, then a shift by delta samples, at every lam-th output
-    sample: out[j] = D[lam j + delta] with D[t] = samples((1 + alpha) t).
+    sample: out[j] = D(lam j + delta), where D(t) = samples((1 + alpha) t) is
+    the Doppler-scaled signal on the window 0 <= t < n and zero outside it.
 
-    Only the last interpolation stage is evaluated at the kept positions;
-    the Doppler stage runs at the full rate when a fractional shift reads it
-    between samples.  A fractional shift uses one kernel row throughout.
+    Each kept sample is one band-limited evaluation of `samples` at
+    (1 + alpha)(lam j + delta), one kernel row; nothing is interpolated
+    twice.  Without Doppler scaling an integer shift is an index offset and
+    a fractional one uses one kernel row for every kept sample.
     """
     n = samples.size
     if not abs(alpha_dop) < 0.1:  # NaN too
@@ -265,12 +288,9 @@ def _impair(samples: np.ndarray, alpha_dop: float, delta: float,
         raise InputError(f"|delta|={abs(delta)} exceeds waveform length {n}")
     kept = np.arange(0, n, lam)
     d_int = int(np.floor(delta))
-    frac = delta - d_int
-    if frac:
-        if alpha_dop:
-            samples = _doppler_at(samples, alpha_dop, np.arange(n))
-        return _interp_at(samples, kept + d_int, frac)
-    t = kept + d_int
+    if delta != d_int and not alpha_dop:
+        return _interp_at(samples, kept + d_int, delta - d_int)
+    t = kept + (delta if alpha_dop else d_int)
     inside = (t >= 0) & (t < n)
     out = np.zeros(kept.size)
     out[inside] = (_doppler_at(samples, alpha_dop, t[inside]) if alpha_dop
@@ -303,7 +323,8 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
     returned at every lam-th sample (rate fs/lam).
 
     Complex gains act on the analytic signal and the real part is kept; real
-    gains act on x itself, the real part of its analytic signal.  Noise power
+    gains act on x itself, the real part of its analytic signal.  A static
+    CIR of more than one tap is applied as one FFT product.  Noise power
     is the received signal power scaled by 10^(-snr/10).  The result equals
     downsample(apply_channel(x, h, imp, seed), lam), but the interpolation is
     evaluated only where a sample is kept.
@@ -320,19 +341,28 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
         raise InputError(f"CIR has {h.n_time} time steps for {n} samples; "
                          f"it needs 1 (static) or at least {n}")
     taps = h.taps
-    if np.any(taps.imag):
-        sig = hilbert(x.samples)
+    analytic = bool(np.any(taps.imag))
+    if not analytic:
+        taps = taps.real
+    reach = min(h.n_taps, -(-n // step))  # the taps k with k * step < n
+    if h.n_time == 1 and reach > 1:
+        # one FFT product; at length 2n the linear convolution does not wrap
+        # around into the n samples kept
+        kernel = np.zeros(2 * n, dtype=taps.dtype)
+        kernel[: reach * step: step] = taps[:reach, 0]
+        if analytic:
+            r = np.fft.ifft(_analytic_spectrum(x) * np.fft.fft(kernel))[:n].real
+        else:
+            r = np.fft.irfft(np.fft.rfft(x.samples, 2 * n) * np.fft.rfft(kernel))[:n]
     else:
-        sig, taps = x.samples, taps.real
-    acc = np.zeros(n, dtype=sig.dtype)
-    for k in range(h.n_taps):
-        d = k * step
-        if d >= n:
-            break
-        # a static CIR applies its one gain throughout; a longer one is cut to n
-        g = taps[k, 0] if h.n_time == 1 else taps[k, d:n]
-        acc[d:] += g * sig[: n - d]
-    r = acc.real
+        sig = hilbert(x.samples) if analytic else x.samples
+        acc = np.zeros(n, dtype=sig.dtype)
+        for k in range(reach):
+            d = k * step
+            # a static CIR applies its one gain throughout; a longer one is cut to n
+            g = taps[k, 0] if h.n_time == 1 else taps[k, d:n]
+            acc[d:] += g * sig[: n - d]
+        r = acc.real
     if np.isfinite(imp.snr_db):
         rng = np.random.default_rng(seed)
         p_sig = float(np.mean(r * r))

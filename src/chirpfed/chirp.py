@@ -8,6 +8,7 @@ frequency actually spans [f1, f2] in Hz.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,9 +74,9 @@ class ChirpParams:
         return self.f2 - self.f1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
-    """A sampled real-valued signal."""
+    """A sampled real-valued signal, compared and hashed by identity."""
 
     samples: np.ndarray
     fs: float
@@ -111,20 +112,26 @@ class ComplexityReport:
 
 
 def generate_chirp(params: ChirpParams, direction: str = "up") -> Waveform:
-    """One chirp symbol at the full sample rate.
+    """One chirp symbol at the full sample rate, with read-only samples.
 
     Up-chirp phase: phi0 + 2*pi*(f1*t + mu*t^2/2); the down-chirp mirrors it
-    from f2 with the quadratic term negated.
+    from f2 with the quadratic term negated.  Both are built once per params.
     """
     if direction not in ("up", "down"):
         raise ConfigurationError(f"direction must be 'up' or 'down', got {direction!r}")
-    n = params.symbol_samples
-    t = np.arange(n) / params.fs
-    if direction == "up":
-        phase = params.phi0 + 2 * np.pi * (params.f1 * t + params.mu * t * t / 2)
-    else:
-        phase = params.phi0 + 2 * np.pi * (params.f2 * t - params.mu * t * t / 2)
-    return Waveform(np.cos(phase), params.fs)
+    return _chirp_pair(params)[direction == "down"]
+
+
+@functools.lru_cache(maxsize=16)
+def _chirp_pair(params: ChirpParams) -> tuple[Waveform, Waveform]:
+    """The (up, down) chirps of generate_chirp; read-only, as they are shared."""
+    t = np.arange(params.symbol_samples) / params.fs
+    pair = []
+    for f0, sweep in ((params.f1, params.mu), (params.f2, -params.mu)):
+        samples = np.cos(params.phi0 + 2 * np.pi * (f0 * t + sweep * t * t / 2))
+        samples.flags.writeable = False
+        pair.append(Waveform(samples, params.fs))
+    return tuple(pair)
 
 
 def downsample(w: Waveform, lam: int) -> Waveform:
@@ -138,10 +145,9 @@ def downsample(w: Waveform, lam: int) -> Waveform:
 
 
 def symbol_templates(params: ChirpParams) -> tuple[np.ndarray, np.ndarray]:
-    """The (s1, s2) correlation templates at the downsampled rate."""
-    s1 = downsample(generate_chirp(params, "up"), params.lam)
-    s2 = downsample(generate_chirp(params, "down"), params.lam)
-    return s1.samples, s2.samples
+    """The (s1, s2) correlation templates at the downsampled rate: read-only
+    views of the cached chirps."""
+    return tuple(w.samples[::params.lam] for w in _chirp_pair(params))
 
 
 def matched_filter_detect_batch(rx: np.ndarray, params: ChirpParams) -> np.ndarray:

@@ -328,6 +328,17 @@ def cmd_cir(args) -> int:
 
 # -------------------------------------------------------------------- parser
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose error messages quote a shielded value (see
     _shield_minus_values) as it was typed."""
@@ -345,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.add_argument("--seed", type=int, required=True,
+        p.add_argument("--seed", type=_seed, required=True,
                        help="master RNG seed (required; no silent default)")
         p.add_argument("--out", default="-", help="output CSV path or - for stdout")
         p.set_defaults(func=fn)

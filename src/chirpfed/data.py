@@ -79,8 +79,12 @@ class DatasetSpec:
             raise ConfigurationError(f"{self.n_symbols} symbols x {self.chirp.n1} "
                                      f"samples exceed {MAX_DATASET_SAMPLES}")
         _check_range("snr", self.snr_db_range)
+        if self.snr_db_range[0] == -np.inf:  # no noise level, not noiseless
+            raise ConfigurationError("an snr of -inf dB has no noise level")
         _check_range("sto", self.sto_range)
         _check_range("speed", self.speed_range)
+        if not 0 < self.split < 1:  # NaN too
+            raise ConfigurationError(f"split={self.split} must lie strictly between 0 and 1")
         if not 0 < self.n_train < self.n_symbols:
             raise ConfigurationError(
                 f"split={self.split} leaves an empty train or test part")

@@ -26,6 +26,11 @@ def test_default_tap_count_is_13():
     dict(a=0.0),
     dict(decay_db_per_tap=-0.1),
     dict(Ts=0.0),
+    dict(max_excess_delay=np.nan),
+    dict(fd=np.nan),
+    dict(a=np.nan),
+    dict(decay_db_per_tap=np.nan),
+    dict(Ts=np.nan),
 ])
 def test_rayleigh_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -39,8 +44,9 @@ def test_impairment_spec():
         ImpairmentSpec(rel_speed=2000.0)
     with pytest.raises(ConfigurationError):
         ImpairmentSpec(sound_speed=0.0)
-    with pytest.raises(ConfigurationError):
-        ImpairmentSpec(snr_db=float("nan"))
+    for snr_db in (np.nan, -np.inf):  # -inf would pass as noiseless
+        with pytest.raises(ConfigurationError):
+            ImpairmentSpec(snr_db=snr_db)
 
 
 def test_channel_realization_validation():
@@ -280,6 +286,32 @@ def test_doppler_inverse():
     assert err < 0.01
 
 
+def test_doppler_shift_is_one_interpolation_of_the_closed_form_chirp():
+    # out[j] = s((1 + alpha)(6 j + delta)) for the chirp s in closed form.
+    # At interior samples the error is that of one 64-tap interpolation;
+    # interpolating twice (Doppler at the full rate, then the shift) reads
+    # worst 3.5e-5 and rms 1.2e-5 over these draws, against 1.8e-5 and 7.3e-6
+    p = ChirpParams(lam=6)
+    n = p.symbol_samples
+    h = identity_channel(Ts=1 / p.fs)
+    rng = np.random.default_rng(11)
+    errors = []
+    for _ in range(50):
+        imp = ImpairmentSpec(sto_samples=rng.uniform(0.0, 60.0),
+                             rel_speed=rng.uniform(-10.0, 10.0))
+        direction = ("up", "down")[rng.integers(2)]
+        out = apply_channel(generate_chirp(p, direction), h, imp, seed=0, lam=6).samples
+        pos = (1 + imp.alpha_dop) * (np.arange(0, n, 6) + imp.sto_samples)
+        t = pos / p.fs
+        f0, sweep = (p.f1, p.mu) if direction == "up" else (p.f2, -p.mu)
+        exact = np.cos(p.phi0 + 2 * np.pi * (f0 * t + sweep * t * t / 2))
+        interior = (pos >= 100) & (pos <= n - 100)
+        errors.append((out - exact)[interior])
+    errors = np.concatenate(errors)
+    assert np.max(np.abs(errors)) <= 2.2e-5
+    assert np.sqrt(np.mean(errors ** 2)) <= 1e-5
+
+
 def test_doppler_regime_guard():
     w = Waveform(np.ones(16), 10.0)
     with pytest.raises(ConfigurationError):
@@ -345,6 +377,51 @@ def test_real_taps_skip_the_analytic_signal():
     w = Waveform(np.sin(np.arange(256) * 0.1), 6000.0)
     out = apply_channel(w, identity_channel(Ts=1 / 6000.0), ImpairmentSpec(), seed=0)
     assert np.array_equal(out.samples, w.samples)
+
+
+def tap_loop(x, h):
+    """The oracle of a static CIR: tap k adds its gain times the signal (the
+    analytic one for complex gains) delayed by k * step samples, cut to n."""
+    n = len(x)
+    step = int(round(h.Ts * x.fs))
+    sig = hilbert(x.samples) if np.any(h.taps.imag) else x.samples
+    acc = np.zeros(n, dtype=np.complex128)
+    for k in range(h.n_taps):
+        d = k * step
+        if d >= n:
+            break
+        acc[d:] += h.taps[k, 0] * sig[: n - d]
+    return acc.real
+
+
+@pytest.mark.parametrize("n_taps, step", [
+    (60, 16),  # the rayleigh dataset profile: n_taps * step == n
+    (73, 16),  # taps past the symbol
+    (40, 1),
+    (2, 959),
+])
+@pytest.mark.parametrize("gains", ["complex", "real"])
+@pytest.mark.parametrize("signal", ["chirp", "noise"])
+def test_static_cir_fft_product_matches_the_tap_loop(n_taps, step, gains, signal):
+    fs = 96000.0
+    rng = np.random.default_rng(n_taps * step)
+    taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
+    h = ChannelRealization((taps if gains == "complex" else taps.real)[:, None], step / fs)
+    x = (generate_chirp(ChirpParams(), "down") if signal == "chirp"
+         else Waveform(rng.standard_normal(960), fs))
+    out = apply_channel(x, h, ImpairmentSpec(), seed=0).samples
+    assert np.max(np.abs(out - tap_loop(x, h))) <= 1e-12
+
+
+def test_static_cir_spectrum_follows_writable_samples():
+    # only read-only samples may have their spectrum kept
+    fs = 96000.0
+    h = ChannelRealization(np.array([[1.0 + 0j], [0.3 - 0.4j]]), Ts=3 / fs)
+    x = Waveform(np.random.default_rng(5).standard_normal(960), fs)
+    apply_channel(x, h, ImpairmentSpec(), seed=0)
+    x.samples[:] = generate_chirp(ChirpParams(), "up").samples
+    out = apply_channel(x, h, ImpairmentSpec(), seed=0).samples
+    assert np.max(np.abs(out - tap_loop(x, h))) <= 1e-12
 
 
 def _equivalence_channel(kind, seed):

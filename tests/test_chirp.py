@@ -162,6 +162,19 @@ def test_clean_symbols_detected():
     assert mf_bit(down, p) == 1 and down @ s2 > down @ s1
 
 
+def test_cached_chirps_are_shared_and_read_only():
+    p = ChirpParams(lam=6)
+    up, down = generate_chirp(p, "up"), generate_chirp(p, "down")
+    assert generate_chirp(ChirpParams(lam=6), "up") is up
+    s1, s2 = symbol_templates(p)
+    assert np.array_equal(s1, downsample(up, 6).samples)
+    assert np.array_equal(s2, downsample(down, 6).samples)
+    for a in (up.samples, down.samples, s1, s2):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert generate_chirp(p, "up").samples[0] == 1.0
+
+
 def test_detect_length_mismatch():
     p = ChirpParams(lam=6)
     with pytest.raises(InputError):

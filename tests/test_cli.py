@@ -309,6 +309,22 @@ def test_seed_is_mandatory():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["complexity"], ["bound", "--mu", "1", "--big-h", "2"], ["ber-sweep"],
+    ["gen-data"], ["train-single", "--data", "node.uwds"], ["run-fed"],
+    ["cir", "generate"], ["cir", "inspect", "--path", "h.uwac"],
+], ids=" ".join)
+@pytest.mark.parametrize("seed", ["-1", "-1e1", "1.5"])
+def test_bad_seed_exits_2_on_every_subcommand(tmp_path, capsys, argv, seed):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--seed", seed, "--out", str(out)])
+    assert exc.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"argument --seed: '{seed}' is not a non-negative integer" in err
+    assert not out.exists()
+
+
 def test_runtime_error_exit_code(tmp_path):
     rc = run(["train-single", "--seed", "0", "--data",
               str(tmp_path / "missing.uwds"), "--out", str(tmp_path / "o")])
@@ -454,6 +470,11 @@ BAD_ARGV = [
     ["cir", "generate", "--duration", "1e300", "--fs", "1e300"],
     ["gen-data", "--symbols", "1000000000"],
     ["run-fed", "--g", "1", "--group", "count=100000"],
+    ["cir", "generate", "--ts", "nan"],
+    ["cir", "generate", "--fd", "nan"],
+    ["gen-data", "--split", "nan"],
+    ["gen-data", "--snr-range", "-inf", "-inf"],
+    ["run-fed", "--g", "1", "--group", "snr=-inf"],
 ]
 
 # Arguments that would size an allocation of gigabytes (or without end) if
@@ -504,7 +525,7 @@ def test_oversized_arguments_exit_2_in_bounded_memory(tmp_path, argv):
 
 def ber_sweep_options():
     """Drawn ber-sweep options: numbers such as 0, -1, nan, inf and 1e300,
-    grids well and badly formed, and small trial counts."""
+    grids well and badly formed, small trial counts and seeds of any sign."""
     number = st.sampled_from(["0", "-1", "1", "6", "0.5", "nan", "inf", "-inf",
                               "1e300", "-1e300", "1e-300", "abc", ""]) | \
         st.floats(allow_nan=True, allow_infinity=True).map(repr)
@@ -518,6 +539,8 @@ def ber_sweep_options():
         "--speed": number,
         "--detector": st.sampled_from(["mf", "dnn", "mf,dnn", "dnn,mf", "mf,mf",
                                        "", ",", "zf", "-1"]),
+        "--seed": st.sampled_from(["-1", "-1e1", "0", "1.5", "nan", ""]) |
+        st.integers(-2 ** 70, 2 ** 70).map(str),
     }
     option = st.sampled_from(sorted(options)).flatmap(
         lambda name: options[name].map(lambda value: [name, value]))

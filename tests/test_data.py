@@ -46,6 +46,8 @@ def test_spec_defaults():
     dict(speed_range=(np.nan, 1.0)),
     dict(split=0.0),
     dict(split=1.0),
+    dict(split=np.nan),
+    dict(snr_db_range=(-np.inf, -np.inf)),
     dict(channel_tag="bellhop"),
 ])
 def test_spec_validation(kwargs):
@@ -279,19 +281,21 @@ def test_save_dataset_rejects_bad_tags_and_labels(tmp_path):
 
 
 # sha256 over the records of build_node_dataset (25 symbols, lam = 6, seed 7)
-# under the three impairment profiles of the synthesis benchmark, computed
-# with the full-rate interpolation that the decimating channel replaced; the
-# rayleigh digest was recorded when its static taps came to be drawn directly
-# (block fading), one CN(0, p_k) draw per tap, a new stream of the same law
+# under the three impairment profiles of the synthesis benchmark.  The sto
+# digest was computed with the full-rate interpolation that the decimating
+# channel replaced.  The doppler and rayleigh digests were recorded when a
+# Doppler-scaled fractional shift came to be one interpolation per kept
+# sample instead of two (and a static CIR one FFT product); the rayleigh
+# draws are the block-fading ones, one CN(0, p_k) gain per tap
 GOLDEN_PROFILES = {
     "sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0)),
             "877f86bd94ae02d034c0f0e6494031b12e24cbc73c057c56f156bb8b9d179eb4"),
     "doppler": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
                      speed_range=(0.0, 10.0)),
-                "da771c39920ef241c69bb3f6cadb83e3436b03711948cb4f92c01a41868ed2b1"),
+                "91911e3770417faef6f8aa54538844efe953136de8edbacf4f939d050cd9fbcb"),
     "rayleigh": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
                       speed_range=(0.0, 10.0), channel_tag="rayleigh"),
-                 "8e11ce8c00c68fddf64ce64d7c07a284bdc7dad464c8e94f7eb5c2fdc82c6b97"),
+                 "f31e1d21da86bcefa89a2c34fe77480dbc872c172ec0de99a32a784d0ba2bde4"),
 }
 
 
