@@ -9,8 +9,8 @@ from .chirp import (ChirpParams, ComplexityReport, Waveform, downsample,
 from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
                       apply_channel, apply_doppler, apply_sto, bell_spectrum,
                       load_cir, rayleigh_cir, save_cir)
-from .receiver import (LabeledBatch, MlpParams, ber_eval, grad, hvp,
-                       init_params, loss)
+from .receiver import (LabeledBatch, MlpParams, ber_eval, grad, init_params,
+                       loss)
 from .federation import (FmlConfig, NodeState, RoundLog, aggregate,
                          build_nodes, local_fedavg_step, local_maml_step,
                          run_rounds, schedule)

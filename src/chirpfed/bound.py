@@ -44,6 +44,10 @@ class SmoothnessConstants:
     epsilon: float = 0.01
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu, self.H, self.rho, self.B, self.delta,
+                                       self.sigma, self.alpha, self.beta, self.C,
+                                       self.tau, self.n, self.epsilon))):
+            raise ConfigurationError("the constants must be finite numbers")
         if min(self.mu, self.H, self.B, self.n, self.epsilon) <= 0:
             raise ConfigurationError("mu, H, B, n and epsilon must be positive")
         if min(self.rho, self.delta, self.sigma, self.C, self.tau) < 0:
@@ -82,13 +86,19 @@ def derive_constants(c: SmoothnessConstants,
     """
     if xi_variant not in XI_VARIANTS:
         raise ConfigurationError(f"xi_variant must be one of {XI_VARIANTS}")
-    mu_p = c.mu * (1 - c.alpha * c.H) ** 2 - c.alpha * c.rho * c.B
-    H_p = c.H * (1 - c.alpha * c.mu) ** 2 + c.alpha * c.rho * c.B
-    mu_pp = c.N * mu_p
-    H_pp = c.N * H_p
-    alpha_p = c.beta * (c.delta + c.alpha * c.C * (c.H * c.delta + c.B * c.sigma + c.tau))
-    curvature = mu_pp if xi_variant == "theorem" else H_pp
-    xi = 1 - 2 * H_pp * c.beta * (1 + curvature * c.beta / 2)
+    try:
+        mu_p = c.mu * (1 - c.alpha * c.H) ** 2 - c.alpha * c.rho * c.B
+        H_p = c.H * (1 - c.alpha * c.mu) ** 2 + c.alpha * c.rho * c.B
+        mu_pp = c.N * mu_p
+        H_pp = c.N * H_p
+        alpha_p = c.beta * (c.delta + c.alpha * c.C * (c.H * c.delta + c.B * c.sigma + c.tau))
+        curvature = mu_pp if xi_variant == "theorem" else H_pp
+        xi = 1 - 2 * H_pp * c.beta * (1 + curvature * c.beta / 2)
+        finite = all(map(math.isfinite, (mu_p, H_p, mu_pp, H_pp, alpha_p, xi)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigurationError("the derived constants overflow the float range")
     flags = []
     if mu_p <= 0:
         flags.append("mu_p_nonpositive")

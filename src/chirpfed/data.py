@@ -142,6 +142,8 @@ def build_node_dataset(spec: DatasetSpec):
     speed = np.empty(n, dtype=np.float32)
     if spec.channel_tag == "identity":
         base_channel = identity_channel(Ts=1.0 / spec.chirp.fs)
+    else:
+        rayleigh_channel = _rayleigh_channels(spec)
     for i in range(n):
         bit = int(rng.random() < 0.5)
         snr_i = _draw(rng, *spec.snr_db_range)
@@ -150,7 +152,7 @@ def build_node_dataset(spec: DatasetSpec):
         noise_seed = int(rng.integers(0, 2 ** 63 - 1))
         if spec.channel_tag == "rayleigh":
             cir_seed = int(rng.integers(0, 2 ** 63 - 1))
-            channel = _rayleigh_for_symbol(spec, cir_seed)
+            channel = rayleigh_channel(cir_seed)
         else:
             channel = base_channel
         try:
@@ -177,12 +179,13 @@ def _split(k, samples, labels, snr, sto, speed, tag_idx, tag_table):
     return part(slice(0, k)), part(slice(k, None))
 
 
-def _rayleigh_for_symbol(spec: DatasetSpec, seed: int):
-    """The CIR of one symbol.  While fd is below the first FFT bin of the
-    symbol, 1/T, rayleigh_cir's bell spectrum keeps only the DC bin and every
-    tap is static: the DC bin of n i.i.d. CN(0, 1) draws over sqrt(n) is
-    CN(0, 1).  So one CN(0, p_k) gain is drawn per tap that reaches into the
-    symbol, as rayleigh_cir would round it, and the taps past it are skipped."""
+def _rayleigh_channels(spec: DatasetSpec):
+    """seed -> the CIR of one symbol, with the parts that depend only on the
+    spec worked out once.  While fd is below the first FFT bin of the symbol,
+    1/T, rayleigh_cir's bell spectrum keeps only the DC bin and every tap is
+    static: the DC bin of n i.i.d. CN(0, 1) draws over sqrt(n) is CN(0, 1).
+    So one CN(0, p_k) gain is drawn per tap that reaches into the symbol, as
+    rayleigh_cir would round it, and the taps past it are skipped."""
     cfg = spec.rayleigh
     fs = spec.chirp.fs
     # tap spacing snapped to an integer number of samples at the chirp rate
@@ -190,12 +193,16 @@ def _rayleigh_for_symbol(spec: DatasetSpec, seed: int):
     cfg = replace(cfg, Ts=step / fs)
     n = spec.chirp.symbol_samples
     if n > 1 and cfg.fd >= np.fft.fftfreq(n, d=1.0 / fs)[1]:
-        return rayleigh_cir(cfg, spec.chirp.T, fs, seed)
+        return lambda seed: rayleigh_cir(cfg, spec.chirp.T, fs, seed)
     n_taps = min(cfg.n_taps, -(-n // step))  # the taps with k * step < n
-    z = np.random.default_rng(seed).standard_normal((n_taps, 2))
-    g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
-    taps = (g * np.sqrt(tap_mean_powers(cfg)[:n_taps])).astype(np.complex64)
-    return ChannelRealization(taps[:, None], cfg.Ts)
+    amplitudes = np.sqrt(tap_mean_powers(cfg)[:n_taps])
+
+    def draw(seed):
+        z = np.random.default_rng(seed).standard_normal((n_taps, 2))
+        g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
+        return ChannelRealization((g * amplitudes).astype(np.complex64)[:, None], cfg.Ts)
+
+    return draw
 
 
 def _clean_received_symbol(bit, params, sto, speed):

@@ -10,6 +10,11 @@ convex combination).
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import math
+import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +40,8 @@ class FmlConfig:
     def __post_init__(self):
         if not 0 < self.G <= 1:
             raise ConfigurationError("scheduling ratio G must be in (0, 1]")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ConfigurationError("learning rates must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):  # NaN too
+            raise ConfigurationError("learning rates must be positive and finite")
         if not 0 <= self.p_decode <= 1:
             raise ConfigurationError("p_decode must be a probability")
         if self.T0 < 1 or self.rounds < 0 or self.K < 1:
@@ -131,7 +136,8 @@ def local_maml_step(node: NodeState, alpha: float, beta: float, T0: int,
 
     def train(th):
         nonlocal first
-        lin = first or receiver.linearize(p0.from_flat(th), node.train_split)
+        lin = first or receiver.linearize(p0.from_flat(th), node.train_split,
+                                          hvp=mode == "exact")
         first = None
         return lin.grad, lin.hvp
 
@@ -206,6 +212,105 @@ def evaluate(theta: MlpParams, nodes, alpha: float):
     return acc, adapted
 
 
+def _blas_threads(environ=os.environ):
+    """The BLAS thread count that OpenBLAS reads from the environment: the
+    first positive one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, each read as C's atoi reads it, or None for all cores."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        digits = re.match(r"\s*[+-]?\d+", environ.get(name, ""))
+        if digits and int(digits[0]) > 0:
+            return int(digits[0])
+    return None
+
+
+def _use_helper() -> bool:
+    """Whether run_rounds shares its node work with a helper thread: only
+    with one BLAS thread and at least two cores in this process's affinity,
+    so that the two threads never oversubscribe the cores."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return _blas_threads() == 1 and cores >= 2
+
+
+def _helper_pool():
+    """A one-thread pool for run_rounds, or a null context without a helper.
+    Leaving it joins the helper thread."""
+    if not _use_helper():
+        return contextlib.nullcontext()
+    # imported here, as it loads logging: 10 ms that only the helper needs
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1)
+
+
+def _node_pass(work, first, rest, pool):
+    """{pos: work(pos)}: this thread runs the positions in `first`, then it and
+    pool's thread, if there is one, take the positions in `rest` from one
+    queue.  A failure on either thread empties the queue, and the helper has
+    finished its node before this returns or raises.  The helper runs under
+    this thread's numpy error state, which numpy keeps per thread."""
+    results = {}
+    queue = collections.deque(rest)
+
+    def drain():
+        try:
+            while True:
+                try:
+                    pos = queue.popleft()
+                except IndexError:
+                    return
+                results[pos] = work(pos)
+        except BaseException:
+            queue.clear()  # the other thread takes no further node
+            raise
+
+    def helper_drain(err):
+        with np.errstate(**err):
+            drain()
+
+    helper = pool.submit(helper_drain, np.geterr()) if pool else None
+    try:
+        for pos in first:
+            results[pos] = work(pos)
+        drain()
+    finally:
+        queue.clear()
+        if helper:
+            helper.exception()  # waits for the helper's last node
+    if helper:
+        helper.result()  # raises what the helper raised
+    return results
+
+
+def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
+               cfg: FmlConfig, mode: str, total: int):
+    """One node's part of the pass at broadcast theta: its train loss if theta
+    opens round t, its (flat params, data size, u) update if it steps, and
+    its two weighted accuracies if theta evaluates round t-1; None for each
+    part it does not take."""
+    maml = stepping and mode == "fml"
+    lin = None
+    if t or maml:  # only a node that calls hvp keeps its activations
+        lin = receiver.linearize(theta, node.train_split,
+                                 hvp=maml and cfg.mode == "exact")
+    loss = None
+    if opens:
+        node.theta = theta
+        loss = lin.loss if lin else receiver.loss(theta, node.train_split)
+    update = None
+    if stepping:
+        try:
+            if maml:
+                new = local_maml_step(node, cfg.alpha, cfg.beta, cfg.T0, cfg.mode, lin)
+            else:
+                new = local_fedavg_step(node, cfg.alpha, cfg.T0)
+        except TrainingError as exc:
+            raise TrainingError(exc.reason, round_index=t, node_id=node.id,
+                                step_index=exc.step_index) from exc
+        update = (new.to_flat(), node.data_size, u)
+    accs = _accuracies(theta, node, cfg.alpha, lin.grad, total) if t else None
+    return loss, update, accs
+
+
 def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     """Execute cfg.rounds communication rounds; returns (logs, final params).
 
@@ -217,6 +322,11 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     only the N scheduled nodes step.  The first pass takes a plain loss on
     the other nodes; the last only evaluates, leaving the nodes at the last
     broadcast theta.
+
+    In a pass the calling thread steps the scheduled nodes, and then it and,
+    with one BLAS thread and two cores (see _use_helper), one helper thread
+    take the other nodes from a shared queue.  The node results are merged
+    in node order, so the logs and parameters do not depend on the helper.
     """
     if mode not in ("fml", "fl"):
         raise ConfigurationError(f"mode must be 'fml' or 'fl', got {mode!r}")
@@ -228,41 +338,27 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     theta = nodes[0].theta
     total = sum(n.data_size for n in nodes)
     logs = []
-    for t in range(cfg.rounds + 1):
-        opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
-        # schedule() draws positions into the node list; logs carry node ids
-        positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
-        losses, updates, acc, adapted = [], [], 0.0, 0.0
-        for pos, node in enumerate(nodes):
-            lin = None  # one node's activations at a time
-            if t or (pos in positions and mode == "fml"):
-                lin = receiver.linearize(theta, node.train_split)
-            if opens:
-                node.theta = theta
-                losses.append(lin.loss if lin else receiver.loss(theta, node.train_split))
-            if pos in positions:
-                try:
-                    if mode == "fml":
-                        new = local_maml_step(node, cfg.alpha, cfg.beta, cfg.T0,
-                                              cfg.mode, lin)
-                    else:
-                        new = local_fedavg_step(node, cfg.alpha, cfg.T0)
-                except TrainingError as exc:
-                    raise TrainingError(exc.reason, round_index=t, node_id=node.id,
-                                        step_index=exc.step_index) from exc
-                updates.append((new.to_flat(), node.data_size, u[pos]))
+    with _helper_pool() as pool:
+        for t in range(cfg.rounds + 1):
+            opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
+            # schedule() draws positions into the node list; logs carry node ids
+            positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
+            results = _node_pass(
+                lambda pos: _node_work(nodes[pos], theta, t, opens, pos in positions,
+                                       u.get(pos), cfg, mode, total),
+                positions, [pos for pos in range(cfg.K) if pos not in positions], pool)
+            loss, update, accs = zip(*(results[pos] for pos in range(cfg.K)))
             if t:
-                a, b = _accuracies(theta, node, cfg.alpha, lin.grad, total)
-                acc, adapted = acc + a, adapted + b
-        lin = new = None  # held through aggregate, they raise the peak RSS
-        if t:
-            logs.append(RoundLog(*opened, acc, adapted))
-        if opens:
-            opened = (t, tuple(nodes[pos].id for pos in positions),
-                      tuple(nodes[pos].id for pos in positions if u[pos]),
-                      float(np.mean(losses)))
-            try:
-                theta = theta.from_flat(aggregate(updates))
-            except EmptyRoundError:
-                pass  # keep previous global parameters
+                acc = adapted = 0.0
+                for a, b in accs:
+                    acc, adapted = acc + a, adapted + b
+                logs.append(RoundLog(*opened, acc, adapted))
+            if opens:
+                opened = (t, tuple(nodes[pos].id for pos in positions),
+                          tuple(nodes[pos].id for pos in positions if u[pos]),
+                          float(np.mean(loss)))
+                try:
+                    theta = theta.from_flat(aggregate([update[pos] for pos in positions]))
+                except EmptyRoundError:
+                    pass  # keep previous global parameters
     return logs, theta

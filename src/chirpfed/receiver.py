@@ -170,29 +170,40 @@ def loss(p: MlpParams, batch: LabeledBatch) -> float:
 
 
 class Linearization:
-    """A batch's loss at fixed parameters: its value, its exact gradient, and
-    exact Hessian-vector products, all from the gradient's forward pass."""
+    """A batch's loss at fixed parameters: its value, its exact gradient, and,
+    if linearized with hvp=True, exact Hessian-vector products, all from the
+    gradient's forward pass."""
 
-    def __init__(self, grad: np.ndarray, cache: tuple, labels: np.ndarray):
-        self.grad, self._cache, self._labels = grad, cache, labels
+    def __init__(self, grad: np.ndarray, out: np.ndarray, labels: np.ndarray,
+                 cache: tuple | None):
+        self.grad, self._out, self._labels, self._cache = grad, out, labels, cache
 
     @property
     def loss(self) -> float:
         """The batch's mean squared error, rounded as `loss` rounds it."""
-        return float(np.mean((self._labels - self._cache[4]) ** 2))
+        return float(np.mean((self._labels - self._out) ** 2))
 
     def hvp(self, v: np.ndarray) -> np.ndarray:
         """Exact Hessian-vector product H v, in the canonical flat ordering."""
-        p, x, a1, a2, out, m1, m2, d_out = self._cache
+        if self._cache is None:
+            raise ConfigurationError("linearized without hvp=True: no activations kept")
+        p, x, a1, a2, m1, m2, d_out = self._cache
+        out = self._out
         v = np.asarray(v, dtype=np.float64)
         if v.size != p.n_params:
             raise InputError(f"tangent has {v.size} entries, expected {p.n_params}")
         v1, c1, v2, c2, v3, c3 = _views(p._sizes, v)
         _, w2, w3 = p.weights
 
-        # forward tangent sweep
-        ra1 = m1 * (x @ v1.T + c1)
-        ra2 = m2 * (a1 @ v2.T + ra1 @ w2.T + c2)
+        # forward tangent sweep, each (rows, hidden) array made in place but
+        # rounded as m1 * (x v1' + c1) and m2 * (a1 v2' + ra1 w2' + c2)
+        ra1 = x @ v1.T
+        ra1 += c1
+        ra1 *= m1
+        ra2 = a1 @ v2.T
+        ra2 += ra1 @ w2.T
+        ra2 += c2
+        ra2 *= m2
         rz3 = (a2 @ v3.T + ra2 @ w3.T + c3)[:, 0]
         sp = out * (1.0 - out)                    # sigmoid'
 
@@ -201,23 +212,31 @@ class Linearization:
         r_d_out = 2.0 * (sp * rz3) / x.shape[0]
         d3 = d_out * sp
         r_d3 = r_d_out * sp + d_out * sp * (1.0 - 2.0 * out) * rz3
-        d2 = (d3[:, None] * w3) * m2
-        r_d2 = (d3[:, None] * v3 + r_d3[:, None] * w3) * m2
-        r_d1 = (d2 @ v2 + r_d2 @ w2) * m1
-
         hv = np.empty(p.n_params)
         rg_w1, rg_b1, rg_w2, rg_b2, rg_w3, rg_b3 = _views(p._sizes, hv)
         np.add(r_d3[None, :] @ a2, d3[None, :] @ ra2, out=rg_w3)
         rg_b3[0] = r_d3.sum()
+        d2 = np.multiply(d3[:, None], w3)
+        d2 *= m2
+        # r_d2 over ra2 and r_d1 over ra1, rounded as
+        # (d3 v3 + r_d3 w3) * m2 and (d2 v2 + r_d2 w2) * m1
+        r_d2 = np.multiply(d3[:, None], v3, out=ra2)
+        r_d2 += r_d3[:, None] * w3
+        r_d2 *= m2
         np.add(r_d2.T @ a1, d2.T @ ra1, out=rg_w2)
         r_d2.sum(axis=0, out=rg_b2)
+        r_d1 = np.matmul(d2, v2, out=ra1)
+        r_d1 += r_d2 @ w2
+        r_d1 *= m1
         np.matmul(r_d1.T, x, out=rg_w1)
         r_d1.sum(axis=0, out=rg_b1)
         return hv
 
 
-def linearize(p: MlpParams, batch: LabeledBatch) -> Linearization:
-    """One forward and one backward pass over `batch` at `p`."""
+def linearize(p: MlpParams, batch: LabeledBatch, hvp: bool = True) -> Linearization:
+    """One forward and one backward pass over `batch` at `p`.  With hvp=False
+    the result keeps no activations and cannot take Hessian-vector products:
+    the backward pass writes d2 over a2 and d1 over a1."""
     if len(batch) == 0:
         raise InputError("batch is empty")
     x, y = batch.inputs, batch.labels
@@ -226,27 +245,25 @@ def linearize(p: MlpParams, batch: LabeledBatch) -> Linearization:
     m1, m2 = a1 > 0, a2 > 0  # the bits of z > 0, for -0.0 and NaN too
     d_out = 2.0 * (out - y) / y.size
     d3 = d_out * out * (1.0 - out)
-    d2 = (d3[:, None] * w3) * m2
-    d1 = (d2 @ w2) * m1
     g = np.empty(p.n_params)
     g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = _views(p._sizes, g)
     np.matmul(d3[None, :], a2, out=g_w3)
     g_b3[0] = d3.sum()
+    # rounded as (d3 w3) * m2 and (d2 w2) * m1
+    d2 = np.multiply(d3[:, None], w3, out=np.empty_like(a2) if hvp else a2)
+    d2 *= m2
     np.matmul(d2.T, a1, out=g_w2)
     d2.sum(axis=0, out=g_b2)
+    d1 = np.matmul(d2, w2, out=np.empty_like(a1) if hvp else a1)
+    d1 *= m1
     np.matmul(d1.T, x, out=g_w1)
     d1.sum(axis=0, out=g_b1)
-    return Linearization(g, (p, x, a1, a2, out, m1, m2, d_out), y)
+    return Linearization(g, out, y, (p, x, a1, a2, m1, m2, d_out) if hvp else None)
 
 
 def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:
     """Exact loss gradient in the canonical flat ordering."""
-    return linearize(p, batch).grad
-
-
-def hvp(p: MlpParams, batch: LabeledBatch, v: np.ndarray) -> np.ndarray:
-    """Exact Hessian-vector product via the R-operator."""
-    return linearize(p, batch).hvp(v)
+    return linearize(p, batch, hvp=False).grad
 
 
 def detect_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
@@ -261,10 +278,6 @@ def ber_eval(p: MlpParams, batch: LabeledBatch) -> float:
     return float(np.mean(pred != batch.labels))
 
 
-def sgd_step(p: MlpParams, batch: LabeledBatch, lr: float) -> MlpParams:
-    return p.from_flat(p.to_flat() - lr * grad(p, batch))
-
-
 class _Rows(LabeledBatch):
     def __post_init__(self):
         """Rows of an already validated batch: not validated again."""
@@ -276,6 +289,8 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
     if batch_size < 1 or epochs < 0:
         raise ConfigurationError(
             f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
+    if not 0 < lr < math.inf:  # NaN too
+        raise ConfigurationError(f"learning rate {lr} must be positive and finite")
     theta = p.to_flat().copy()
     live = _wrap(p._sizes, theta.view())  # sees the in-place updates of theta
     m = np.zeros_like(theta)

@@ -22,7 +22,12 @@ from chirpfed.data import DatasetSpec, ber_monte_carlo
 from chirpfed.federation import (FmlConfig, NodeState, build_nodes, maml_update,
                                  run_rounds, schedule)
 from chirpfed.receiver import (LabeledBatch, default_hidden, detect_batch,
-                               grad, hvp, init_params, linearize, loss, train)
+                               grad, init_params, linearize, loss, train)
+
+
+def hvp(p, batch, v):
+    """Oracle: the Hessian-vector product of a fresh linearization."""
+    return linearize(p, batch).hvp(v)
 
 
 def report(num, ok, detail):

@@ -33,6 +33,11 @@ def test_constant_validation():
         consts(N=0)
     with pytest.raises(ConfigurationError):
         consts(epsilon=0.0)
+    for field in ("mu", "H", "rho", "alpha", "beta", "n"):
+        with pytest.raises(ConfigurationError):
+            consts(**{field: float("nan")})
+    with pytest.raises(ConfigurationError):
+        consts(delta=float("inf"))
 
 
 # ----------------------------------------------------------------- deriving
@@ -42,6 +47,13 @@ def test_alpha_zero_collapses_to_inputs():
     assert d.mu_p == 1.0
     assert d.H_p == 2.0
     assert d.alpha_p == pytest.approx(0.0001 * 0.7)
+
+
+def test_overflowing_derivation_is_a_configuration_error():
+    for big in (dict(alpha=1e300, beta=1e300), dict(alpha=1e150, rho=1e200),
+                dict(delta=1e300, C=1e300, beta=1e-10)):
+        with pytest.raises(ConfigurationError):
+            derive_constants(consts(**big))
 
 
 def test_derived_arithmetic():

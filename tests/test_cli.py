@@ -245,6 +245,37 @@ def test_readme_run_fed_example_fml_beats_fl(tmp_path):
     assert adapted["fml"] > adapted["fl"]
 
 
+def test_readme_run_fed_csvs_are_the_same_with_the_helper(tmp_path):
+    # the README's run-fed commands at one BLAS thread, as the benchmark runs
+    # them, in a child that shares the node work with a helper thread on two
+    # cores, and in one that keeps it on the calling thread
+    argv = ["run-fed", "--seed", "4", "--rounds", "50", "--g", "0.3",
+            "--alpha", "0.5", "--beta", "0.2", "--symbols", "250",
+            "--group", "count=5,sto=0:60,snr=-12",
+            "--group", "count=5,sto=180:240,snr=-12"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    outs = {}
+    for threads, patch in (("helper", ""),
+                           ("serial", "federation._use_helper = lambda: False; ")):
+        code = ("import sys; from chirpfed import cli, federation; " + patch +
+                "print(federation._use_helper()); "
+                "sys.exit(max(cli.main(a.split('|')) for a in sys.argv[1:]))")
+        runs = []
+        for mode in ("fml", "fl"):
+            outs[threads, mode] = tmp_path / f"{threads}-{mode}.csv"
+            runs.append("|".join(argv + ["--mode", mode, "--out",
+                                         str(outs[threads, mode])]))
+        proc = subprocess.run([sys.executable, "-c", code, *runs], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        two_cores = len(os.sched_getaffinity(0)) >= 2
+        assert proc.stdout.split()[0] == str(threads == "helper" and two_cores)
+    for mode in ("fml", "fl"):
+        assert outs["helper", mode].read_bytes() == outs["serial", mode].read_bytes()
+
+
 def test_run_fed_default_hyperparameters():
     parser = cli.build_parser()
     args = parser.parse_args(["run-fed", "--seed", "0"])
@@ -475,6 +506,13 @@ BAD_ARGV = [
     ["gen-data", "--split", "nan"],
     ["gen-data", "--snr-range", "-inf", "-inf"],
     ["run-fed", "--g", "1", "--group", "snr=-inf"],
+    ["run-fed", "--alpha", "nan"],
+    ["run-fed", "--beta", "inf"],
+    ["train-single", "--data", "{data}", "--lr", "-1"],
+    ["train-single", "--data", "{data}", "--lr", "nan"],
+    ["bound", "--mu", "1", "--big-h", "2", "--delta", "0.2", "--t0", "1",
+     "--alpha", "1e300", "--beta", "1e300"],
+    ["bound", "--mu", "nan", "--big-h", "2"],
 ]
 
 # Arguments that would size an allocation of gigabytes (or without end) if

@@ -13,7 +13,7 @@ from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
 from chirpfed import data
 from chirpfed.data import (BLOCK_ROWS, MAX_DATASET_SAMPLES, NOISE_CHUNK, DatasetSpec,
-                           _clean_received_symbol, _rayleigh_for_symbol,
+                           _clean_received_symbol, _rayleigh_channels,
                            ber_monte_carlo, build_node_dataset, load_dataset,
                            noise_stream_key, save_dataset)
 from chirpfed.errors import ConfigurationError, ParseError
@@ -148,7 +148,8 @@ def test_dataset_rayleigh_taps_follow_the_tap_law():
     # between them, over 2000 symbols' draws
     from scipy import stats
     spec = small_spec(channel_tag="rayleigh")
-    cirs = [_rayleigh_for_symbol(spec, seed) for seed in range(2000)]
+    draw = _rayleigh_channels(spec)
+    cirs = [draw(seed) for seed in range(2000)]
     g = np.array([h.taps[:, 0] for h in cirs])
     p = tap_mean_powers(replace(spec.rayleigh, Ts=cirs[0].Ts))[:g.shape[1]]
     power = np.mean(np.abs(g) ** 2, axis=0) / p
@@ -164,7 +165,7 @@ def test_dataset_rayleigh_taps_are_static_and_stop_at_the_symbol():
     # fd = 5 Hz is below the 100 Hz bins of a 10 ms symbol: one gain per tap,
     # and only the 60 taps of delay k * 16 < 960 samples
     spec = small_spec(channel_tag="rayleigh")
-    h = _rayleigh_for_symbol(spec, seed=3)
+    h = _rayleigh_channels(spec)(3)
     assert h.n_time == 1 and h.n_taps == 60
     assert np.array_equal(h.taps.astype(np.complex64), h.taps)
 
@@ -175,7 +176,7 @@ def test_fast_fading_rayleigh_symbol_is_rayleigh_cir(fd):
     # within the symbol and come from rayleigh_cir unchanged
     spec = small_spec(channel_tag="rayleigh", rayleigh=RayleighModelConfig(
         Ts=1.0 / 6000.0, fd=fd))
-    h = _rayleigh_for_symbol(spec, seed=5)
+    h = _rayleigh_channels(spec)(5)
     ref = rayleigh_cir(RayleighModelConfig(Ts=16 / spec.chirp.fs, fd=fd),
                        spec.chirp.T, spec.chirp.fs, seed=5)
     assert h.Ts == ref.Ts and h.taps.tobytes() == ref.taps.tobytes()

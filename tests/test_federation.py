@@ -1,5 +1,8 @@
+import collections
 import hashlib
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -7,13 +10,24 @@ import pytest
 from chirpfed import federation, receiver
 from chirpfed.chirp import ChirpParams
 from chirpfed.data import MAX_DATASET_SAMPLES, DatasetSpec, build_node_dataset
-from chirpfed.errors import ConfigurationError, EmptyRoundError, TrainingError
+from chirpfed.errors import (ConfigurationError, EmptyRoundError, InputError,
+                             TrainingError)
 from chirpfed.federation import (FmlConfig, NodeState, RoundLog, aggregate,
                                  build_nodes, evaluate, local_fedavg_step,
                                  local_maml_step, maml_update, run_rounds,
                                  schedule)
-from chirpfed.receiver import (LabeledBatch, default_hidden, grad, hvp,
-                               init_params, loss, sgd_step)
+from chirpfed.receiver import (LabeledBatch, default_hidden, grad, init_params,
+                               linearize, loss)
+
+
+def hvp(p, batch, v):
+    """Oracle: the Hessian-vector product of a fresh linearization."""
+    return linearize(p, batch).hvp(v)
+
+
+def sgd_step(p, batch, lr):
+    """Oracle: one full-batch gradient step."""
+    return p.from_flat(p.to_flat() - lr * grad(p, batch))
 
 
 def make_node(nid, seed, n_in=4, n_rows=8, theta=None):
@@ -48,6 +62,9 @@ def test_config_validation():
         FmlConfig(G=0.0)
     with pytest.raises(ConfigurationError):
         FmlConfig(alpha=0.0)
+    for alpha, beta in ((float("nan"), 0.1), (0.1, float("inf")), (0.1, float("nan"))):
+        with pytest.raises(ConfigurationError):
+            FmlConfig(alpha=alpha, beta=beta)
     with pytest.raises(ConfigurationError):
         FmlConfig(p_decode=1.5)
     with pytest.raises(ConfigurationError):
@@ -356,14 +373,22 @@ GOLDEN_RUNS = {
 }
 
 
+def golden_run(mode, meta, K, **cfg):
+    """(logs, sha256 of the final parameter bytes and repr(logs)) of K nodes
+    of 64 rows, 32 inputs, alpha 0.1 and beta 0.05."""
+    theta = init_params([32, 32, 28, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 90 + i, n_in=32, n_rows=64, theta=theta) for i in range(K)]
+    cfg = FmlConfig(K=K, alpha=0.1, beta=0.05, mode=meta, **cfg)
+    logs, out = run_rounds(cfg, nodes, mode)
+    return logs, hashlib.sha256(out.to_flat().tobytes() + repr(logs).encode()).hexdigest()
+
+
+GOLDEN_RUN_CONFIG = dict(K=4, G=0.5, T0=2, rounds=5, p_decode=0.8, seed=7)
+
+
 @pytest.mark.parametrize("mode, meta", list(GOLDEN_RUNS))
 def test_run_rounds_golden_digest(mode, meta):
-    theta = init_params([32, 32, 28, 1], np.random.default_rng(0))
-    nodes = [make_node(i, 90 + i, n_in=32, n_rows=64, theta=theta) for i in range(4)]
-    cfg = FmlConfig(K=4, G=0.5, alpha=0.1, beta=0.05, T0=2, rounds=5,
-                    p_decode=0.8, seed=7, mode=meta)
-    logs, out = run_rounds(cfg, nodes, mode)
-    digest = hashlib.sha256(out.to_flat().tobytes() + repr(logs).encode()).hexdigest()
+    _, digest = golden_run(mode, meta, **GOLDEN_RUN_CONFIG)
     assert digest == GOLDEN_RUNS[mode, meta]
 
 
@@ -376,16 +401,57 @@ GOLDEN_EMPTY_ROUND_RUNS = {
 }
 
 
+GOLDEN_EMPTY_ROUND_CONFIG = dict(K=5, G=0.4, T0=1, rounds=6, p_decode=0.5, seed=11)
+
+
 @pytest.mark.parametrize("mode, meta", list(GOLDEN_EMPTY_ROUND_RUNS))
 def test_run_rounds_golden_digest_with_empty_rounds(mode, meta):
-    theta = init_params([32, 32, 28, 1], np.random.default_rng(0))
-    nodes = [make_node(i, 90 + i, n_in=32, n_rows=64, theta=theta) for i in range(5)]
-    cfg = FmlConfig(K=5, G=0.4, alpha=0.1, beta=0.05, T0=1, rounds=6,
-                    p_decode=0.5, seed=11, mode=meta)
-    logs, out = run_rounds(cfg, nodes, mode)
+    logs, digest = golden_run(mode, meta, **GOLDEN_EMPTY_ROUND_CONFIG)
     assert [log.round_index for log in logs if not log.successful] == [0, 3, 5]
-    digest = hashlib.sha256(out.to_flat().tobytes() + repr(logs).encode()).hexdigest()
     assert digest == GOLDEN_EMPTY_ROUND_RUNS[mode, meta]
+
+
+# recorded with the serial node pass: every node scheduled (G=1), T0 = 1
+# and 3; round 3 decodes no upload
+GOLDEN_FULL_RUNS = {
+    (1, "fml", "exact"): "aad082cb795b2e76915e0ad20e08a6bf9c6d0cae33e2267e68eaaa7f0546d0bb",
+    (1, "fml", "first_order"): "c9e5d56d2f0e92baab96888a0bb1114f9b721e9d66bd625781c5a6ab307e6b0a",
+    (1, "fl", "exact"): "218f1d1223e58e8ee0a3a17d86777ee7fc3fc8bc1fe9638c7104acc2c9eed6ae",
+    (3, "fml", "exact"): "e9b58362abe315d634c9e882f029b42489752eb7db80c4b3c61145ffba4f1c6e",
+    (3, "fml", "first_order"): "03c6a38ce8411a4a353edb64c3aa49fa47779857824858e30bb55b0d579b2a30",
+    (3, "fl", "exact"): "76dad5072a10ab52e59fb88d7a8f0a3e9781202dceba3eb3eef588dac079be28",
+}
+
+HELPER_GOLDEN_CASES = (
+    [pytest.param(GOLDEN_RUNS[mode, meta], mode, meta, GOLDEN_RUN_CONFIG,
+                  id=f"{mode}-{meta}-T0=2") for mode, meta in GOLDEN_RUNS]
+    + [pytest.param(GOLDEN_EMPTY_ROUND_RUNS[mode, meta], mode, meta,
+                    GOLDEN_EMPTY_ROUND_CONFIG, id=f"{mode}-{meta}-empty-rounds")
+       for mode, meta in GOLDEN_EMPTY_ROUND_RUNS]
+    + [pytest.param(digest, mode, meta,
+                    dict(K=4, G=1.0, T0=T0, rounds=4, p_decode=0.8, seed=7),
+                    id=f"{mode}-{meta}-G=1-T0={T0}")
+       for (T0, mode, meta), digest in GOLDEN_FULL_RUNS.items()])
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """run_rounds shares its node work with a helper thread, whatever the
+    BLAS threads and cores."""
+    monkeypatch.setattr(federation, "_use_helper", lambda: True)
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    monkeypatch.setattr(federation, "_use_helper", lambda: False)
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+@pytest.mark.parametrize("digest, mode, meta, config", HELPER_GOLDEN_CASES)
+def test_run_rounds_golden_digest_with_and_without_the_helper(
+        request, threads, digest, mode, meta, config):
+    request.getfixturevalue(threads)
+    assert golden_run(mode, meta, **config)[1] == digest
 
 
 @pytest.mark.parametrize("T0", [1, 3])
@@ -412,6 +478,17 @@ def test_run_rounds_linearizes_each_train_split_once_per_theta(monkeypatch, T0):
 
 @pytest.mark.parametrize("mode", ["fml", "fl"])
 def test_diverging_local_step_names_its_round(mode):
+    check_diverging_local_step_names_its_round(mode)
+
+
+@pytest.mark.parametrize("mode", ["fml", "fl"])
+def test_diverging_local_step_names_its_round_with_the_helper(helper, mode):
+    threads = threading.active_count()
+    check_diverging_local_step_names_its_round(mode)
+    assert threading.active_count() == threads  # the helper was joined
+
+
+def check_diverging_local_step_names_its_round(mode):
     theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
     nodes = [make_node(i, 100 + i, theta=theta) for i in range(5)]
     bad = nodes[2]  # first scheduled in round 3 under seed 7
@@ -426,6 +503,174 @@ def test_diverging_local_step_names_its_round(mode):
     assert info.value.step_index == 0
     assert info.value.node_id == 2
     assert str(info.value).endswith("update diverged (round 3, node 2, step 0)")
+
+
+# ---------------------------------------------------------------- the helper
+
+@pytest.fixture
+def pool():
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        yield executor
+
+
+def test_node_pass_shares_the_queue_with_the_helper(pool):
+    # the caller's node waits until the helper has taken one from the queue
+    helper_took = threading.Event()
+    caller = threading.get_ident()
+
+    def work(pos):
+        if pos == 0:
+            assert helper_took.wait(timeout=30)
+        elif threading.get_ident() != caller:
+            helper_took.set()
+        return pos, threading.get_ident() == caller
+
+    results = federation._node_pass(work, [0], [1, 2, 3, 4], pool)
+    assert sorted(results) == [0, 1, 2, 3, 4]
+    assert all(results[pos][0] == pos for pos in results)
+    assert results[0][1] and not all(on_caller for _, on_caller in results.values())
+
+
+def test_node_pass_without_a_helper_takes_first_then_the_rest():
+    order = []
+    results = federation._node_pass(lambda pos: order.append(pos) or -pos,
+                                    (2, 4), [0, 1, 3], None)
+    assert order == [2, 4, 0, 1, 3]
+    assert results == {0: 0, 1: -1, 2: -2, 3: -3, 4: -4}
+
+
+def test_node_pass_runs_the_helper_in_the_callers_error_state(pool):
+    helper_took = threading.Event()
+    caller = threading.get_ident()
+
+    def work(pos):
+        if pos == 0:
+            assert helper_took.wait(timeout=30)
+        elif threading.get_ident() != caller:
+            helper_took.set()
+        return np.geterr()
+
+    with np.errstate(over="raise", invalid="ignore", divide="warn", under="ignore"):
+        want = np.geterr()
+        results = federation._node_pass(work, [0], [1, 2, 3], pool)
+    assert all(state == want for state in results.values())
+
+
+def test_node_pass_raises_what_the_helper_raised_and_stops_the_queue(pool):
+    caller = threading.get_ident()
+    helper_failed = threading.Event()
+    taken = []
+
+    def work(pos):
+        taken.append(pos)
+        if threading.get_ident() != caller:
+            helper_failed.set()
+            raise ValueError(f"node {pos}")
+        assert helper_failed.wait(timeout=30)  # the caller's first node
+        return pos
+
+    with pytest.raises(ValueError, match="node 1"):
+        federation._node_pass(work, [0], [1, 2, 3, 4], pool)
+    assert sorted(taken) == [0, 1]  # the failure emptied the queue
+
+
+def test_node_pass_waits_for_the_helper_when_the_caller_raises(pool):
+    caller = threading.get_ident()
+    helper_started = threading.Event()
+    finished = []
+
+    def work(pos):
+        if threading.get_ident() == caller:
+            assert helper_started.wait(timeout=30)
+            raise ValueError("caller's node")
+        helper_started.set()
+        time.sleep(0.2)
+        finished.append(pos)
+        return pos
+
+    with pytest.raises(ValueError, match="caller's node"):
+        federation._node_pass(work, [0], [1, 2, 3, 4], pool)
+    assert finished == [1]  # its node done, and no further node taken
+
+
+def test_node_pass_takes_each_node_once_under_contention():
+    # four passes at once, each with its own helper: eight threads on the
+    # cores, switching every microsecond
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    def one_pass(_):
+        counts = collections.Counter()
+
+        def work(pos):
+            counts[pos] += 1
+            return pos * pos
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            results = federation._node_pass(work, range(0, 3000, 7),
+                                            [p for p in range(3000) if p % 7], pool)
+        return results, counts
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as passes:
+            done = list(passes.map(one_pass, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for results, counts in done:
+        assert results == {pos: pos * pos for pos in range(3000)}
+        assert set(counts.values()) == {1}
+
+
+def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 110 + i, theta=theta) for i in range(6)]
+    cfg = FmlConfig(K=6, G=0.5, alpha=0.05, beta=0.05, rounds=3, seed=2)
+    original = receiver.ber_eval
+    calls = []
+
+    def failing(p, batch):
+        calls.append(threading.get_ident())
+        if len(calls) > 7:
+            raise InputError("ber_eval failed")
+        return original(p, batch)
+
+    monkeypatch.setattr(receiver, "ber_eval", failing)
+    threads = threading.active_count()
+    with pytest.raises(InputError, match="ber_eval failed"):
+        run_rounds(cfg, nodes, "fml")
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("env, threads", [
+    ({}, None),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "-4", "GOTO_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": " +1x"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": ""}, None),
+])
+def test_blas_threads_read_as_openblas_reads_them(env, threads):
+    assert federation._blas_threads(env) == threads
+
+
+@pytest.mark.parametrize("blas, cores, used", [
+    ("1", {0, 1}, True), ("1", {3}, False), ("2", {0, 1}, False),
+    (None, {0, 1, 2, 3}, False)])
+def test_helper_only_with_one_blas_thread_and_two_cores(monkeypatch, blas, cores, used):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    if blas is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+    monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: cores,
+                        raising=False)
+    assert federation._use_helper() is used
 
 
 # ------------------------------------------------------------------ builder

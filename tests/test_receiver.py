@@ -4,12 +4,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chirpfed import receiver
 from chirpfed.errors import (ConfigurationError, InputError, ParseError,
                              TrainingError)
 from chirpfed.receiver import (LabeledBatch, MlpParams, ber_eval,
                                default_hidden, detect_batch, forward_batch,
-                               grad, hvp, init_params, linearize, load_params,
-                               loss, save_params, sgd_step, train)
+                               grad, init_params, linearize, load_params,
+                               loss, save_params, train)
+
+
+def hvp(p, batch, v):
+    """Oracle: the Hessian-vector product of a fresh linearization."""
+    return linearize(p, batch).hvp(v)
+
+
+def sgd_step(p, batch, lr):
+    """Oracle: one full-batch gradient step."""
+    return p.from_flat(p.to_flat() - lr * grad(p, batch))
 
 
 def random_net(rng, sizes=None):
@@ -280,6 +291,83 @@ def test_hvp_symmetry_property(seed):
     u = rng.standard_normal(p.n_params)
     v = rng.standard_normal(p.n_params)
     assert abs(np.dot(hvp(p, b, u), v) - np.dot(u, hvp(p, b, v))) < 1e-10
+
+
+def out_of_place_linearization(p, batch, v):
+    """Oracle: (gradient, H v) from out-of-place expressions, each array a
+    new temporary, in the rounding order that linearize and hvp keep."""
+    x, y = batch.inputs, batch.labels
+    w1, w2, w3 = p.weights
+    a1, a2, out = receiver._forward_pass(p, x)
+    m1, m2 = a1 > 0, a2 > 0
+    d_out = 2.0 * (out - y) / y.size
+    d3 = d_out * out * (1.0 - out)
+    d2 = (d3[:, None] * w3) * m2
+    d1 = (d2 @ w2) * m1
+    g = np.concatenate([(d1.T @ x).ravel(), d1.sum(axis=0), (d2.T @ a1).ravel(),
+                        d2.sum(axis=0), (d3[None, :] @ a2).ravel(), [d3.sum()]])
+
+    v1, c1, v2, c2, v3, c3 = [v[lo:hi].reshape(shape) for lo, hi, shape
+                              in receiver._layout(tuple(p.layer_sizes))]
+    ra1 = m1 * (x @ v1.T + c1)
+    ra2 = m2 * (a1 @ v2.T + ra1 @ w2.T + c2)
+    rz3 = (a2 @ v3.T + ra2 @ w3.T + c3)[:, 0]
+    sp = out * (1.0 - out)
+    r_d_out = 2.0 * (sp * rz3) / x.shape[0]
+    d3 = d_out * sp
+    r_d3 = r_d_out * sp + d_out * sp * (1.0 - 2.0 * out) * rz3
+    d2 = (d3[:, None] * w3) * m2
+    r_d2 = (d3[:, None] * v3 + r_d3[:, None] * w3) * m2
+    r_d1 = (d2 @ v2 + r_d2 @ w2) * m1
+    hv = np.concatenate([(r_d1.T @ x).ravel(), r_d1.sum(axis=0),
+                         (r_d2.T @ a1 + d2.T @ ra1).ravel(), r_d2.sum(axis=0),
+                         (r_d3[None, :] @ a2 + d3[None, :] @ ra2).ravel(), [r_d3.sum()]])
+    return g, hv
+
+
+def kinked_case(seed):
+    """A random net and batch with zero and -0.0 pre-activations: zero input
+    rows, signed-zero inputs, and hidden units with zero weights and signed
+    zero biases."""
+    rng = np.random.default_rng(seed)
+    n_in, h1, h2 = (int(k) for k in rng.integers(3, 9, size=3))
+    p = random_net(rng, [n_in, h1, h2, 1])
+    w1, w2, w3 = (np.array(w) for w in p.weights)
+    b1, b2, b3 = (np.array(b) for b in p.biases)
+    w1[0], b1[0] = 0.0, -0.0
+    w1[1], b1[1] = -np.abs(w1[1]), -0.0
+    w2[0], b2[0] = 0.0, 0.0
+    b1[2:] *= rng.integers(0, 2, size=h1 - 2)
+    p = MlpParams((w1, w2, w3), (b1, b2, b3))
+    rows = int(rng.integers(2, 40))
+    x = rng.standard_normal((rows, n_in))
+    x[rng.random(rows) < 0.3] = 0.0
+    x[rng.random((rows, n_in)) < 0.2] = -0.0
+    batch = LabeledBatch(x, rng.integers(0, 2, size=rows).astype(float))
+    return p, batch, rng.standard_normal(p.n_params)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_lean_linearization_gives_the_same_gradient_and_loss_bytes(seed):
+    p, b, _ = kinked_case(seed)
+    z1 = b.inputs @ p.weights[0].T + p.biases[0]
+    assert np.any(z1 == 0) and np.any(np.signbit(b.inputs) & (b.inputs == 0))
+    full, lean = linearize(p, b), linearize(p, b, hvp=False)
+    assert lean.grad.tobytes() == full.grad.tobytes()
+    assert struct.pack("<d", lean.loss) == struct.pack("<d", full.loss)
+    assert struct.pack("<d", lean.loss) == struct.pack("<d", loss(p, b))
+    with pytest.raises(ConfigurationError):
+        lean.hvp(np.zeros(p.n_params))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_linearization_matches_the_out_of_place_expressions_bytewise(seed):
+    p, b, v = kinked_case(seed)
+    g, hv = out_of_place_linearization(p, b, v)
+    lin = linearize(p, b)
+    assert lin.grad.tobytes() == g.tobytes()
+    assert lin.hvp(v).tobytes() == hv.tobytes()
+    assert lin.hvp(v).tobytes() == hv.tobytes()  # a tangent leaves no trace
 
 
 # ----------------------------------------------------------- detect and BER
