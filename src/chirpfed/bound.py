@@ -58,6 +58,8 @@ class SmoothnessConstants:
             raise ConfigurationError("need alpha >= 0 and beta > 0")
         if self.N < 1 or self.T0 < 1:
             raise ConfigurationError("N >= 1 and T0 >= 1 required")
+        if self.T0 > 2 ** 53:  # past it T0 does not convert to float exactly
+            raise ConfigurationError("T0 must be at most 2**53")
 
 
 @dataclass(frozen=True)

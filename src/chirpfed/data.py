@@ -9,8 +9,11 @@ receiver-side noise, and counts detection errors.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import re
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -81,6 +84,10 @@ class DatasetSpec:
         _check_range("snr", self.snr_db_range)
         if self.snr_db_range[0] == -np.inf:  # no noise level, not noiseless
             raise ConfigurationError("an snr of -inf dB has no noise level")
+        f32_max = float(np.finfo(np.float32).max)  # of the stored snr metadata
+        if any(math.isfinite(v) and abs(v) > f32_max for v in self.snr_db_range):
+            raise ConfigurationError(f"a finite snr outside +-{f32_max:g} dB does not "
+                                     "fit the float32 record metadata")
         _check_range("sto", self.sto_range)
         _check_range("speed", self.speed_range)
         if not 0 < self.split < 1:  # NaN too
@@ -215,6 +222,48 @@ def _clean_received_symbol(bit, params, sto, speed):
     return apply_channel(w, h, imp, seed=0, lam=params.lam).samples
 
 
+def _blas_threads(environ=os.environ):
+    """The BLAS thread count that OpenBLAS reads from the environment: the
+    first positive one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, each read as C's atoi reads it, or None for all cores."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        digits = re.match(r"\s*[+-]?\d+", environ.get(name, ""))
+        if digits and int(digits[0]) > 0:
+            return int(digits[0])
+    return None
+
+
+def _use_helper() -> bool:
+    """Whether run_rounds and ber_monte_carlo take a helper thread: only with
+    one BLAS thread and at least two cores in this process's affinity, so
+    that the two threads never oversubscribe the cores."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return _blas_threads() == 1 and cores >= 2
+
+
+def _helper_pool():
+    """A one-thread pool, or a null context without a helper.  Leaving it
+    joins the helper thread."""
+    if not _use_helper():
+        return contextlib.nullcontext()
+    # imported here, as it loads logging: 10 ms that only the helper needs
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1)
+
+
+def _prefetched(items, pool):
+    """Iterate `items`, none of them None, taking each next one on pool's
+    thread while the caller works on the current one; inline without one."""
+    if pool is None:
+        yield from items
+        return
+    pending = pool.submit(next, items, None)
+    while (item := pending.result()) is not None:
+        pending = pool.submit(next, items, None)
+        yield item
+
+
 def noise_stream_key(ebn0_db):
     """The per-SNR part of the BER seed: millidecibels, as 31 bits."""
     millidecibels = ebn0_db * 1000
@@ -236,9 +285,9 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     full-rate symbol energy, so ebn0_db is 10*log10(T*fs/2) dB, 26.8 dB at
     960 samples, above the per-sample SNR of DatasetSpec.snr_db_range.
 
-    Each call starts one helper thread that draws the noise of the next
-    block while the calling thread scores the current one; the helper is
-    joined before the call returns or raises.
+    With one BLAS thread and two cores (see _use_helper) a helper thread
+    draws the next block while the calling thread scores the current one;
+    the helper is joined before the call returns or raises.
     """
     detectors = list(detectors)
     if not detectors or not set(detectors) <= set(DETECTORS) or (
@@ -257,48 +306,31 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     rng = np.random.default_rng(np.random.SeedSequence([seed, noise_stream_key(ebn0_db)]))
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
     rows = min(BLOCK_ROWS, trials)
-    bufs = (np.empty((rows, params.n1)), np.empty((rows, params.n1)))
-    bits = None
+    bufs = [np.empty((rows, params.n1)), np.empty((rows, params.n1))]
 
-    def build(chunk, r0, rx):
-        """Block rows r0.. of a chunk of `chunk` symbols, drawn into rx; the
-        chunk's bits are drawn before its first block.  Runs on the helper
-        and calls numpy only."""
-        nonlocal bits
-        if r0 == 0:
-            bits = rng.integers(0, 2, size=chunk)
-        b = bits[r0:r0 + len(rx)]
-        # rounded once per element as s_bit + z*sigma, with no temporaries
-        rng.standard_normal(out=rx)
-        np.multiply(rx, sigma, out=rx)
-        one = (b == 1)[:, None]
-        np.add(rx, s_clean[0], out=rx, where=~one)
-        np.add(rx, s_clean[1], out=rx, where=one)
-        return b, rx
-
-    def blocks():
-        """(chunk size, first row, buffer) of each block, in draw order."""
-        k = 0
+    def draws():
+        """(bits, received symbols) of each block in stream order: a chunk's
+        bits, then its normals a block at a time, into the two buffers in turn."""
         for c0 in range(0, trials, NOISE_CHUNK):
-            chunk = min(NOISE_CHUNK, trials - c0)
-            for r0 in range(0, chunk, BLOCK_ROWS):
-                yield chunk, r0, bufs[k % 2][:min(BLOCK_ROWS, chunk - r0)]
-                k += 1
-
-    # imported here, as it loads logging: 10 ms that only a sweep needs
-    from concurrent.futures import ThreadPoolExecutor
+            bits = rng.integers(0, 2, size=min(NOISE_CHUNK, trials - c0))
+            for r0 in range(0, bits.size, BLOCK_ROWS):
+                b = bits[r0:r0 + BLOCK_ROWS]
+                rx = bufs[0][:b.size]
+                bufs.reverse()
+                # rounded once per element as s_bit + z*sigma, with no temporaries
+                rng.standard_normal(out=rx)
+                np.multiply(rx, sigma, out=rx)
+                one = (b == 1)[:, None]
+                np.add(rx, s_clean[0], out=rx, where=~one)
+                np.add(rx, s_clean[1], out=rx, where=one)
+                yield b, rx
 
     errors = [0] * len(detectors)
-    # The helper builds block k+1 into one buffer while this thread scores
-    # block k in the other.  Only the helper draws, in block order, so the
-    # stream is the serial one; leaving the with-block joins the helper.
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        plan = blocks()
-        pending = helper.submit(build, *next(plan))
-        while pending is not None:
-            b, rx = pending.result()
-            block = next(plan, None)
-            pending = None if block is None else helper.submit(build, *block)
+    # A helper draws block k+1 into one buffer while this thread scores block
+    # k in the other.  Only one thread draws, in block order, so the stream
+    # is the serial one; leaving the with-block joins the helper.
+    with _helper_pool() as pool:
+        for b, rx in _prefetched(draws(), pool):
             for i, detector in enumerate(detectors):
                 if detector == "mf":
                     dec = matched_filter_detect_batch(rx, params)

@@ -11,16 +11,13 @@ convex combination).
 from __future__ import annotations
 
 import collections
-import contextlib
 import math
-import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import receiver
-from .data import MAX_DATASET_SAMPLES, build_node_dataset
+from .data import MAX_DATASET_SAMPLES, _helper_pool, build_node_dataset
 from .errors import ConfigurationError, EmptyRoundError, TrainingError
 from .receiver import LabeledBatch, MlpParams
 
@@ -212,36 +209,6 @@ def evaluate(theta: MlpParams, nodes, alpha: float):
     return acc, adapted
 
 
-def _blas_threads(environ=os.environ):
-    """The BLAS thread count that OpenBLAS reads from the environment: the
-    first positive one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS, each read as C's atoi reads it, or None for all cores."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        digits = re.match(r"\s*[+-]?\d+", environ.get(name, ""))
-        if digits and int(digits[0]) > 0:
-            return int(digits[0])
-    return None
-
-
-def _use_helper() -> bool:
-    """Whether run_rounds shares its node work with a helper thread: only
-    with one BLAS thread and at least two cores in this process's affinity,
-    so that the two threads never oversubscribe the cores."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return _blas_threads() == 1 and cores >= 2
-
-
-def _helper_pool():
-    """A one-thread pool for run_rounds, or a null context without a helper.
-    Leaving it joins the helper thread."""
-    if not _use_helper():
-        return contextlib.nullcontext()
-    # imported here, as it loads logging: 10 ms that only the helper needs
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1)
-
-
 def _node_pass(work, first, rest, pool):
     """{pos: work(pos)}: this thread runs the positions in `first`, then it and
     pool's thread, if there is one, take the positions in `rest` from one
@@ -324,7 +291,7 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     broadcast theta.
 
     In a pass the calling thread steps the scheduled nodes, and then it and,
-    with one BLAS thread and two cores (see _use_helper), one helper thread
+    with one BLAS thread and two cores (see data._use_helper), one helper thread
     take the other nodes from a shared queue.  The node results are merged
     in node order, so the logs and parameters do not depend on the helper.
     """

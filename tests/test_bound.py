@@ -38,6 +38,10 @@ def test_constant_validation():
             consts(**{field: float("nan")})
     with pytest.raises(ConfigurationError):
         consts(delta=float("inf"))
+    for T0 in (2 ** 53 + 1, 10 ** 399):  # no exact float
+        with pytest.raises(ConfigurationError):
+            consts(T0=T0)
+    assert consts(T0=2 ** 53).T0 == 2 ** 53
 
 
 # ----------------------------------------------------------------- deriving

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chirpfed import cli
+from chirpfed.bound import XI_VARIANTS
 from chirpfed.chirp import ChirpParams
 from chirpfed.data import DatasetSpec, build_node_dataset, load_dataset, \
     save_dataset
@@ -136,7 +137,7 @@ def test_ber_sweep_two_detectors(tmp_path):
 SWEEP_GOLDEN = "acb4e7dbc0fa14988ae8e429e471ecef2e5e8bd0020803cd1d0068b0993cb804"
 
 
-def test_ber_sweep_golden_digest(tmp_path, monkeypatch):
+def check_ber_sweep_golden_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the checkpoint path is part of the config hash
     n1 = 160
     h1, h2 = default_hidden(n1)
@@ -146,6 +147,14 @@ def test_ber_sweep_golden_digest(tmp_path, monkeypatch):
                 "--out", "sweep.csv"]) == 0
     raw = (tmp_path / "sweep.csv").read_bytes()
     assert hashlib.sha256(raw).hexdigest() == SWEEP_GOLDEN
+
+
+def test_ber_sweep_golden_digest(tmp_path, monkeypatch, serial):
+    check_ber_sweep_golden_digest(tmp_path, monkeypatch)
+
+
+def test_ber_sweep_golden_digest_with_the_helper(tmp_path, monkeypatch, helper):
+    check_ber_sweep_golden_digest(tmp_path, monkeypatch)
 
 
 def test_ber_sweep_zero_width_checkpoint(tmp_path, capsys):
@@ -258,9 +267,9 @@ def test_readme_run_fed_csvs_are_the_same_with_the_helper(tmp_path):
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     outs = {}
     for threads, patch in (("helper", ""),
-                           ("serial", "federation._use_helper = lambda: False; ")):
-        code = ("import sys; from chirpfed import cli, federation; " + patch +
-                "print(federation._use_helper()); "
+                           ("serial", "data._use_helper = lambda: False; ")):
+        code = ("import sys; from chirpfed import cli, data; " + patch +
+                "print(data._use_helper()); "
                 "sys.exit(max(cli.main(a.split('|')) for a in sys.argv[1:]))")
         runs = []
         for mode in ("fml", "fl"):
@@ -513,6 +522,9 @@ BAD_ARGV = [
     ["bound", "--mu", "1", "--big-h", "2", "--delta", "0.2", "--t0", "1",
      "--alpha", "1e300", "--beta", "1e300"],
     ["bound", "--mu", "nan", "--big-h", "2"],
+    ["gen-data", "--snr-range", "1e300", "1e300"],
+    ["gen-data", "--snr-range", "-1e39", "0"],
+    ["run-fed", "--g", "1", "--group", "snr=1e300"],
 ]
 
 # Arguments that would size an allocation of gigabytes (or without end) if
@@ -546,6 +558,16 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, small_dataset,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t0", [2 ** 53 + 1, 10 ** 399], ids=["2**53+1", "10**399"])
+def test_bound_rejects_a_t0_that_is_no_exact_float(tmp_path, capsys, t0):
+    out = tmp_path / "bound.csv"
+    argv = ["bound", "--seed", "0", "--mu", "1", "--big-h", "2", "--t0", f"1,{t0}"]
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv[:-1] + [str(2 ** 53), "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("argv", OVERSIZED_ARGV, ids=" ".join)
 def test_oversized_arguments_exit_2_in_bounded_memory(tmp_path, argv):
     out = tmp_path / "out"
@@ -561,40 +583,57 @@ def test_oversized_arguments_exit_2_in_bounded_memory(tmp_path, argv):
     assert not out.exists()
 
 
-def ber_sweep_options():
-    """Drawn ber-sweep options: numbers such as 0, -1, nan, inf and 1e300,
-    grids well and badly formed, small trial counts and seeds of any sign."""
-    number = st.sampled_from(["0", "-1", "1", "6", "0.5", "nan", "inf", "-inf",
-                              "1e300", "-1e300", "1e-300", "abc", ""]) | \
-        st.floats(allow_nan=True, allow_infinity=True).map(repr)
-    grid = number | st.lists(number, min_size=2, max_size=4).map(":".join)
-    options = {
-        "--snr-db": grid,
-        "--trials": st.sampled_from(["-1", "nan", "1e300", "2.5", ""]) |
-        st.integers(0, 40).map(str),
-        "--lambda": st.sampled_from(["0", "-1", "1", "6", "7", "961", "nan", "1e300"]),
-        "--sto": number,
-        "--speed": number,
-        "--detector": st.sampled_from(["mf", "dnn", "mf,dnn", "dnn,mf", "mf,mf",
-                                       "", ",", "zf", "-1"]),
-        "--seed": st.sampled_from(["-1", "-1e1", "0", "1.5", "nan", ""]) |
-        st.integers(-2 ** 70, 2 ** 70).map(str),
-    }
+# numbers such as 0, -1, nan, inf and 1e300, well and badly formed
+NUMBER = st.sampled_from(["0", "-1", "1", "6", "0.5", "nan", "inf", "-inf",
+                          "1e300", "-1e300", "1e-300", "abc", ""]) | \
+    st.floats(allow_nan=True, allow_infinity=True).map(repr)
+
+
+def drawn_argv(options):
+    """Lists of up to six drawn options, each from its strategy in `options`."""
     option = st.sampled_from(sorted(options)).flatmap(
         lambda name: options[name].map(lambda value: [name, value]))
     return st.lists(option, max_size=6).map(lambda pairs: sum(pairs, []))
 
 
-def check_ber_sweep_argv(workdir, examples):
-    """Every drawn ber-sweep argv exits 0, 2, 3 or 4 without a traceback.
-    Made to run in a child process with a bounded address space."""
-    ckpt = os.path.join(workdir, "net.cdnn")
-    base = ["ber-sweep", "--seed", "1", "--trials", "5", "--checkpoint", ckpt,
-            "--out", os.path.join(workdir, "ber.csv")]
+def ber_sweep_options():
+    """Drawn ber-sweep options: drawn numbers, grids well and badly formed,
+    small trial counts and seeds of any sign."""
+    grid = NUMBER | st.lists(NUMBER, min_size=2, max_size=4).map(":".join)
+    return drawn_argv({
+        "--snr-db": grid,
+        "--trials": st.sampled_from(["-1", "nan", "1e300", "2.5", ""]) |
+        st.integers(0, 40).map(str),
+        "--lambda": st.sampled_from(["0", "-1", "1", "6", "7", "961", "nan", "1e300"]),
+        "--sto": NUMBER,
+        "--speed": NUMBER,
+        "--detector": st.sampled_from(["mf", "dnn", "mf,dnn", "dnn,mf", "mf,mf",
+                                       "", ",", "zf", "-1"]),
+        "--seed": st.sampled_from(["-1", "-1e1", "0", "1.5", "nan", ""]) |
+        st.integers(-2 ** 70, 2 ** 70).map(str),
+    })
 
+
+def bound_options():
+    """Drawn bound options: drawn constants, --t0 lists with 0, negatives and
+    400-digit integers, and xi variants known and unknown."""
+    t0 = st.sampled_from(["0", "-1", "1", "10", str(2 ** 53), str(2 ** 53 + 1),
+                          str(10 ** 399), str(-10 ** 399), "1.5", "abc", ""]) | \
+        st.integers(-2 ** 70, 2 ** 70).map(str) | \
+        st.integers(10 ** 399, 10 ** 400 - 1).map(str)
+    options = {name: NUMBER for name in ("--mu", "--big-h", "--rho", "--alpha",
+                                         "--beta", "--epsilon")}
+    options["--t0"] = st.lists(t0, min_size=1, max_size=4).map(",".join)
+    options["--xi-variant"] = st.sampled_from([*XI_VARIANTS, "", "bogus"])
+    return drawn_argv(options)
+
+
+def check_drawn_argv(base, options, exit_codes, examples):
+    """Every argv of base plus drawn options exits with one of exit_codes and
+    without a traceback."""
     @settings(max_examples=examples, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(ber_sweep_options())
+    @given(options)
     def check(options):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -602,25 +641,50 @@ def check_ber_sweep_argv(workdir, examples):
                 rc = cli.main(base + options)
             except SystemExit as exc:  # rejected by the argument parser
                 rc = exc.code
-        assert rc in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), \
+        assert rc in exit_codes and "Traceback" not in err.getvalue(), \
             (options, rc, err.getvalue())
 
     check()
+
+
+def check_ber_sweep_argv(workdir, examples):
+    """Every drawn ber-sweep argv exits 0, 2, 3 or 4 without a traceback."""
+    ckpt = os.path.join(workdir, "net.cdnn")
+    base = ["ber-sweep", "--seed", "1", "--trials", "5", "--checkpoint", ckpt,
+            "--out", os.path.join(workdir, "ber.csv")]
+    check_drawn_argv(base, ber_sweep_options(), (0, 2, 3, 4), examples)
+
+
+def check_bound_argv(workdir, examples):
+    """Every drawn bound argv exits 0, 2 or 3 without a traceback."""
+    base = ["bound", "--seed", "1", "--mu", "1", "--big-h", "2",
+            "--out", os.path.join(workdir, "bound.csv")]
+    check_drawn_argv(base, bound_options(), (0, 2, 3), examples)
+
+
+def run_bounded_child(call, workdir, examples):
+    """Runs test_cli.<call>(workdir, examples) in a child process with a
+    1 GB address space and one BLAS thread."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src, here] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            f"import test_cli; test_cli.{call}(sys.argv[1], {examples})")
+    proc = subprocess.run([sys.executable, "-c", code, str(workdir)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 def test_drawn_ber_sweep_arguments_exit_cleanly(tmp_path):
     n1 = ChirpParams(lam=6).n1
     save_params(str(tmp_path / "net.cdnn"),
                 init_params([n1, *default_hidden(n1), 1], np.random.default_rng(0)))
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [src, here] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
-            "import test_cli; test_cli.check_ber_sweep_argv(sys.argv[1], 150)")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-4000:]
+    run_bounded_child("check_ber_sweep_argv", tmp_path, 150)
+
+
+def test_drawn_bound_arguments_exit_cleanly(tmp_path):
+    run_bounded_child("check_bound_argv", tmp_path, 400)
 
 
 def test_grid_point_cap():

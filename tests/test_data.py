@@ -49,6 +49,8 @@ def test_spec_defaults():
     dict(split=np.nan),
     dict(snr_db_range=(-np.inf, -np.inf)),
     dict(channel_tag="bellhop"),
+    dict(snr_db_range=(1e300, 1e300)),  # beyond the float32 metadata
+    dict(snr_db_range=(-1e39, 0.0)),
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -65,6 +67,11 @@ def test_spec_sample_cap():
 
 def test_noise_free_snr_point_stays_valid():
     assert small_spec(snr_db_range=(np.inf, np.inf)).snr_db_range == (np.inf, np.inf)
+
+
+def test_snr_at_the_float32_limit_stays_valid():
+    f32_max = float(np.finfo(np.float32).max)
+    assert small_spec(snr_db_range=(-f32_max, f32_max)).snr_db_range == (-f32_max, f32_max)
 
 
 def test_rayleigh_tag_autofills_config():
@@ -374,8 +381,21 @@ def whole_chunk_bers(params, detectors, ebn0_db, sto, speed, trials, seed, theta
     return [e / trials for e in errors]
 
 
-@pytest.mark.parametrize("detectors", [["mf"], ["dnn"], ["mf", "dnn"]])
-def test_ber_monte_carlo_matches_the_whole_chunk_loop(untrained_receiver, detectors):
+WHOLE_CHUNK_DETECTORS = [["mf"], ["dnn"], ["mf", "dnn"]]
+
+
+@pytest.mark.parametrize("detectors", WHOLE_CHUNK_DETECTORS)
+def test_ber_monte_carlo_matches_the_whole_chunk_loop(untrained_receiver, detectors, serial):
+    check_matches_the_whole_chunk_loop(untrained_receiver, detectors)
+
+
+@pytest.mark.parametrize("detectors", WHOLE_CHUNK_DETECTORS)
+def test_ber_monte_carlo_matches_the_whole_chunk_loop_with_the_helper(
+        untrained_receiver, detectors, helper):
+    check_matches_the_whole_chunk_loop(untrained_receiver, detectors)
+
+
+def check_matches_the_whole_chunk_loop(untrained_receiver, detectors):
     # crosses a chunk and a block boundary and ends in a partial block
     trials = NOISE_CHUNK + BLOCK_ROWS + 123
     assert trials % NOISE_CHUNK % BLOCK_ROWS != 0
@@ -400,7 +420,16 @@ def test_ber_monte_carlo_holds_blocks_not_chunks(untrained_receiver):
     assert peak <= 1.25 * chunk_bytes, peak / chunk_bytes
 
 
-def test_ber_monte_carlo_joins_its_helper(untrained_receiver, monkeypatch):
+def test_ber_monte_carlo_joins_its_helper(untrained_receiver, monkeypatch, serial):
+    check_joins_its_helper(untrained_receiver, monkeypatch)
+
+
+def test_ber_monte_carlo_joins_its_helper_with_the_helper(untrained_receiver, monkeypatch,
+                                                          helper):
+    check_joins_its_helper(untrained_receiver, monkeypatch)
+
+
+def check_joins_its_helper(untrained_receiver, monkeypatch):
     p6 = ChirpParams(lam=6)
     threads = threading.active_count()
     ber_monte_carlo(p6, ["mf", "dnn"], 6.0, 0, 0, 3 * BLOCK_ROWS, seed=3,
@@ -423,7 +452,16 @@ def test_ber_monte_carlo_joins_its_helper(untrained_receiver, monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_ber_monte_carlo_threads_do_not_interfere(untrained_receiver, monkeypatch):
+def test_ber_monte_carlo_threads_do_not_interfere(untrained_receiver, monkeypatch, serial):
+    check_threads_do_not_interfere(untrained_receiver, monkeypatch)
+
+
+def test_ber_monte_carlo_threads_do_not_interfere_with_the_helper(
+        untrained_receiver, monkeypatch, helper):
+    check_threads_do_not_interfere(untrained_receiver, monkeypatch)
+
+
+def check_threads_do_not_interfere(untrained_receiver, monkeypatch):
     # many tiny blocks, four sweeps at once and a thread switch every
     # microsecond: a lost hand-off or shared state would change a BER
     monkeypatch.setattr(data, "BLOCK_ROWS", 7)
@@ -450,3 +488,29 @@ def test_ber_monte_carlo_threads_do_not_interfere(untrained_receiver, monkeypatc
     for k, (detectors, ebn0_db, trials) in enumerate(cases):
         assert got[k] == whole_chunk_bers(p6, detectors, ebn0_db, 0.0, 0.0, trials, 5,
                                           untrained_receiver)
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+def test_prefetched_takes_the_next_item_while_the_caller_works(request, threads):
+    request.getfixturevalue(threads)
+    log = []
+
+    def items():
+        for k in range(4):
+            log.append(("draw", k, threading.get_ident()))
+            yield k
+
+    with data._helper_pool() as pool:
+        for k in data._prefetched(items(), pool):
+            if pool:
+                pool.submit(int).result()  # the helper has drawn k + 1
+            log.append(("use", k, threading.get_ident()))
+    caller = threading.get_ident()
+    drawn_on = {ident for step, _, ident in log if step == "draw"}
+    steps = [step[0] + str(k) for step, k, _ in log]
+    if threads == "helper":
+        assert caller not in drawn_on and len(drawn_on) == 1
+        assert steps == ["d0", "d1", "u0", "d2", "u1", "d3", "u2", "u3"]
+    else:
+        assert drawn_on == {caller}
+        assert steps == ["d0", "u0", "d1", "u1", "d2", "u2", "d3", "u3"]

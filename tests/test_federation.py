@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from chirpfed import federation, receiver
+from chirpfed import data, federation, receiver
 from chirpfed.chirp import ChirpParams
 from chirpfed.data import MAX_DATASET_SAMPLES, DatasetSpec, build_node_dataset
 from chirpfed.errors import (ConfigurationError, EmptyRoundError, InputError,
@@ -434,18 +434,6 @@ HELPER_GOLDEN_CASES = (
        for (T0, mode, meta), digest in GOLDEN_FULL_RUNS.items()])
 
 
-@pytest.fixture
-def helper(monkeypatch):
-    """run_rounds shares its node work with a helper thread, whatever the
-    BLAS threads and cores."""
-    monkeypatch.setattr(federation, "_use_helper", lambda: True)
-
-
-@pytest.fixture
-def serial(monkeypatch):
-    monkeypatch.setattr(federation, "_use_helper", lambda: False)
-
-
 @pytest.mark.parametrize("threads", ["serial", "helper"])
 @pytest.mark.parametrize("digest, mode, meta, config", HELPER_GOLDEN_CASES)
 def test_run_rounds_golden_digest_with_and_without_the_helper(
@@ -657,7 +645,7 @@ def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
     ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": ""}, None),
 ])
 def test_blas_threads_read_as_openblas_reads_them(env, threads):
-    assert federation._blas_threads(env) == threads
+    assert data._blas_threads(env) == threads
 
 
 @pytest.mark.parametrize("blas, cores, used", [
@@ -668,9 +656,9 @@ def test_helper_only_with_one_blas_thread_and_two_cores(monkeypatch, blas, cores
         monkeypatch.delenv(name, raising=False)
     if blas is not None:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
-    monkeypatch.setattr(federation.os, "sched_getaffinity", lambda pid: cores,
+    monkeypatch.setattr(data.os, "sched_getaffinity", lambda pid: cores,
                         raising=False)
-    assert federation._use_helper() is used
+    assert data._use_helper() is used
 
 
 # ------------------------------------------------------------------ builder
