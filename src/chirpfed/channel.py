@@ -8,6 +8,7 @@ offset (fractional samples), and Doppler time scaling.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -21,6 +22,7 @@ from .errors import ConfigurationError, InputError
 CIR_MAGIC = b"UWAC"
 CIR_VERSION = 1
 MAX_CIR_ENTRIES = 2 ** 21  # n_taps x n_time; about 190 MB peak at the cap
+SOUND_SPEED = 1500.0  # m/s; the Doppler scale factor is rel_speed / SOUND_SPEED
 
 # Windowed-sinc interpolation kernel: 64 taps m = -31..32 at m - f for a
 # fraction 0 <= f < 1, Hann-windowed over |m - f| < 33.  By the angle-addition
@@ -61,10 +63,18 @@ class RayleighModelConfig:
             raise ConfigurationError("fd must be non-negative")
         if not self.a > 0:
             raise ConfigurationError("bell-shape parameter a must be positive")
-        if not self.decay_db_per_tap >= 0:
-            raise ConfigurationError("decay_db_per_tap must be non-negative")
+        if not 0 <= self.decay_db_per_tap < math.inf:  # -inf * tap 0 is NaN
+            raise ConfigurationError("decay_db_per_tap must be non-negative and finite")
         if not self.Ts > 0:
             raise ConfigurationError("Ts must be positive")
+        if not math.isfinite(self.max_excess_delay / self.Ts):
+            raise ConfigurationError(f"max_excess_delay / Ts = {self.max_excess_delay} / "
+                                     f"{self.Ts} has no finite tap count")
+        # rayleigh_cir sums the bell spectrum over up to MAX_CIR_ENTRIES bins,
+        # each at most its peak S(0) = sqrt(a) / (pi fd)
+        if self.fd and not math.isfinite(
+                MAX_CIR_ENTRIES * math.sqrt(self.a) / (math.pi * self.fd)):
+            raise ConfigurationError(f"the bell spectrum of fd={self.fd}, a={self.a} overflows")
 
     @property
     def n_taps(self) -> int:
@@ -78,21 +88,22 @@ class ImpairmentSpec:
     snr_db: float = np.inf
     sto_samples: float = 0.0
     rel_speed: float = 0.0
-    sound_speed: float = 1500.0
 
     def __post_init__(self):
-        if self.sound_speed <= 0:
-            raise ConfigurationError("sound_speed must be positive")
-        if not abs(self.rel_speed) < self.sound_speed:  # NaN too
-            raise ConfigurationError("|rel_speed| must stay below sound_speed")
+        if not abs(self.rel_speed) < SOUND_SPEED:  # NaN too
+            raise ConfigurationError(f"|rel_speed| must stay below {SOUND_SPEED} m/s")
         if np.isnan(self.sto_samples):
             raise ConfigurationError("sto_samples must not be NaN")
-        if not self.snr_db > -np.inf:  # NaN too; -inf would read as noiseless
-            raise ConfigurationError(f"snr_db={self.snr_db} must be a number above -inf")
+        try:  # the noise-to-signal power ratio of apply_channel
+            scale = math.pow(10.0, -self.snr_db / 10.0)
+        except OverflowError:
+            scale = math.inf
+        if not scale < math.inf:  # NaN too; -inf dB would read as noiseless
+            raise ConfigurationError(f"snr_db={self.snr_db} gives no finite noise level")
 
     @property
     def alpha_dop(self) -> float:
-        return self.rel_speed / self.sound_speed
+        return self.rel_speed / SOUND_SPEED
 
 
 @dataclass(frozen=True)
@@ -122,9 +133,9 @@ class ChannelRealization:
         return self.taps.shape[1]
 
 
-def identity_channel(n_time: int = 1, Ts: float = 1.0 / 6000.0) -> ChannelRealization:
-    """Single unit tap: pass-through before noise."""
-    return ChannelRealization(np.ones((1, n_time), dtype=np.complex128), Ts,
+def identity_channel(Ts: float = 1.0 / 6000.0) -> ChannelRealization:
+    """Single static unit tap: pass-through before noise."""
+    return ChannelRealization(np.ones((1, 1), dtype=np.complex128), Ts,
                               {"model": "identity"})
 
 
@@ -136,8 +147,9 @@ def bell_spectrum(f, fd: float, a: float = 9.0):
     if a <= 0:
         raise ConfigurationError("a must be positive")
     f = np.asarray(f, dtype=np.float64)
-    s = np.sqrt(a) / (np.pi * fd * (1.0 + a * (f / fd) ** 2))
-    out = np.where(np.abs(f) <= fd, s, 0.0)
+    out = np.zeros(f.shape)
+    band = np.abs(f) <= fd  # where f / fd cannot overflow
+    out[band] = np.sqrt(a) / (np.pi * fd * (1.0 + a * (f[band] / fd) ** 2))
     return out if out.ndim else float(out)
 
 
@@ -160,13 +172,15 @@ def rayleigh_cir(cfg: RayleighModelConfig, duration: float, fs: float,
         raise ConfigurationError(
             f"duration={duration} and fs={fs} must be finite and positive")
     n_time = max(1.0, np.rint(duration * fs))  # inf if the product overflows
-    if cfg.n_taps * n_time > MAX_CIR_ENTRIES:
-        raise ConfigurationError(f"{cfg.n_taps} taps x {n_time:.6g} time steps "
+    if cfg.n_taps > MAX_CIR_ENTRIES / n_time:  # a product could overflow
+        raise ConfigurationError(f"{cfg.n_taps:.6g} taps x {n_time:.6g} time steps "
                                  f"exceed {MAX_CIR_ENTRIES} entries")
     n_time = int(n_time)
     rng = np.random.default_rng(seed)
     powers = tap_mean_powers(cfg)
-    freqs = np.fft.fftfreq(n_time, d=1.0 / fs)
+    # one time step is the DC bin alone; for an fs near the float maximum
+    # fftfreq's scale 1 / (n / fs) overflows, and 0 * inf is NaN
+    freqs = np.fft.fftfreq(n_time, d=1.0 / fs) if n_time > 1 else np.zeros(1)
     if cfg.fd > 0:
         shape = bell_spectrum(freqs, cfg.fd, cfg.a)
     else:
@@ -367,6 +381,8 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
         rng = np.random.default_rng(seed)
         p_sig = float(np.mean(r * r))
         sigma = np.sqrt(p_sig * 10.0 ** (-imp.snr_db / 10.0))
+        if not sigma < np.inf:
+            raise ConfigurationError(f"the noise level at snr_db={imp.snr_db} overflows")
         r = r + rng.standard_normal(n) * sigma
     return Waveform(_impair(r, imp.alpha_dop, imp.sto_samples, lam), x.fs / lam)
 

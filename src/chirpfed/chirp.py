@@ -9,7 +9,7 @@ frequency actually spans [f1, f2] in Hz.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,15 +100,10 @@ class ComplexityReport:
     additions: int
     multiplications: int
     nonlinear_activations: int
-    total: int = field(default=None)  # filled from the other three
 
-    def __post_init__(self):
-        expected = self.additions + self.multiplications + self.nonlinear_activations
-        if self.total is None:
-            object.__setattr__(self, "total", expected)
-        elif self.total != expected:
-            raise ConfigurationError(
-                f"total={self.total} != add+mul+nav={expected}")
+    @property
+    def total(self) -> int:
+        return self.additions + self.multiplications + self.nonlinear_activations
 
 
 def generate_chirp(params: ChirpParams, direction: str = "up") -> Waveform:
@@ -174,20 +169,16 @@ def mf_op_count(n1: int) -> ComplexityReport:
     return ComplexityReport(add, mul, 0)
 
 
-def dnn_op_count(n1: int, hidden=None) -> ComplexityReport:
-    """Fully-connected forward-pass cost: one output neuron after `hidden`.
+def dnn_op_count(n1: int) -> ComplexityReport:
+    """Forward-pass cost of the C-DNN: default_hidden(n1), then one output
+    neuron.
 
     additions and nonlinear activations count one per computing neuron;
     multiplications are the consecutive layer-size products.
     """
     if n1 < 1:
         raise ConfigurationError(f"N1={n1} must be >= 1")
-    if hidden is None:
-        hidden = default_hidden(n1)
-    hidden = list(hidden)
-    if not hidden:
-        raise ConfigurationError("hidden layer list must be nonempty")
-    sizes = [n1] + hidden + [1]
+    sizes = [n1, *default_hidden(n1), 1]
     add = sum(sizes[1:])
     mul = sum(a * b for a, b in zip(sizes[:-1], sizes[1:]))
     return ComplexityReport(add, mul, add)

@@ -171,7 +171,13 @@ def build_node_dataset(spec: DatasetSpec):
         snr[i], sto[i], speed[i] = snr_i, sto_i, speed_i
     # samples are stored as f32 in the dataset container; quantize here so
     # save/load round-trips are bit-identical
-    samples = samples.astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):  # a sample past the f32 range is caught below
+        stored = samples.astype(np.float32)
+    finite = np.isfinite(stored).all(axis=1)
+    if not finite.all():
+        raise ConfigurationError(
+            f"record {int(np.argmin(finite))}: sample outside the float32 range")
+    samples = stored.astype(np.float64)
     tag_idx = np.full(n, CHANNEL_TAGS.index(spec.channel_tag), dtype=np.uint16)
     return _split(spec.n_train, samples, labels, snr, sto, speed, tag_idx,
                   CHANNEL_TAGS)
@@ -350,9 +356,7 @@ def wilson_half_width(ber, trials):
 
 
 def _spec_to_json(spec: DatasetSpec, n_train: int) -> str:
-    d = asdict(spec)
-    d["chirp"] = asdict(spec.chirp)
-    d["rayleigh"] = asdict(spec.rayleigh) if spec.rayleigh else None
+    d = asdict(spec)  # the chirp and rayleigh configs too
     d["snr_db_range"] = [str(float(v)) if np.isinf(v) else float(v)
                          for v in spec.snr_db_range]
     d["n_train_records"] = n_train

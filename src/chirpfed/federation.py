@@ -189,24 +189,12 @@ def aggregate(updates) -> np.ndarray:
     return acc
 
 
-def _accuracies(theta: MlpParams, node: NodeState, alpha: float, g, total):
-    """The node's weighted test accuracy at theta and after the step -alpha*g,
-    g being its train-split gradient at theta."""
-    w = node.data_size / total
+def evaluate(theta: MlpParams, node: NodeState, alpha: float, g):
+    """The node's test accuracy at theta and after the one-step adaptation
+    -alpha*g, g being its train-split gradient at theta."""
     phi = theta.from_flat(theta.to_flat() - alpha * g)
-    return (w * (1.0 - receiver.ber_eval(theta, node.test_split)),
-            w * (1.0 - receiver.ber_eval(phi, node.test_split)))
-
-
-def evaluate(theta: MlpParams, nodes, alpha: float):
-    """(weighted test accuracy, weighted one-step-adapted test accuracy)."""
-    total = sum(n.data_size for n in nodes)
-    acc = adapted = 0.0
-    for node in nodes:
-        g = receiver.grad(theta, node.train_split)
-        a, b = _accuracies(theta, node, alpha, g, total)
-        acc, adapted = acc + a, adapted + b
-    return acc, adapted
+    return (1.0 - receiver.ber_eval(theta, node.test_split),
+            1.0 - receiver.ber_eval(phi, node.test_split))
 
 
 def _node_pass(work, first, rest, pool):
@@ -249,11 +237,11 @@ def _node_pass(work, first, rest, pool):
 
 
 def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
-               cfg: FmlConfig, mode: str, total: int):
+               cfg: FmlConfig, mode: str):
     """One node's part of the pass at broadcast theta: its train loss if theta
     opens round t, its (flat params, data size, u) update if it steps, and
-    its two weighted accuracies if theta evaluates round t-1; None for each
-    part it does not take."""
+    its two accuracies from evaluate if theta evaluates round t-1; None for
+    each part it does not take."""
     maml = stepping and mode == "fml"
     lin = None
     if t or maml:  # only a node that calls hvp keeps its activations
@@ -274,7 +262,7 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
             raise TrainingError(exc.reason, round_index=t, node_id=node.id,
                                 step_index=exc.step_index) from exc
         update = (new.to_flat(), node.data_size, u)
-    accs = _accuracies(theta, node, cfg.alpha, lin.grad, total) if t else None
+    accs = evaluate(theta, node, cfg.alpha, lin.grad) if t else None
     return loss, update, accs
 
 
@@ -283,12 +271,13 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
 
     mode 'fml' runs MAML local steps, 'fl' runs FedAvg with local rate alpha.
     Each broadcast theta gets one pass over the nodes that linearizes each
-    train split once, for the loss of the round theta opens, the one-step
-    adaptation that evaluates the round that made it, and a scheduled node's
-    first MAML step.  A round's schedule is drawn just before its pass, and
-    only the N scheduled nodes step.  The first pass takes a plain loss on
-    the other nodes; the last only evaluates, leaving the nodes at the last
-    broadcast theta.
+    train split once, for the loss of the round theta opens, the gradient
+    that evaluate takes for the round that made it, and a scheduled node's
+    first MAML step.  A round's accuracies are the nodes' evaluate pairs
+    weighted by data size.  A round's schedule is drawn just before its
+    pass, and only the N scheduled nodes step.  The first pass takes a plain
+    loss on the other nodes; the last only evaluates, leaving the nodes at
+    the last broadcast theta.
 
     In a pass the calling thread steps the scheduled nodes, and then it and,
     with one BLAS thread and two cores (see data._use_helper), one helper thread
@@ -305,20 +294,22 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     theta = nodes[0].theta
     total = sum(n.data_size for n in nodes)
     logs = []
-    with _helper_pool() as pool:
+    # overflow on the way to divergence is caught by the local updates' checks
+    with _helper_pool() as pool, np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.rounds + 1):
             opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
             # schedule() draws positions into the node list; logs carry node ids
             positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
             results = _node_pass(
                 lambda pos: _node_work(nodes[pos], theta, t, opens, pos in positions,
-                                       u.get(pos), cfg, mode, total),
+                                       u.get(pos), cfg, mode),
                 positions, [pos for pos in range(cfg.K) if pos not in positions], pool)
             loss, update, accs = zip(*(results[pos] for pos in range(cfg.K)))
             if t:
-                acc = adapted = 0.0
-                for a, b in accs:
-                    acc, adapted = acc + a, adapted + b
+                acc = adapted = 0.0  # weighted by data size, summed in node order
+                for node, (a, b) in zip(nodes, accs):
+                    w = node.data_size / total
+                    acc, adapted = acc + w * a, adapted + w * b
                 logs.append(RoundLog(*opened, acc, adapted))
             if opens:
                 opened = (t, tuple(nodes[pos].id for pos in positions),

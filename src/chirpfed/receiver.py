@@ -59,25 +59,8 @@ class MlpParams:
     """Network parameters: one read-only float64 vector in layer-major order
     W1, b1, W2, b2, W3, b3, the checkpoint order.  `weights` (out, in) and
     `biases` are views into it; `grad` and `hvp` return the same layout.
+    Made by init_params, load_params and from_flat.
     """
-
-    def __new__(cls, weights, biases):
-        if len(weights) != 3 or len(biases) != 3:
-            raise ConfigurationError("expected exactly three computing layers")
-        if any(np.ndim(w) != 2 for w in weights):
-            raise ConfigurationError("weights must be (out, in) matrices")
-        sizes = [np.shape(weights[0])[1]] + [np.shape(w)[0] for w in weights]
-        if sizes[-1] != 1:
-            raise ConfigurationError("output layer must have exactly one neuron")
-        flat = np.empty(_n_params(sizes))
-        parts = [a for wb in zip(weights, biases) for a in wb]
-        for view, part in zip(_views(sizes, flat), parts):
-            if np.shape(part) != view.shape:
-                raise ConfigurationError(f"layer shapes do not chain as {sizes}")
-            view[...] = part
-        if not np.all(np.isfinite(flat)):
-            raise ConfigurationError("parameters contain non-finite values")
-        return _wrap(sizes, flat)
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -142,8 +125,11 @@ def _sigmoid(z):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forward_pass(p: MlpParams, x: np.ndarray):
-    """Hidden activations a1, a2 (each made in place) and the output."""
+    """Hidden activations a1, a2 (each made in place) and the output.  An
+    activation past the float range turns inf or NaN without a warning, as
+    in train: diverged parameters are caught where they are made."""
     w1, w2, w3 = p.weights
     b1, b2, b3 = p.biases
     a1 = x @ w1.T

@@ -31,6 +31,11 @@ def test_default_tap_count_is_13():
     dict(a=np.nan),
     dict(decay_db_per_tap=np.nan),
     dict(Ts=np.nan),
+    dict(Ts=5e-324),               # max_excess_delay / Ts overflows
+    dict(max_excess_delay=np.inf),
+    dict(decay_db_per_tap=np.inf),  # tap 0's power would be 10 ** (-inf * 0)
+    dict(fd=5e-324),               # the bell spectrum's peak overflows
+    dict(fd=1e-303),               # ... summed over MAX_CIR_ENTRIES bins
 ])
 def test_rayleigh_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -42,11 +47,23 @@ def test_impairment_spec():
     assert imp.alpha_dop == pytest.approx(0.01)
     with pytest.raises(ConfigurationError):
         ImpairmentSpec(rel_speed=2000.0)
-    with pytest.raises(ConfigurationError):
-        ImpairmentSpec(sound_speed=0.0)
-    for snr_db in (np.nan, -np.inf):  # -inf would pass as noiseless
+    for snr_db in (np.nan, -np.inf, -4000.0):  # -inf would pass as noiseless
         with pytest.raises(ConfigurationError):
             ImpairmentSpec(snr_db=snr_db)
+    ImpairmentSpec(snr_db=-3000.0)  # a noise power 1e300 times the signal's
+
+
+def test_apply_channel_rejects_a_noise_level_past_the_float_range():
+    w = generate_chirp(ChirpParams(), "up")
+    h = identity_channel(Ts=1 / w.fs)
+    with pytest.raises(ConfigurationError):
+        apply_channel(w, h, ImpairmentSpec(snr_db=-4000.0), seed=0)
+    # a finite noise scale, but past the float range at twice the amplitude
+    loud = Waveform(2.0 * w.samples, w.fs)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        apply_channel(loud, h, ImpairmentSpec(snr_db=-3082.0), seed=0)
+    out = apply_channel(w, h, ImpairmentSpec(snr_db=-3000.0), seed=0)
+    assert np.all(np.isfinite(out.samples))
 
 
 def test_channel_realization_validation():
@@ -75,6 +92,12 @@ def test_bell_spectrum_even_and_bounded():
 def test_bell_spectrum_edge_value():
     # a=9, fd=10, f=10 -> sqrt(9)/(pi*10*(1+9)) = 3/(100*pi)
     assert bell_spectrum(10.0, 10.0, 9.0) == pytest.approx(3.0 / (100 * np.pi))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bell_spectrum_of_a_tiny_fd_does_not_overflow_outside_its_band():
+    s = bell_spectrum(np.array([0.0, 1.0, -500.0]), 1e-300, 9.0)
+    assert s[0] == pytest.approx(3.0 / (np.pi * 1e-300)) and np.all(s[1:] == 0.0)
 
 
 def test_bell_spectrum_zero_outside_support():
@@ -108,6 +131,17 @@ def test_rayleigh_cir_rejects_oversized_grid(duration, fs):
     assert cfg.n_taps * 161319 <= MAX_CIR_ENTRIES
     with pytest.raises(ConfigurationError, match="exceed"):
         rayleigh_cir(cfg, duration, fs, seed=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rayleigh_cir_grid_edges_raise_no_warning():
+    # 1.2e298 taps x 5e298 steps: the size check takes no overflowing product
+    with pytest.raises(ConfigurationError, match="exceed"):
+        rayleigh_cir(RayleighModelConfig(Ts=1e-300), 0.05, 1e300, seed=0)
+    # one time step at an fs whose period 1/fs is subnormal: the DC bin alone
+    h = rayleigh_cir(RayleighModelConfig(Ts=0.001, fd=10.0), 5e-324,
+                     1.7976931348623153e308, seed=0)
+    assert h.taps.shape == (13, 1) and np.all(h.taps != 0)
 
 
 def test_rayleigh_cir_shape_and_determinism():
@@ -520,7 +554,7 @@ def test_cir_bad_magic_and_truncation(tmp_path):
     with pytest.raises(ParseError):
         load_cir(bad)
     good = tmp_path / "good.uwac"
-    save_cir(good, identity_channel(n_time=4, Ts=0.001))
+    save_cir(good, ChannelRealization(np.ones((1, 4)), 0.001))
     cut = tmp_path / "cut.uwac"
     cut.write_bytes(good.read_bytes()[:-5])
     with pytest.raises(ParseError) as exc:

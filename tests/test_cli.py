@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ from chirpfed.receiver import default_hidden, init_params, load_params, \
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_to_stderr(argv):
+    """(exit code, stderr) of cli.main(argv), with every warning it raises
+    appended to that stderr as Python prints one."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # rejected by the argument parser
+            rc = exc.code
+    return rc, err.getvalue() + "".join(
+        warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
 
 
 def read_csv(path):
@@ -525,6 +540,17 @@ BAD_ARGV = [
     ["gen-data", "--snr-range", "1e300", "1e300"],
     ["gen-data", "--snr-range", "-1e39", "0"],
     ["run-fed", "--g", "1", "--group", "snr=1e300"],
+    # past the float range: a tap count, a Doppler spectrum, a CIR size
+    # product, a noise level, and samples stored as float32
+    ["cir", "generate", "--ts", "5e-324"],
+    ["cir", "generate", "--fd", "5e-324", "--duration", "10", "--fs", "1000"],
+    ["cir", "generate", "--ts", "1e-300", "--duration", "0.05", "--fs", "1e300"],
+    ["gen-data", "--symbols", "4", "--snr-range", "-4000", "-4000"],
+    ["gen-data", "--symbols", "4", "--snr-range", "-800", "-800"],
+    ["run-fed", "--rounds", "1", "--g", "1", "--symbols", "4", "--group",
+     "count=1,snr=-4000"],
+    ["run-fed", "--rounds", "1", "--g", "1", "--symbols", "4", "--group",
+     "count=1,snr=-800"],
 ]
 
 # Arguments that would size an allocation of gigabytes (or without end) if
@@ -546,16 +572,24 @@ def small_dataset(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv", BAD_ARGV, ids=" ".join)
-def test_bad_arguments_exit_2_without_traceback(tmp_path, capsys, small_dataset, argv):
+def test_bad_arguments_exit_2_without_traceback(tmp_path, small_dataset, argv):
     out = tmp_path / "out"
     argv = [a.format(data=small_dataset) for a in argv]
-    try:
-        rc = run(argv + ["--seed", "1", "--out", str(out)])
-    except SystemExit as exc:  # rejected by the argument parser
-        rc = exc.code
-    assert rc == cli.EXIT_USAGE
-    assert "Traceback" not in capsys.readouterr().err
+    rc, err = run_to_stderr(argv + ["--seed", "1", "--out", str(out)])
+    assert rc == cli.EXIT_USAGE, err
+    assert "Traceback" not in err and "RuntimeWarning" not in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--fd", "1e-300"],
+    ["--duration", "5e-324", "--fs", "1.7976931348623153e308"],
+], ids=" ".join)
+def test_cir_float_range_edges_exit_0_without_a_warning(tmp_path, argv):
+    out = tmp_path / "h.uwac"
+    rc, err = run_to_stderr(["cir", "generate", "--seed", "0", *argv, "--out", str(out)])
+    assert rc == 0 and err == "", err
+    assert out.exists()
 
 
 @pytest.mark.parametrize("t0", [2 ** 53 + 1, 10 ** 399], ids=["2**53+1", "10**399"])
@@ -583,16 +617,29 @@ def test_oversized_arguments_exit_2_in_bounded_memory(tmp_path, argv):
     assert not out.exists()
 
 
-# numbers such as 0, -1, nan, inf and 1e300, well and badly formed
+# numbers such as 0, -1, nan, inf, 1e300 and the smallest subnormal, well and
+# badly formed; -800 and -4000 dB are SNRs whose noise leaves the float32
+# range and the float64 range
 NUMBER = st.sampled_from(["0", "-1", "1", "6", "0.5", "nan", "inf", "-inf",
-                          "1e300", "-1e300", "1e-300", "abc", ""]) | \
+                          "1e300", "-1e300", "1e-300", "5e-324", "-800", "-4000",
+                          "abc", ""]) | \
     st.floats(allow_nan=True, allow_infinity=True).map(repr)
+LAMBDA = st.sampled_from(["0", "-1", "1", "6", "7", "961", "nan", "1e300"])
+SEED = st.sampled_from(["-1", "-1e1", "0", "1.5", "nan", ""]) | \
+    st.integers(-2 ** 70, 2 ** 70).map(str)
+
+
+def small_int(hi):
+    """Integers from -1 to hi, and strings that are no integer."""
+    return st.integers(-1, hi).map(str) | st.sampled_from(["nan", "1e300", "2.5", ""])
 
 
 def drawn_argv(options):
-    """Lists of up to six drawn options, each from its strategy in `options`."""
+    """Lists of up to six drawn options, each from its strategy in `options`;
+    a strategy of tuples gives an option of several values."""
     option = st.sampled_from(sorted(options)).flatmap(
-        lambda name: options[name].map(lambda value: [name, value]))
+        lambda name: options[name].map(
+            lambda value: [name, *value] if isinstance(value, tuple) else [name, value]))
     return st.lists(option, max_size=6).map(lambda pairs: sum(pairs, []))
 
 
@@ -604,13 +651,12 @@ def ber_sweep_options():
         "--snr-db": grid,
         "--trials": st.sampled_from(["-1", "nan", "1e300", "2.5", ""]) |
         st.integers(0, 40).map(str),
-        "--lambda": st.sampled_from(["0", "-1", "1", "6", "7", "961", "nan", "1e300"]),
+        "--lambda": LAMBDA,
         "--sto": NUMBER,
         "--speed": NUMBER,
         "--detector": st.sampled_from(["mf", "dnn", "mf,dnn", "dnn,mf", "mf,mf",
                                        "", ",", "zf", "-1"]),
-        "--seed": st.sampled_from(["-1", "-1e1", "0", "1.5", "nan", ""]) |
-        st.integers(-2 ** 70, 2 ** 70).map(str),
+        "--seed": SEED,
     })
 
 
@@ -628,21 +674,79 @@ def bound_options():
     return drawn_argv(options)
 
 
+def gen_data_options():
+    """Drawn gen-data options: few symbols, drawn numbers and ranges of them."""
+    pair = st.tuples(NUMBER, NUMBER)
+    return drawn_argv({
+        "--symbols": small_int(12),
+        "--split": NUMBER,
+        "--lambda": LAMBDA,
+        "--snr-range": pair,
+        "--sto-range": pair,
+        "--speed-range": pair,
+        "--channel": st.sampled_from(["identity", "rayleigh", "", "bogus"]),
+        "--seed": SEED,
+    })
+
+
+def train_single_options(workdir):
+    """Drawn train-single options: few epochs, drawn rates and batch sizes,
+    and data files good, missing and of the wrong kind."""
+    return drawn_argv({
+        "--data": st.sampled_from([os.path.join(workdir, name) for name in
+                                   ("node.uwds", "missing.uwds", "net.cdnn")]),
+        "--epochs": small_int(3),
+        "--lr": NUMBER,
+        "--batch-size": small_int(40),
+        "--seed": SEED,
+    })
+
+
+def run_fed_options():
+    """Drawn run-fed options: few rounds, symbols and nodes, drawn numbers,
+    and groups of drawn ranges."""
+    group = st.lists(
+        st.tuples(st.sampled_from(["snr", "sto", "speed"]), NUMBER, NUMBER).map(
+            lambda f: f"{f[0]}={f[1]}:{f[2]}"), max_size=2).map(
+        lambda fields: ",".join(["count=1", *fields]))
+    return drawn_argv({
+        "--group": group,
+        "--g": NUMBER,
+        "--t0": small_int(2),
+        "--rounds": small_int(2),
+        "--alpha": NUMBER,
+        "--beta": NUMBER,
+        "--p-decode": NUMBER,
+        "--lambda": LAMBDA,
+        "--symbols": small_int(8),
+        "--split": NUMBER,
+        "--mode": st.sampled_from(["fml", "fl", "bogus"]),
+        "--seed": SEED,
+    })
+
+
+def cir_options():
+    """Drawn cir generate options: drawn numbers, and short durations."""
+    return drawn_argv({
+        "--fd": NUMBER,
+        "--ts": NUMBER,
+        "--fs": NUMBER,
+        "--duration": st.sampled_from(["0", "-1", "0.05", "1", "nan", "inf", "1e300",
+                                       "5e-324", "abc", ""]),
+        "--seed": SEED,
+    })
+
+
 def check_drawn_argv(base, options, exit_codes, examples):
-    """Every argv of base plus drawn options exits with one of exit_codes and
-    without a traceback."""
+    """Every argv of base plus drawn options exits with one of exit_codes,
+    without a traceback and without a RuntimeWarning."""
     @settings(max_examples=examples, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(options)
     def check(options):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            try:
-                rc = cli.main(base + options)
-            except SystemExit as exc:  # rejected by the argument parser
-                rc = exc.code
-        assert rc in exit_codes and "Traceback" not in err.getvalue(), \
-            (options, rc, err.getvalue())
+        rc, err = run_to_stderr(base + options)
+        assert rc in exit_codes and "Traceback" not in err and \
+            "RuntimeWarning" not in err, (options, rc, err)
 
     check()
 
@@ -660,6 +764,21 @@ def check_bound_argv(workdir, examples):
     base = ["bound", "--seed", "1", "--mu", "1", "--big-h", "2",
             "--out", os.path.join(workdir, "bound.csv")]
     check_drawn_argv(base, bound_options(), (0, 2, 3), examples)
+
+
+def check_data_and_channel_argv(workdir, examples):
+    """Every drawn gen-data, train-single, run-fed and cir generate argv exits
+    0, 2 or 4 without a traceback or a RuntimeWarning."""
+    out = ["--out", os.path.join(workdir, "out")]
+    check_drawn_argv(["gen-data", "--seed", "1", "--symbols", "4", *out],
+                     gen_data_options(), (0, 2, 4), examples)
+    check_drawn_argv(["train-single", "--seed", "1", "--epochs", "1", "--data",
+                      os.path.join(workdir, "node.uwds"), *out],
+                     train_single_options(workdir), (0, 2, 4), examples)
+    check_drawn_argv(["run-fed", "--seed", "1", "--rounds", "1", "--symbols", "4",
+                      "--g", "1", *out], run_fed_options(), (0, 2, 4), examples)
+    check_drawn_argv(["cir", "generate", "--seed", "1", "--duration", "0.05", *out],
+                     cir_options(), (0, 2, 4), examples)
 
 
 def run_bounded_child(call, workdir, examples):
@@ -685,6 +804,15 @@ def test_drawn_ber_sweep_arguments_exit_cleanly(tmp_path):
 
 def test_drawn_bound_arguments_exit_cleanly(tmp_path):
     run_bounded_child("check_bound_argv", tmp_path, 400)
+
+
+def test_drawn_data_and_channel_arguments_exit_cleanly(tmp_path):
+    assert run(["gen-data", "--seed", "4", "--symbols", "40",
+                "--out", str(tmp_path / "node.uwds")]) == 0
+    n1 = ChirpParams(lam=6).n1
+    save_params(str(tmp_path / "net.cdnn"),
+                init_params([n1, *default_hidden(n1), 1], np.random.default_rng(0)))
+    run_bounded_child("check_data_and_channel_argv", tmp_path, 250)
 
 
 def test_grid_point_cap():

@@ -74,6 +74,16 @@ def test_snr_at_the_float32_limit_stays_valid():
     assert small_spec(snr_db_range=(-f32_max, f32_max)).snr_db_range == (-f32_max, f32_max)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_samples_past_the_float32_range_name_their_record():
+    # at -800 dB the noise is about 1e40 times the chirp: finite in float64,
+    # past the float32 range of the stored samples
+    with pytest.raises(ConfigurationError, match="record 0: sample outside"):
+        build_node_dataset(small_spec(n_symbols=4, snr_db_range=(-800.0, -800.0)))
+    with pytest.raises(ConfigurationError, match="record 0: snr_db"):
+        build_node_dataset(small_spec(n_symbols=4, snr_db_range=(-4000.0, -4000.0)))
+
+
 def test_rayleigh_tag_autofills_config():
     spec = small_spec(channel_tag="rayleigh")
     assert spec.rayleigh is not None

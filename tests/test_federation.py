@@ -317,10 +317,25 @@ def test_run_rounds_validation():
         run_rounds(FmlConfig(K=1, G=1.0), [], "fml")
 
 
+def evaluate_all(theta, nodes, alpha):
+    """Oracle: each node's evaluate pair at its train gradient, weighted by
+    data size and summed in node order."""
+    total = sum(node.data_size for node in nodes)
+    acc = adapted = 0.0
+    for node in nodes:
+        a, b = evaluate(theta, node, alpha, grad(theta, node.train_split))
+        w = node.data_size / total
+        acc, adapted = acc + w * a, adapted + w * b
+    return acc, adapted
+
+
 def test_evaluate_bounds_and_adaptation():
     theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
-    nodes = [make_node(i, 60 + i, theta=theta) for i in range(3)]
-    acc, adapted = evaluate(theta, nodes, alpha=0.01)
+    nodes = [make_node(i, 60 + i, theta=theta, n_rows=8 + 2 * i) for i in range(3)]
+    cfg = FmlConfig(K=3, G=0.7, alpha=0.3, beta=0.2, rounds=3, p_decode=0.8, seed=4)
+    logs, out = run_rounds(cfg, nodes, "fml")
+    acc, adapted = evaluate_all(out, nodes, cfg.alpha)
+    assert (acc, adapted) == (logs[-1].test_acc, logs[-1].adapted_acc)
     assert 0.0 <= acc <= 1.0
     assert 0.0 <= adapted <= 1.0
 
@@ -343,6 +358,28 @@ def test_local_steps_only_on_scheduled_nodes(monkeypatch, mode, step):
     logs, _ = run_rounds(cfg, nodes, mode)
     assert len(stepped) == cfg.N * cfg.rounds
     assert stepped == [i for log in logs for i in log.scheduled]
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+@pytest.mark.parametrize("mode", ["fml", "fl"])
+def test_pass_evaluates_each_node_once_per_evaluated_round(
+        request, monkeypatch, threads, mode):
+    request.getfixturevalue(threads)
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 75 + i, theta=theta) for i in range(6)]
+    cfg = FmlConfig(K=6, G=0.5, alpha=0.05, beta=0.05, rounds=4,
+                    p_decode=0.5, seed=2)
+    evaluated = collections.Counter()
+    original = federation.evaluate
+
+    def counted(theta, node, *args):
+        evaluated[node.id] += 1
+        return original(theta, node, *args)
+
+    monkeypatch.setattr(federation, "evaluate", counted)
+    logs, _ = run_rounds(cfg, nodes, mode)
+    assert len(logs) == cfg.rounds
+    assert evaluated == {node.id: cfg.rounds for node in nodes}
 
 
 @pytest.mark.parametrize("mode, T0", [("exact", 1), ("exact", 3), ("first_order", 2)])
@@ -474,6 +511,17 @@ def test_diverging_local_step_names_its_round_with_the_helper(helper, mode):
     threads = threading.active_count()
     check_diverging_local_step_names_its_round(mode)
     assert threading.active_count() == threads  # the helper was joined
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["fml", "fl"])
+def test_run_rounds_diverges_without_a_warning(mode):
+    # overflow on the way to divergence is left to the local updates' checks
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 110 + i, theta=theta) for i in range(3)]
+    cfg = FmlConfig(K=3, G=1.0, alpha=1e300, beta=0.05, rounds=3, seed=1)
+    with pytest.raises(TrainingError, match="diverged"):
+        run_rounds(cfg, nodes, mode)
 
 
 def check_diverging_local_step_names_its_round(mode):

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 from chirpfed import receiver
 from chirpfed.errors import (ConfigurationError, InputError, ParseError,
                              TrainingError)
-from chirpfed.receiver import (LabeledBatch, MlpParams, ber_eval,
-                               default_hidden, detect_batch, forward_batch,
-                               grad, init_params, linearize, load_params,
-                               loss, save_params, train)
+from chirpfed.receiver import (LabeledBatch, ber_eval, default_hidden,
+                               detect_batch, forward_batch, grad, init_params,
+                               linearize, load_params, loss, save_params, train)
 
 
 def hvp(p, batch, v):
@@ -21,6 +20,14 @@ def hvp(p, batch, v):
 def sgd_step(p, batch, lr):
     """Oracle: one full-batch gradient step."""
     return p.from_flat(p.to_flat() - lr * grad(p, batch))
+
+
+def params(weights, biases):
+    """Parameters with these three weight matrices and biases, laid out
+    layer-major as W1, b1, W2, b2, W3, b3."""
+    sizes = [np.shape(weights[0])[1]] + [np.shape(w)[0] for w in weights]
+    flat = np.concatenate([np.ravel(a) for wb in zip(weights, biases) for a in wb])
+    return init_params(sizes, np.random.default_rng(0)).from_flat(flat)
 
 
 def random_net(rng, sizes=None):
@@ -65,9 +72,6 @@ def test_param_validation():
         init_params([4, 3, 1], rng)
     with pytest.raises(ConfigurationError):
         init_params([4, 3, 3, 2], rng)
-    with pytest.raises(ConfigurationError):
-        MlpParams((np.ones((3, 4)), np.ones((2, 3)), np.ones((1, 3))),
-                  (np.zeros(3), np.zeros(2), np.zeros(1)))
 
 
 def test_init_bounds_and_zero_bias():
@@ -122,7 +126,7 @@ def test_batch_validation():
 # ------------------------------------------------------------------- forward
 
 def test_zero_net_outputs_half():
-    p = MlpParams(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
+    p = params(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
                   (np.zeros(3), np.zeros(3), np.zeros(1)))
     assert forward_batch(p, np.ones((1, 4)))[0] == pytest.approx(0.5)
 
@@ -132,7 +136,7 @@ def test_relu_gating():
     # output collapses to sigmoid(b3)
     rng = np.random.default_rng(3)
     p = random_net(rng, [4, 5, 5, 1])
-    p = MlpParams(p.weights, (np.full(5, -100.0), np.full(5, -100.0),
+    p = params(p.weights, (np.full(5, -100.0), np.full(5, -100.0),
                               np.array([0.7])))
     expect = 1.0 / (1.0 + np.exp(-0.7))
     assert forward_batch(p, rng.standard_normal((1, 4)))[0] == pytest.approx(expect)
@@ -149,6 +153,15 @@ def test_forward_matches_straight_line_evaluator():
         h = z if last else np.maximum(z, 0.0)
     expect = 1.0 / (1.0 + np.exp(-h[0]))
     assert forward_batch(p, x[None, :])[0] == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_forward_pass_saturates_past_the_float_range_without_a_warning():
+    # every activation overflows to +inf, and the output saturates at 1
+    p = params(tuple(np.full(s, 1e300) for s in [(3, 4), (3, 3), (1, 3)]),
+               (np.zeros(3), np.zeros(3), np.zeros(1)))
+    assert forward_batch(p, np.ones((2, 4))).tolist() == [1.0, 1.0]
+    assert detect_batch(p, np.ones((1, 4)))[0] == 1
 
 
 def test_forward_shape_checks():
@@ -173,7 +186,7 @@ def test_forward_output_in_open_interval():
 
 def test_loss_values():
     rng = np.random.default_rng(7)
-    p = MlpParams(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
+    p = params(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
                   (np.zeros(3), np.zeros(3), np.zeros(1)))
     b = LabeledBatch(np.ones((1, 4)), np.array([1.0]))
     assert loss(p, b) == pytest.approx(0.25)  # output 0.5, label 1
@@ -188,7 +201,7 @@ def test_loss_values():
 def test_grad_zero_at_balanced_point():
     # zero net outputs 0.5 on every input; paired labels 0 and 1 on the same
     # input make the MSE stationary there
-    p = MlpParams(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
+    p = params(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
                   (np.zeros(3), np.zeros(3), np.zeros(1)))
     b = LabeledBatch(np.vstack([np.ones(4), np.ones(4)]), np.array([0.0, 1.0]))
     assert np.allclose(grad(p, b), 0.0)
@@ -209,7 +222,7 @@ def test_grad_1111_hand_chain_rule():
     # scalar chain: out = sigmoid(w3*relu(w2*relu(w1*x+b1)+b2)+b3)
     w1, b1, w2, b2, w3, b3 = 0.8, 0.1, 1.2, 0.2, -0.7, 0.3
     x, y = 1.5, 1.0
-    p = MlpParams((np.array([[w1]]), np.array([[w2]]), np.array([[w3]])),
+    p = params((np.array([[w1]]), np.array([[w2]]), np.array([[w3]])),
                   (np.array([b1]), np.array([b2]), np.array([b3])))
     batch = LabeledBatch(np.array([[x]]), np.array([y]))
     z1 = w1 * x + b1          # > 0
@@ -338,7 +351,7 @@ def kinked_case(seed):
     w1[1], b1[1] = -np.abs(w1[1]), -0.0
     w2[0], b2[0] = 0.0, 0.0
     b1[2:] *= rng.integers(0, 2, size=h1 - 2)
-    p = MlpParams((w1, w2, w3), (b1, b2, b3))
+    p = params((w1, w2, w3), (b1, b2, b3))
     rows = int(rng.integers(2, 40))
     x = rng.standard_normal((rows, n_in))
     x[rng.random(rows) < 0.3] = 0.0
@@ -373,14 +386,14 @@ def test_linearization_matches_the_out_of_place_expressions_bytewise(seed):
 # ----------------------------------------------------------- detect and BER
 
 def test_detect_threshold_convention():
-    p = MlpParams(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
+    p = params(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
                   (np.zeros(3), np.zeros(3), np.zeros(1)))
     assert detect_batch(p, np.ones((1, 4)))[0] == 1  # output exactly 0.5 -> 1
 
 
 def test_ber_eval_basics():
     rng = np.random.default_rng(12)
-    p = MlpParams(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
+    p = params(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
                   (np.zeros(3), np.zeros(3), np.zeros(1)))
     x = rng.standard_normal((100, 4))
     ones = LabeledBatch(x, np.ones(100))
