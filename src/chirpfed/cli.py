@@ -97,17 +97,15 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------- complexity
 
 def cmd_complexity(args) -> int:
+    counts = {"mf": chirp_mod.mf_op_count, "dnn": chirp_mod.dnn_op_count}
     rows = []
-    n1_base = args.n1
-    for lam in (1, 2, 6):
-        n1 = n1_base // lam
-        rep = chirp_mod.mf_op_count(n1)
-        ref = TABLE2[("mf", lam)]
-        rows.append(_complexity_row("mf", lam, rep, ref))
-    n1 = n1_base // 6
-    rep = chirp_mod.dnn_op_count(n1)
-    ref = TABLE2[("dnn", 6)]
-    rows.append(_complexity_row("dnn", 6, rep, ref))
+    for (det, lam), ref in TABLE2.items():
+        rep = counts[det](args.n1 // lam)
+        got = {"add": rep.additions, "mul": rep.multiplications,
+               "nav": rep.nonlinear_activations, "total": rep.total}
+        flags = [k for k, v in got.items() if ref[k] is not None and v != ref[k]]
+        rows.append([det, lam, *got.values(), ref["add"], ref["mul"], ref["total"],
+                     "", ";".join(flags)])
     # advantage over the DNN, from the published totals
     dnn_total = TABLE2[("dnn", 6)]["total"]
     for lam in (1, 2, 6):
@@ -122,27 +120,10 @@ def cmd_complexity(args) -> int:
     return EXIT_OK
 
 
-def _complexity_row(det, lam, rep, ref):
-    flags = []
-    if rep.additions != ref["add"]:
-        flags.append("add")
-    if rep.multiplications != ref["mul"]:
-        flags.append("mul")
-    if ref["nav"] is not None and rep.nonlinear_activations != ref["nav"]:
-        flags.append("nav")
-    if rep.total != ref["total"]:
-        flags.append("total")
-    return [det, lam, rep.additions, rep.multiplications,
-            rep.nonlinear_activations, rep.total,
-            ref["add"], ref["mul"], ref["total"], "",
-            ";".join(flags)]
-
-
 # --------------------------------------------------------------------- bound
 
 def cmd_bound(args) -> int:
     rows = []
-    any_invalid = False
     for t0 in args.t0:
         c = bound_mod.SmoothnessConstants(
             mu=args.mu, H=args.big_h, rho=args.rho, B=args.b,
@@ -150,17 +131,12 @@ def cmd_bound(args) -> int:
             beta=args.beta, C=args.c, tau=args.tau, N=args.n_nodes,
             T0=t0, n=args.gap0, epsilon=args.epsilon)
         d = bound_mod.derive_constants(c, args.xi_variant)
-        if d.valid:
+        tz_str, flags = "", ";".join(d.flags)
+        if not flags:
             try:
-                tz = bound_mod.tz_bound(c, args.xi_variant)
-                tz_str = _fmt(tz)
-                flags = ""
+                tz_str = _fmt(bound_mod.tz_bound(c, args.xi_variant))
             except ValidityError as exc:
-                tz_str, flags = "", str(exc)
-                any_invalid = True
-        else:
-            tz_str, flags = "", ";".join(d.flags)
-            any_invalid = True
+                flags = str(exc)
         m_str = ""
         if 0 < d.beta * d.H_p < 1:
             m_str = _fmt(bound_mod.m_of_T(d, t0))
@@ -170,7 +146,7 @@ def cmd_bound(args) -> int:
     header = ["t0", "mu_p", "h_p", "mu_pp", "h_pp", "alpha_p", "xi",
               "m_t0", "tz", "validity_flags"]
     _emit(args.out, args, rows, header)
-    return EXIT_VALIDITY if any_invalid else EXIT_OK
+    return EXIT_VALIDITY if any(row[-1] for row in rows) else EXIT_OK
 
 
 # ----------------------------------------------------------------- ber-sweep
@@ -178,29 +154,21 @@ def cmd_bound(args) -> int:
 def cmd_ber_sweep(args) -> int:
     detectors = args.detector.split(",")
     if not set(detectors) <= set(data_mod.DETECTORS):
-        print(f"ber-sweep: --detector {args.detector!r} is not a comma list of "
-              f"{','.join(data_mod.DETECTORS)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(f"--detector {args.detector!r} is not a comma list of "
+                                 f"{','.join(data_mod.DETECTORS)}")
     if len(set(detectors)) < len(detectors):
-        print(f"ber-sweep: --detector {args.detector!r} names a detector more than once",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if not all(math.isfinite(snr) for snr in args.snr_db):
-        print("ber-sweep: --snr-db values must be finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError(
+            f"--detector {args.detector!r} names a detector more than once")
     if args.trials < 0:
-        print("ber-sweep: --trials must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError("--trials must be >= 0")
+    # noise_stream_key also rejects a non-finite Eb/N0
     if len({data_mod.noise_stream_key(snr) for snr in args.snr_db}) < len(args.snr_db):
-        print("ber-sweep: two --snr-db values share one noise stream, keyed by "
-              "int(1000 * snr_db)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError("two --snr-db values share one noise stream, keyed by "
+                                 "int(1000 * snr_db)")
     ckpt = None
     if "dnn" in detectors:
         if not args.checkpoint:
-            print("ber-sweep: --checkpoint is required when detector includes dnn",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigurationError("--checkpoint is required when detector includes dnn")
         ckpt = recv_mod.load_params(args.checkpoint)
     params = chirp_mod.ChirpParams(lam=args.lam)
     rows = []
@@ -317,8 +285,7 @@ def cmd_cir(args) -> int:
         channel_mod.save_cir(args.out, h)
         return EXIT_OK
     if args.path is None:
-        print("cir inspect: --path is required", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigurationError("--path is required")
     h = channel_mod.load_cir(args.path)
     rows = [[h.n_taps, h.n_time, _fmt(h.Ts),
              ";".join(f"{k}={v}" for k, v in sorted(h.meta.items()))]]

@@ -9,6 +9,8 @@ decode failure surfaces as ParseError carrying a byte offset.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -47,12 +49,17 @@ class Reader:
     """Bounds-checked cursor over one container file, used as a context
     manager around its decoding.
 
+    A path that names no regular file raises ParseError at offset 0 before it
+    is opened: reading a device such as /dev/zero never ends, and opening a
+    FIFO without a writer blocks.
     Leaving the block with a decode error (see _DECODE_ERRORS) raises
     ParseError at `mark`, the offset of the block read last; leaving it
     normally raises ParseError if bytes trail the last block.
     """
 
     def __init__(self, path, magic: bytes, version: int):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ParseError(f"{os.fsdecode(path)!r} is not a regular file", offset=0)
         with open(path, "rb") as f:
             self.raw = f.read()
         self.off = self.mark = 0

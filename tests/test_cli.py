@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from chirpfed import cli
 from chirpfed.bound import XI_VARIANTS
 from chirpfed.chirp import ChirpParams
+from chirpfed.channel import RayleighModelConfig
 from chirpfed.data import DatasetSpec, build_node_dataset, load_dataset, \
     save_dataset
 from chirpfed.receiver import default_hidden, init_params, load_params, \
@@ -74,6 +75,17 @@ def test_complexity_table(tmp_path):
     assert adv["advantage"] == "19.4%"
 
 
+def test_complexity_flags_every_count_off_the_table(tmp_path):
+    # at half the samples every count but the MF's nav (none published) is off
+    out = tmp_path / "cx.csv"
+    assert run(["complexity", "--seed", "0", "--n1", "480", "--out", str(out)]) == 0
+    _, header, data = read_csv(out)
+    flags = {(r[0], r[1]): dict(zip(header, r))["mismatch_flags"] for r in data}
+    assert flags[("mf", "6")] == "add;mul;total"
+    assert flags[("dnn", "6")] == "add;mul;nav;total"
+    assert flags[("advantage_mf6", "6")] == ""
+
+
 # -------------------------------------------------------------------- bound
 
 def test_bound_table_monotone(tmp_path):
@@ -104,6 +116,19 @@ def test_bound_invalid_exit_code(tmp_path):
     assert rc == cli.EXIT_VALIDITY
     _, header, data = read_csv(out)
     assert "xi_outside_unit_interval" in dict(zip(header, data[0]))["validity_flags"]
+
+
+def test_bound_flags_a_log_argument_that_underflows(tmp_path):
+    # valid derived constants, but epsilon / gap0 rounds to 0, so tz_bound
+    # raises and its message becomes the row's flag
+    out = tmp_path / "log.csv"
+    rc = run(["bound", "--seed", "0", "--mu", "1", "--big-h", "2", "--epsilon", "5e-324",
+              "--gap0", "1e308", "--t0", "1", "--out", str(out)])
+    assert rc == cli.EXIT_VALIDITY
+    _, header, data = read_csv(out)
+    cols = dict(zip(header, data[0]))
+    assert cols["tz"] == ""
+    assert cols["validity_flags"] == "log argument (epsilon + K*m(T0))/n = 0.0 <= 0"
 
 
 # ---------------------------------------------------------------- ber-sweep
@@ -494,6 +519,19 @@ def test_gen_data_rayleigh_reruns_byte_identical(tmp_path):
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    train, test, spec = load_dataset(str(a))
+    built = DatasetSpec(n_symbols=20, split=0.8, chirp=ChirpParams(lam=6),
+                        snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
+                        speed_range=(0.0, 0.0), channel_tag="rayleigh", seed=6)
+    assert spec == built and isinstance(spec.rayleigh, RayleighModelConfig)
+    for orig, back in zip(build_node_dataset(built), (train, test)):
+        for a, b in ((orig.batch.inputs, back.batch.inputs),
+                     (orig.batch.labels, back.batch.labels),
+                     (orig.snr_db, back.snr_db), (orig.sto_samples, back.sto_samples),
+                     (orig.rel_speed, back.rel_speed),
+                     (orig.channel_tag, back.channel_tag)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert back.tag_table == orig.tag_table
 
 
 BAD_ARGV = [
@@ -551,6 +589,12 @@ BAD_ARGV = [
      "count=1,snr=-4000"],
     ["run-fed", "--rounds", "1", "--g", "1", "--symbols", "4", "--group",
      "count=1,snr=-800"],
+    ["ber-sweep", "--detector", "mf,mf"],
+    ["ber-sweep", "--detector", "dnn"],  # no --checkpoint
+    ["ber-sweep", "--snr-db", "inf"],
+    # three points on one noise stream, keyed by int(1000 * snr_db)
+    ["ber-sweep", "--snr-db", "0.0001:0.0001:0.0003"],
+    ["cir", "inspect"],  # no --path
 ]
 
 # Arguments that would size an allocation of gigabytes (or without end) if
@@ -561,6 +605,10 @@ OVERSIZED_ARGV = [
     ["cir", "generate", "--fs", "1e7"],
     ["gen-data", "--symbols", "1000000000"],
     ["run-fed", "--g", "1", "--group", "count=100000"],
+    # a file argument that names an endless device
+    ["cir", "inspect", "--path", "/dev/zero"],
+    ["train-single", "--data", "/dev/zero"],
+    ["ber-sweep", "--detector", "dnn", "--checkpoint", "/dev/zero"],
 ]
 
 
@@ -578,6 +626,10 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, small_dataset, argv):
     rc, err = run_to_stderr(argv + ["--seed", "1", "--out", str(out)])
     assert rc == cli.EXIT_USAGE, err
     assert "Traceback" not in err and "RuntimeWarning" not in err, err
+    # one line from main, or the argument parser's usage and error lines
+    lines = err.splitlines()
+    assert (len(lines) == 1 and lines[0].startswith("chirpfed: ")) or \
+        (lines[0].startswith("usage: chirpfed ") and ": error: " in lines[-1]), err
     assert not out.exists()
 
 
@@ -737,6 +789,17 @@ def cir_options():
     })
 
 
+def cir_inspect_options(workdir):
+    """Drawn cir inspect options: CIR paths good, missing and malformed, a
+    directory and an endless device."""
+    return drawn_argv({
+        "--path": st.sampled_from(["/dev/zero", workdir] + [
+            os.path.join(workdir, name) for name in
+            ("chan.uwac", "missing.uwac", "empty.uwac", "truncated.uwac", "garbage.uwac")]),
+        "--seed": SEED,
+    })
+
+
 def check_drawn_argv(base, options, exit_codes, examples):
     """Every argv of base plus drawn options exits with one of exit_codes,
     without a traceback and without a RuntimeWarning."""
@@ -767,8 +830,8 @@ def check_bound_argv(workdir, examples):
 
 
 def check_data_and_channel_argv(workdir, examples):
-    """Every drawn gen-data, train-single, run-fed and cir generate argv exits
-    0, 2 or 4 without a traceback or a RuntimeWarning."""
+    """Every drawn gen-data, train-single, run-fed, cir generate and cir
+    inspect argv exits 0, 2 or 4 without a traceback or a RuntimeWarning."""
     out = ["--out", os.path.join(workdir, "out")]
     check_drawn_argv(["gen-data", "--seed", "1", "--symbols", "4", *out],
                      gen_data_options(), (0, 2, 4), examples)
@@ -779,6 +842,8 @@ def check_data_and_channel_argv(workdir, examples):
                       "--g", "1", *out], run_fed_options(), (0, 2, 4), examples)
     check_drawn_argv(["cir", "generate", "--seed", "1", "--duration", "0.05", *out],
                      cir_options(), (0, 2, 4), examples)
+    check_drawn_argv(["cir", "inspect", "--seed", "1", *out],
+                     cir_inspect_options(workdir), (0, 2, 4), examples)
 
 
 def run_bounded_child(call, workdir, examples):
@@ -812,6 +877,11 @@ def test_drawn_data_and_channel_arguments_exit_cleanly(tmp_path):
     n1 = ChirpParams(lam=6).n1
     save_params(str(tmp_path / "net.cdnn"),
                 init_params([n1, *default_hidden(n1), 1], np.random.default_rng(0)))
+    cir = tmp_path / "chan.uwac"
+    assert run(["cir", "generate", "--seed", "1", "--duration", "0.05", "--out", str(cir)]) == 0
+    (tmp_path / "empty.uwac").write_bytes(b"")
+    (tmp_path / "truncated.uwac").write_bytes(cir.read_bytes()[:-3])
+    (tmp_path / "garbage.uwac").write_bytes(np.random.default_rng(0).bytes(64))
     run_bounded_child("check_data_and_channel_argv", tmp_path, 250)
 
 
@@ -838,9 +908,13 @@ def test_noise_free_snr_range_stays_valid(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
+    # and the helper thread's modules, which data imports when it first
+    # starts one
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     subprocess.run([sys.executable, "-c",
-                    "import chirpfed.cli, sys; assert 'scipy' not in sys.modules"],
+                    "import chirpfed.cli, sys; "
+                    "loaded = {'scipy', 'concurrent.futures', 'logging'} & set(sys.modules); "
+                    "assert not loaded, loaded"],
                    env=env, check=True, timeout=60)

@@ -122,6 +122,15 @@ def test_truncation_at_every_offset(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(CONTAINERS))
+def test_a_directory_is_no_container(tmp_path, kind):
+    with pytest.raises(ParseError, match="not a regular file") as exc:
+        CONTAINERS[kind][1](tmp_path)
+    assert exc.value.offset == 0
+    with pytest.raises(FileNotFoundError):
+        CONTAINERS[kind][1](tmp_path / f"missing.{kind}")
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
 def test_trailing_byte(tmp_path, kind):
     raw = good_bytes(tmp_path, kind)
     assert parse_error(tmp_path, kind, raw + b"\0").offset == len(raw)
