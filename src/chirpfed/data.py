@@ -39,7 +39,7 @@ NOISE_CHUNK = 20000
 # Rows of a chunk that ber_monte_carlo draws and scores at a time.  Not part
 # of the stream: the normals of a chunk come in the same order in any block.
 BLOCK_ROWS = 5000
-MAX_DATASET_SAMPLES = 2 ** 24  # records x n1; 128 MB of float64 samples
+MAX_DATASET_SAMPLES = 2 ** 24  # records x n1; 64 MB of float32 samples
 
 
 def _check_range(name, rng_pair):
@@ -143,7 +143,7 @@ def build_node_dataset(spec: DatasetSpec):
     n = spec.n_symbols
     n1 = spec.chirp.n1
     samples = np.empty((n, n1))
-    labels = np.empty(n)
+    labels = np.empty(n, dtype=np.float32)
     snr = np.empty(n, dtype=np.float32)
     sto = np.empty(n, dtype=np.float32)
     speed = np.empty(n, dtype=np.float32)
@@ -169,15 +169,14 @@ def build_node_dataset(spec: DatasetSpec):
             raise type(exc)(f"record {i}: {exc}") from exc
         labels[i] = bit
         snr[i], sto[i], speed[i] = snr_i, sto_i, speed_i
-    # samples are stored as f32 in the dataset container; quantize here so
-    # save/load round-trips are bit-identical
+    # samples are kept as the dataset container stores them, in f32, so
+    # save/load round-trips are bit-identical and the receiver computes in f32
     with np.errstate(over="ignore"):  # a sample past the f32 range is caught below
-        stored = samples.astype(np.float32)
-    finite = np.isfinite(stored).all(axis=1)
+        samples = samples.astype(np.float32)
+    finite = np.isfinite(samples).all(axis=1)
     if not finite.all():
         raise ConfigurationError(
             f"record {int(np.argmin(finite))}: sample outside the float32 range")
-    samples = stored.astype(np.float64)
     tag_idx = np.full(n, CHANNEL_TAGS.index(spec.channel_tag), dtype=np.uint16)
     return _split(spec.n_train, samples, labels, snr, sto, speed, tag_idx,
                   CHANNEL_TAGS)
@@ -429,8 +428,8 @@ def load_dataset(path):
         r.require(rec["tag"] < len(tag_table), rec["tag"], "tag index outside the tag table")
         r.require(rec["label"] <= 1, rec["label"], "label is not a bit")
         r.require(np.isfinite(rec["x"]), rec["x"], "non-finite sample")
-        train, test = _split(n_train, rec["x"].astype(np.float64),
-                             rec["label"].astype(np.float64),
+        train, test = _split(n_train, rec["x"].astype(np.float32),
+                             rec["label"].astype(np.float32),
                              *(rec[k].astype(np.float32) for k in ("snr", "sto", "speed")),
                              rec["tag"].astype(np.uint16), tag_table)
     return train, test, spec

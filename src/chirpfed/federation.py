@@ -69,8 +69,9 @@ class NodeState:
 
 def build_nodes(specs, theta: MlpParams) -> list[NodeState]:
     """One node per DatasetSpec, with ids 0..K-1 and parameters theta; both
-    splits are scaled to give the train inputs unit variance.  The specs'
-    total samples are capped before any node is synthesized."""
+    splits are scaled to give the train inputs unit variance, and stay
+    float32 as the datasets store them.  The specs' total samples are capped
+    before any node is synthesized."""
     checked, total = [], 0
     for spec in specs:
         total += spec.n_symbols * spec.chirp.n1
@@ -81,6 +82,7 @@ def build_nodes(specs, theta: MlpParams) -> list[NodeState]:
     nodes = []
     for nid, spec in enumerate(checked):
         train, test = build_node_dataset(spec)
+        # the std of float32 samples is a float32, so the scaled ones stay float32
         scale = 1.0 / np.std(train.batch.inputs)
         nodes.append(NodeState(
             nid, theta,
@@ -241,7 +243,9 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
     """One node's part of the pass at broadcast theta: its train loss if theta
     opens round t, its (flat params, data size, u) update if it steps, and
     its two accuracies from evaluate if theta evaluates round t-1; None for
-    each part it does not take."""
+    each part it does not take.  An update has diverged if a step left its
+    parameters non-finite, or if the parameters it returns have diverged on
+    the node's test split (see receiver.diverged)."""
     maml = stepping and mode == "fml"
     lin = None
     if t or maml:  # only a node that calls hvp keeps its activations
@@ -258,6 +262,9 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
                 new = local_maml_step(node, cfg.alpha, cfg.beta, cfg.T0, cfg.mode, lin)
             else:
                 new = local_fedavg_step(node, cfg.alpha, cfg.T0)
+            if receiver.diverged(new, node.test_split.inputs):
+                raise TrainingError(f"local {'MAML' if maml else 'FedAvg'} update "
+                                    "diverged", step_index=cfg.T0 - 1)
         except TrainingError as exc:
             raise TrainingError(exc.reason, round_index=t, node_id=node.id,
                                 step_index=exc.step_index) from exc

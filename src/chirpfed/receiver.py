@@ -1,10 +1,14 @@
 """Fully connected bit-detection network with exact backprop and HVP.
 
 Architecture is fixed at four layers: input N1, two ReLU hidden layers and a
-single sigmoid output neuron.  All arithmetic is float64 so the
-finite-difference checks in the test suite are meaningful.  The
-Hessian-vector product is computed exactly with forward-over-reverse
-differentiation (Pearlmutter's R-operator); the distributional second
+single sigmoid output neuron.  The network computes in its inputs'
+precision: float32 for float32 samples, as the datasets store them, and
+float64 for any other inputs, which keeps the finite-difference checks in
+the test suite meaningful.  The parameters stay one float64 vector either
+way (master weights, as in mixed-precision training): each pass rounds them
+to the working precision, and gradients and Hessian-vector products come
+back as float64.  The Hessian-vector product is computed exactly with
+forward-over-reverse differentiation (Pearlmutter's R-operator); the distributional second
 derivative of ReLU at its kink is taken as zero.
 """
 
@@ -45,6 +49,22 @@ def _views(sizes, flat) -> list:
     return [flat[lo:hi].reshape(shape) for lo, hi, shape in _layout(tuple(sizes))]
 
 
+@np.errstate(over="ignore")
+def _views_in(sizes, flat, dtype) -> list:
+    """_views of `flat` rounded to dtype: `flat`'s own views when it already
+    is, else a copy made per call and never kept, as train changes its
+    parameter vector in place.  A value past the float32 range turns inf
+    without a warning."""
+    return _views(sizes, flat.astype(dtype, copy=False))
+
+
+def _samples(a) -> np.ndarray:
+    """`a` in the precision the network computes it in: a float32 array stays
+    float32, anything else becomes float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else np.asarray(a, dtype=np.float64)
+
+
 def _wrap(sizes, flat) -> "MlpParams":
     """Parameters owning `flat`, made read-only, without copying or checking it."""
     p = object.__new__(MlpParams)
@@ -58,8 +78,9 @@ def _wrap(sizes, flat) -> "MlpParams":
 class MlpParams:
     """Network parameters: one read-only float64 vector in layer-major order
     W1, b1, W2, b2, W3, b3, the checkpoint order.  `weights` (out, in) and
-    `biases` are views into it; `grad` and `hvp` return the same layout.
-    Made by init_params, load_params and from_flat.
+    `biases` are views into it; `grad` and `hvp` return the same layout, in
+    float64 whatever precision the network computed them in.  Made by
+    init_params, load_params and from_flat.
     """
 
     @property
@@ -84,14 +105,16 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    """Rows of received-symbol samples with their transmitted bits."""
+    """Rows of received-symbol samples with their transmitted bits.  Float32
+    inputs stay float32, and the network computes on them in float32; other
+    inputs become float64.  The labels take the inputs' dtype."""
 
     inputs: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.float64)
+        inputs = _samples(self.inputs)
+        labels = np.asarray(self.labels, dtype=inputs.dtype)
         if inputs.ndim != 2 or labels.ndim != 1 or inputs.shape[0] != labels.size:
             raise InputError("inputs must be (n, N1) with one label per row")
         if not np.all(np.isfinite(inputs)):
@@ -126,21 +149,35 @@ def _sigmoid(z):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _forward_pass(p: MlpParams, x: np.ndarray):
-    """Hidden activations a1, a2 (each made in place) and the output.  An
-    activation past the float range turns inf or NaN without a warning, as
-    in train: diverged parameters are caught where they are made."""
-    w1, w2, w3 = p.weights
-    b1, b2, b3 = p.biases
+def _logits(p: MlpParams, x: np.ndarray):
+    """Hidden activations a1, a2 (each made in place) and the output logits,
+    in x's precision.  An activation past the float range turns inf or NaN
+    without a warning: diverged parameters are caught where they are made
+    (see diverged)."""
+    w1, b1, w2, b2, w3, b3 = _views_in(p._sizes, p.to_flat(), x.dtype)
     a1 = x @ w1.T
     np.maximum(np.add(a1, b1, out=a1), 0.0, out=a1)
     a2 = a1 @ w2.T
     np.maximum(np.add(a2, b2, out=a2), 0.0, out=a2)
-    return a1, a2, _sigmoid((a2 @ w3.T + b3)[:, 0])
+    return a1, a2, (a2 @ w3.T + b3)[:, 0]
+
+
+def _forward_pass(p: MlpParams, x: np.ndarray):
+    """Hidden activations a1, a2 and the output, in x's precision."""
+    a1, a2, z3 = _logits(p, x)
+    return a1, a2, _sigmoid(z3)
+
+
+def diverged(p: MlpParams, inputs) -> bool:
+    """Whether p has diverged on `inputs`: a parameter is not finite, or a
+    hidden activation or output logit of the forward pass over them, in
+    their precision, is past the float range or NaN."""
+    return not (np.isfinite(p.to_flat()).all()
+                and all(np.isfinite(a).all() for a in _logits(p, _samples(inputs))))
 
 
 def forward_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.float64)
+    inputs = _samples(inputs)
     if inputs.ndim != 2 or inputs.shape[1] != p.layer_sizes[0]:
         raise InputError(
             f"expected (n, {p.layer_sizes[0]}) inputs, got shape {inputs.shape}")
@@ -173,13 +210,12 @@ class Linearization:
         """Exact Hessian-vector product H v, in the canonical flat ordering."""
         if self._cache is None:
             raise ConfigurationError("linearized without hvp=True: no activations kept")
-        p, x, a1, a2, m1, m2, d_out = self._cache
+        p, x, a1, a2, m1, m2, d_out, w2, w3 = self._cache
         out = self._out
         v = np.asarray(v, dtype=np.float64)
         if v.size != p.n_params:
             raise InputError(f"tangent has {v.size} entries, expected {p.n_params}")
-        v1, c1, v2, c2, v3, c3 = _views(p._sizes, v)
-        _, w2, w3 = p.weights
+        v1, c1, v2, c2, v3, c3 = _views_in(p._sizes, v, x.dtype)
 
         # forward tangent sweep, each (rows, hidden) array made in place but
         # rounded as m1 * (x v1' + c1) and m2 * (a1 v2' + ra1 w2' + c2)
@@ -198,7 +234,7 @@ class Linearization:
         r_d_out = 2.0 * (sp * rz3) / x.shape[0]
         d3 = d_out * sp
         r_d3 = r_d_out * sp + d_out * sp * (1.0 - 2.0 * out) * rz3
-        hv = np.empty(p.n_params)
+        hv = np.empty(p.n_params, dtype=x.dtype)
         rg_w1, rg_b1, rg_w2, rg_b2, rg_w3, rg_b3 = _views(p._sizes, hv)
         np.add(r_d3[None, :] @ a2, d3[None, :] @ ra2, out=rg_w3)
         rg_b3[0] = r_d3.sum()
@@ -216,7 +252,7 @@ class Linearization:
         r_d1 *= m1
         np.matmul(r_d1.T, x, out=rg_w1)
         r_d1.sum(axis=0, out=rg_b1)
-        return hv
+        return hv.astype(np.float64, copy=False)
 
 
 def linearize(p: MlpParams, batch: LabeledBatch, hvp: bool = True) -> Linearization:
@@ -226,12 +262,12 @@ def linearize(p: MlpParams, batch: LabeledBatch, hvp: bool = True) -> Linearizat
     if len(batch) == 0:
         raise InputError("batch is empty")
     x, y = batch.inputs, batch.labels
-    _, w2, w3 = p.weights
+    _, _, w2, _, w3, _ = _views_in(p._sizes, p.to_flat(), x.dtype)
     a1, a2, out = _forward_pass(p, x)
     m1, m2 = a1 > 0, a2 > 0  # the bits of z > 0, for -0.0 and NaN too
     d_out = 2.0 * (out - y) / y.size
     d3 = d_out * out * (1.0 - out)
-    g = np.empty(p.n_params)
+    g = np.empty(p.n_params, dtype=x.dtype)
     g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = _views(p._sizes, g)
     np.matmul(d3[None, :], a2, out=g_w3)
     g_b3[0] = d3.sum()
@@ -244,7 +280,8 @@ def linearize(p: MlpParams, batch: LabeledBatch, hvp: bool = True) -> Linearizat
     d1 *= m1
     np.matmul(d1.T, x, out=g_w1)
     d1.sum(axis=0, out=g_b1)
-    return Linearization(g, out, y, (p, x, a1, a2, m1, m2, d_out) if hvp else None)
+    return Linearization(g.astype(np.float64, copy=False), out, y,
+                         (p, x, a1, a2, m1, m2, d_out, w2, w3) if hvp else None)
 
 
 def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:
@@ -271,7 +308,8 @@ class _Rows(LabeledBatch):
 
 def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
           batch_size: int, rng) -> MlpParams:
-    """Minibatch Adam; raises TrainingError if the parameters diverge."""
+    """Minibatch Adam; raises TrainingError if the parameters diverge on the
+    batch (see diverged), which is checked once, after the last step."""
     if batch_size < 1 or epochs < 0:
         raise ConfigurationError(
             f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
@@ -307,8 +345,9 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
                 np.sqrt(tmp, out=tmp)
                 tmp += eps
                 theta -= np.divide(step, tmp, out=step)
-    # NaN and inf never turn finite again under these updates
-    if not np.all(np.isfinite(theta)):
+    # checked once: an activation past the float range makes the gradient, and
+    # with it theta, NaN or inf, which these updates never make finite again
+    if diverged(live, batch.inputs):
         raise TrainingError(f"training diverged within {epochs} epochs")
     return p.from_flat(theta)
 

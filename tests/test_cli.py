@@ -244,6 +244,22 @@ def test_train_single_divergence_exit_code(tmp_path, capsys):
     assert "training error" in err and "RuntimeWarning" not in err
 
 
+# sha256 of the checkpoint below, recorded when the receiver came to compute
+# on the dataset's float32 samples in float32
+TRAIN_SINGLE_GOLDEN = "f99ac44913dd1c11b993974302a3ec2fb5dc668cfe0f6e98c38c684d9fcd99d2"
+
+
+def test_train_single_checkpoint_golden_digest(tmp_path):
+    data_path = tmp_path / "node.uwds"
+    assert run(["gen-data", "--seed", "2", "--symbols", "100", "--lambda", "24",
+                "--snr-range", "0", "6", "--sto-range", "0", "20",
+                "--out", str(data_path)]) == 0
+    ckpt = tmp_path / "net.cdnn"
+    assert run(["train-single", "--seed", "3", "--data", str(data_path),
+                "--epochs", "3", "--batch-size", "16", "--out", str(ckpt)]) == 0
+    assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == TRAIN_SINGLE_GOLDEN
+
+
 def test_train_single_absurd_header(tmp_path, capsys):
     # n1 = 2^32 - 1 and 2^40 records in a 20-byte file
     data_path = tmp_path / "absurd.uwds"
@@ -633,6 +649,30 @@ def test_bad_arguments_exit_2_without_traceback(tmp_path, small_dataset, argv):
     assert not out.exists()
 
 
+# finite steps whose parameters leave the float32 range the receiver computes
+# in on the datasets' samples; the drawn argv checks found them exiting 0
+# with a saturated network
+DIVERGING_ARGV = [
+    ["train-single", "--epochs", "1", "--lr", "1.859342454799414e+101", "--data", "{data}"],
+    ["run-fed", "--rounds", "1", "--symbols", "4", "--g", "1",
+     "--alpha", "3.9345064605459196e+102", "--mode", "fml"],
+    ["run-fed", "--rounds", "1", "--symbols", "4", "--g", "1",
+     "--alpha", "3.9345064605459196e+102", "--mode", "fl"],
+]
+
+
+@pytest.mark.parametrize("argv", DIVERGING_ARGV, ids=" ".join)
+def test_a_huge_finite_step_exits_4_without_traceback(tmp_path, small_dataset, argv):
+    out = tmp_path / "out"
+    argv = [a.format(data=small_dataset) for a in argv]
+    rc, err = run_to_stderr(argv + ["--seed", "1", "--out", str(out)])
+    assert rc == cli.EXIT_RUNTIME, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chirpfed: training error: ") \
+        and "diverged" in lines[0], err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--fd", "1e-300"],
     ["--duration", "5e-324", "--fs", "1.7976931348623153e308"],
@@ -693,6 +733,17 @@ def drawn_argv(options):
         lambda name: options[name].map(
             lambda value: [name, *value] if isinstance(value, tuple) else [name, value]))
     return st.lists(option, max_size=6).map(lambda pairs: sum(pairs, []))
+
+
+def complexity_options():
+    """Drawn complexity options: --n1 of 0, negatives, values that lambda =
+    1, 2 and 6 do not divide, and 400-digit integers."""
+    n1 = st.sampled_from(["0", "-1", "1", "5", "6", "7", "961", "1.5", "nan", "abc", ""]) | \
+        st.integers(-2 ** 70, 2 ** 70).map(str) | \
+        st.integers(1, 10 ** 6).filter(lambda n: n % 6).map(str) | \
+        st.integers(10 ** 399, 10 ** 400 - 1).map(str) | \
+        st.integers(-10 ** 400 + 1, -10 ** 399).map(str)
+    return drawn_argv({"--n1": n1, "--seed": SEED})
 
 
 def ber_sweep_options():
@@ -814,6 +865,12 @@ def check_drawn_argv(base, options, exit_codes, examples):
     check()
 
 
+def check_complexity_argv(workdir, examples):
+    """Every drawn complexity argv exits 0 or 2 without a traceback."""
+    base = ["complexity", "--seed", "1", "--out", os.path.join(workdir, "cx.csv")]
+    check_drawn_argv(base, complexity_options(), (0, 2), examples)
+
+
 def check_ber_sweep_argv(workdir, examples):
     """Every drawn ber-sweep argv exits 0, 2, 3 or 4 without a traceback."""
     ckpt = os.path.join(workdir, "net.cdnn")
@@ -858,6 +915,10 @@ def run_bounded_child(call, workdir, examples):
     proc = subprocess.run([sys.executable, "-c", code, str(workdir)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_drawn_complexity_arguments_exit_cleanly(tmp_path):
+    run_bounded_child("check_complexity_argv", tmp_path, 300)
 
 
 def test_drawn_ber_sweep_arguments_exit_cleanly(tmp_path):

@@ -22,7 +22,7 @@ def golden_dataset():
                        chirp=ChirpParams(f1=1.0, f2=2.0, T=1.0, fs=8.0, lam=2),
                        snr_db_range=(6.0, 12.0), sto_range=(0.0, 2.0), seed=7)
     inputs = np.array([[0.5, -0.25, 1.0, 0.0], [1.5, 2.0, -3.0, 0.125],
-                       [-1.0, 0.75, 0.5, 0.25]])
+                       [-1.0, 0.75, 0.5, 0.25]], dtype=np.float32)
     labels = np.array([0.0, 1.0, 1.0])
     snr = np.array([6.5, 11.0, 8.25], dtype=np.float32)
     sto = np.array([0.0, 1.5, 0.5], dtype=np.float32)

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
 
 from chirpfed.channel import RayleighModelConfig, rayleigh_cir, tap_mean_powers
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
@@ -285,14 +287,14 @@ def test_save_dataset_rejects_bad_tags_and_labels(tmp_path):
     bad_label = replace(train, batch=LabeledBatch(train.batch.inputs,
                                                   train.batch.labels.copy()))
     bad_label.batch.labels[0] = 2.0
+    too_big = LabeledBatch(train.batch.inputs.astype(np.float64) * 1e40, train.batch.labels)
     path = tmp_path / "node.uwds"
     for bad_train, bad_test, match in (
             (train, replace(test, channel_tag=np.full(len(test), 2)), "tag"),
             (train, replace(test, channel_tag=np.full(len(test), -1)), "tag"),
             (train, replace(test, tag_table=("rayleigh", "identity")), "tag"),
             (bad_label, test, "label"),
-            (replace(train, batch=LabeledBatch(train.batch.inputs * 1e40,
-                                               train.batch.labels)), test, "float32")):
+            (replace(train, batch=too_big), test, "float32")):
         with pytest.raises(ConfigurationError, match=match):
             save_dataset(path, bad_train, bad_test, spec)
         assert not path.exists()
@@ -304,7 +306,9 @@ def test_save_dataset_rejects_bad_tags_and_labels(tmp_path):
 # channel replaced.  The doppler and rayleigh digests were recorded when a
 # Doppler-scaled fractional shift came to be one interpolation per kept
 # sample instead of two (and a static CIR one FFT product); the rayleigh
-# draws are the block-fading ones, one CN(0, p_k) gain per tap
+# draws are the block-fading ones, one CN(0, p_k) gain per tap.  The samples
+# and labels are hashed widened to float64, as build_node_dataset returned
+# them before it came to keep them in float32
 GOLDEN_PROFILES = {
     "sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0)),
             "877f86bd94ae02d034c0f0e6494031b12e24cbc73c057c56f156bb8b9d179eb4"),
@@ -323,8 +327,9 @@ def test_node_dataset_golden_digest(profile):
     spec = DatasetSpec(n_symbols=25, chirp=ChirpParams(lam=6), seed=7, **ranges)
     h = hashlib.sha256()
     for s in build_node_dataset(spec):
-        for a in (s.batch.inputs, s.batch.labels, s.snr_db, s.sto_samples,
-                  s.rel_speed, s.channel_tag):
+        assert s.batch.inputs.dtype == s.batch.labels.dtype == np.float32
+        for a in (s.batch.inputs.astype(np.float64), s.batch.labels.astype(np.float64),
+                  s.snr_db, s.sto_samples, s.rel_speed, s.channel_tag):
             h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == digest
 
@@ -412,6 +417,47 @@ def check_matches_the_whole_chunk_loop(untrained_receiver, detectors):
     args = (ChirpParams(lam=6), detectors, 4.0, 3.5, 1.5, trials, 11)
     assert ber_monte_carlo(*args, checkpoint_params=untrained_receiver) == \
         whole_chunk_bers(*args, untrained_receiver)
+
+
+def mf_ber_closed_form(params, ebn0_db, sto, speed):
+    """The matched filter's exact error probability on the clean impaired
+    symbols r_b plus white noise of per-sample sigma.  It decides bit 1 when
+    rx . d < 0, d = s1 - s2 being the difference of its templates, and rx . d
+    is normal with mean r_b . d and deviation sigma |d|, so P_e is
+    (Q(r_0 . d / (sigma |d|)) + Q(-r_1 . d / (sigma |d|))) / 2."""
+    s1, s2 = (generate_chirp(params, d).samples[::params.lam] for d in ("up", "down"))
+    d = s1 - s2
+    eb = float(np.sum(generate_chirp(params, "up").samples ** 2))
+    sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
+    r0, r1 = (_clean_received_symbol(b, params, sto, speed) for b in (0, 1))
+    scale = sigma * float(np.linalg.norm(d))
+
+    def q(x):
+        return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+    return 0.5 * (q(float(r0 @ d) / scale) + q(-float(r1 @ d) / scale))
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+def test_mf_ber_holds_the_closed_form(request, threads):
+    # each trial errs with probability P_e whichever bit it draws, so the
+    # error count is binomial; 6000 trials cross a block boundary
+    request.getfixturevalue(threads)
+    trials = 6000
+    assert trials > BLOCK_ROWS
+
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(lam=st.sampled_from([1, 2, 6]), ebn0_db=st.floats(-5.0, 15.0),
+           sto=st.just(0.0) | st.floats(0.0, 60.0),
+           speed=st.just(0.0) | st.floats(-10.0, 10.0), seed=st.integers(0, 2 ** 32))
+    def check(lam, ebn0_db, sto, speed, seed):
+        params = ChirpParams(lam=lam)
+        (ber,) = ber_monte_carlo(params, ["mf"], ebn0_db, sto, speed, trials, seed)
+        p_e = mf_ber_closed_form(params, ebn0_db, sto, speed)
+        lo, hi = binom.interval(1 - 1e-6, trials, p_e)
+        assert lo <= round(ber * trials) <= hi, (ber, p_e)
+
+    check()
 
 
 def test_ber_monte_carlo_holds_blocks_not_chunks(untrained_receiver):

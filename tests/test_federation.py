@@ -479,6 +479,29 @@ def test_run_rounds_golden_digest_with_and_without_the_helper(
     assert golden_run(mode, meta, **config)[1] == digest
 
 
+# sha256 of the final parameter bytes and repr(logs) of run_rounds on four
+# build_nodes nodes, recorded when the receiver came to compute on their
+# float32 inputs in float32
+GOLDEN_BUILT_RUNS = {
+    ("fml", "exact"): "0414c9e991d6a4b6274780b68e21148923eddcc378a563ee5cbbc60e7fe4cd81",
+    ("fml", "first_order"): "ea050820fc6981b3db9784518eea1a347d451505ec3002d2b5cc4678489f1fc9",
+    ("fl", "exact"): "22b0b115a77d7013e5ff9d4bdaa3517bbe66b46f6364553129801cef34989753",
+}
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+@pytest.mark.parametrize("mode, meta", list(GOLDEN_BUILT_RUNS))
+def test_run_rounds_golden_digest_on_built_nodes(request, threads, mode, meta):
+    request.getfixturevalue(threads)
+    nodes = build_nodes(two_group_specs() + two_group_specs(seed=1), fresh_theta())
+    assert all(node.train_split.inputs.dtype == np.float32 for node in nodes)
+    cfg = FmlConfig(K=4, G=0.5, alpha=0.5, beta=0.2, T0=2, rounds=4, p_decode=0.8,
+                    seed=7, mode=meta)
+    logs, out = run_rounds(cfg, nodes, mode)
+    digest = hashlib.sha256(out.to_flat().tobytes() + repr(logs).encode()).hexdigest()
+    assert digest == GOLDEN_BUILT_RUNS[mode, meta]
+
+
 @pytest.mark.parametrize("T0", [1, 3])
 def test_run_rounds_linearizes_each_train_split_once_per_theta(monkeypatch, T0):
     theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
@@ -521,6 +544,18 @@ def test_run_rounds_diverges_without_a_warning(mode):
     nodes = [make_node(i, 110 + i, theta=theta) for i in range(3)]
     cfg = FmlConfig(K=3, G=1.0, alpha=1e300, beta=0.05, rounds=3, seed=1)
     with pytest.raises(TrainingError, match="diverged"):
+        run_rounds(cfg, nodes, mode)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [1e20, 3.9345064605459196e+102])
+@pytest.mark.parametrize("mode", ["fml", "fl"])
+def test_an_update_past_the_float32_range_diverged(mode, alpha):
+    # finite in float64, but the forward pass of the update, or of its inner
+    # step, overflows the float32 the nodes compute in
+    nodes = build_nodes(two_group_specs(), fresh_theta())
+    cfg = FmlConfig(K=2, G=1.0, alpha=alpha, beta=0.2, rounds=1, seed=1)
+    with pytest.raises(TrainingError, match=r"update diverged \(round 0, node 0, step 0\)"):
         run_rounds(cfg, nodes, mode)
 
 
@@ -717,7 +752,10 @@ def test_build_nodes_scales_by_the_train_split():
     for node, spec in zip(nodes, specs):
         train, test = build_node_dataset(spec)
         scale = 1.0 / np.std(train.batch.inputs)
-        assert abs(np.std(node.train_split.inputs) - 1.0) < 1e-12
+        # float32 inputs scaled by a float32 std: unit variance to one float32 eps
+        assert node.train_split.inputs.dtype == node.test_split.inputs.dtype == np.float32
+        assert abs(np.std(node.train_split.inputs, dtype=np.float64) - 1.0) < \
+            np.finfo(np.float32).eps
         assert np.array_equal(node.train_split.inputs, train.batch.inputs * scale)
         assert np.array_equal(node.test_split.inputs, test.batch.inputs * scale)
         assert np.array_equal(node.train_split.labels, train.batch.labels)
@@ -732,9 +770,9 @@ def test_build_nodes_ids_and_parameters():
     assert all(node.theta is theta for node in nodes)
 
 
-# sha256 of each node's train then test inputs and labels, recorded with the
-# inline node builder that criterion 8 used before build_nodes existed
-GOLDEN_NODES = "544dbe17e87b68b4f09c73adbc7e5c27de253fe1f36e8fc949bce7d4f607f1f2"
+# sha256 of each node's train then test inputs and labels, recorded when the
+# nodes came to keep the datasets' float32 samples, scaled by a float32 std
+GOLDEN_NODES = "42d3212ad31f8c71adae09fd4d0475441c892c7030311a35d5c075e7047aafa9"
 
 
 def test_build_nodes_golden_digest():
@@ -744,6 +782,35 @@ def test_build_nodes_golden_digest():
             h.update(split.inputs.tobytes())
             h.update(split.labels.tobytes())
     assert h.hexdigest() == GOLDEN_NODES
+
+
+def test_samples_stay_float32_from_synthesis_to_the_network(tmp_path):
+    spec = two_group_specs()[0]
+    train, test = build_node_dataset(spec)
+    data.save_dataset(tmp_path / "node.uwds", train, test, spec)
+    loaded = data.load_dataset(tmp_path / "node.uwds")[:2]
+    node = build_nodes([spec], fresh_theta())[0]
+    for batch in (train.batch, test.batch, loaded[0].batch, loaded[1].batch,
+                  node.train_split, node.test_split):
+        assert batch.inputs.dtype == batch.labels.dtype == np.float32
+    p = node.theta
+    a1, a2, out = receiver._forward_pass(p, node.train_split.inputs)
+    assert a1.dtype == a2.dtype == out.dtype == np.float32
+    lin = linearize(p, node.train_split)
+    assert lin.grad.dtype == lin.hvp(lin.grad).dtype == np.float64
+    assert p.to_flat().dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int64, np.uint8, bool])
+def test_other_inputs_become_float64(dtype):
+    x = np.arange(6).reshape(3, 2).astype(dtype)
+    batch = LabeledBatch(x, np.array([0, 1, 1], dtype=np.float32))
+    assert batch.inputs.dtype == batch.labels.dtype == np.float64
+    if dtype is np.float64:
+        assert batch.inputs is x
+    p = init_params([2, 3, 2, 1], np.random.default_rng(0))
+    assert receiver.forward_batch(p, x).dtype == np.float64
+    assert grad(p, batch).dtype == np.float64
 
 
 def test_build_nodes_checks_the_total_before_synthesis(monkeypatch):
