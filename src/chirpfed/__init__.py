@@ -7,15 +7,14 @@ __version__ = "0.1.0"
 from .chirp import (ChirpParams, ComplexityReport, Waveform, downsample,
                     dnn_op_count, generate_chirp, mf_op_count)
 from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
-                      apply_channel, apply_doppler, apply_sto, bell_spectrum,
-                      load_cir, rayleigh_cir, save_cir)
+                      apply_channel, bell_spectrum, load_cir, rayleigh_cir,
+                      save_cir)
 from .receiver import (LabeledBatch, MlpParams, ber_eval, grad, init_params,
                        loss)
 from .federation import (FmlConfig, NodeState, RoundLog, aggregate,
                          build_nodes, local_fedavg_step, local_maml_step,
                          run_rounds, schedule)
-from .bound import (DerivedConstants, QuadraticFederationSpec,
-                    SmoothnessConstants, derive_constants,
-                    empirical_rounds_to_gap, m_of_T, tz_bound)
+from .bound import (DerivedConstants, SmoothnessConstants, derive_constants,
+                    m_of_T, tz_bound)
 from .data import (DatasetSpec, SymbolSet, build_node_dataset, load_dataset,
                    save_dataset)

@@ -98,6 +98,10 @@ def _fmt(x: float) -> str:
 
 def cmd_complexity(args) -> int:
     counts = {"mf": chirp_mod.mf_op_count, "dnn": chirp_mod.dnn_op_count}
+    uneven = sorted({lam for _, lam in TABLE2 if args.n1 % lam})
+    if uneven:
+        raise ConfigurationError(f"--n1 {args.n1} is not a multiple of lambda "
+                                 f"{', '.join(map(str, uneven))}")
     rows = []
     for (det, lam), ref in TABLE2.items():
         rep = counts[det](args.n1 // lam)
@@ -331,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("complexity", cmd_complexity, help="operation-count table")
     p.add_argument("--n1", type=int, default=960,
-                   help="full-rate samples per symbol")
+                   help="full-rate samples per symbol, a multiple of 6 so that "
+                        "lambda = 1, 2 and 6 divide it")
 
     p = add("bound", cmd_bound, help="convergence-bound table")
     p.add_argument("--mu", type=float, required=True)
@@ -363,7 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sto", type=float, default=0.0,
                    help="symbol time offset in full-rate samples")
     p.add_argument("--speed", type=float, default=0.0, help="relative speed m/s")
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=int, default=100000,
+                   help="symbols per Eb/N0 point; not capped: run time is linear "
+                        f"in it, memory is blocks of {data_mod.BLOCK_ROWS} rows")
     p.add_argument("--checkpoint", help="C-DNN checkpoint for detector=dnn")
 
     p = add("gen-data", cmd_gen_data, help="synthesize one node dataset")
@@ -379,7 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train-single", cmd_train_single, help="train a C-DNN on one dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--epochs", type=int, default=20,
+                   help="passes over the train split; not capped: run time is "
+                        "linear in it, memory does not grow with it")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=64)
 
@@ -389,8 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node group, e.g. count=3,sto=0:60,snr=6:12; snr is the "
                         f"per-sample SNR in dB, not Eb/N0: {SNR_CONVENTION}")
     p.add_argument("--g", type=float, default=0.3, help="scheduling ratio G")
-    p.add_argument("--t0", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--t0", type=int, default=1,
+                   help="local MAML steps per scheduled node and round; not "
+                        "capped: run time is linear in it, memory does not grow with it")
+    p.add_argument("--rounds", type=int, default=50,
+                   help="communication rounds; not capped: run time is linear in "
+                        "it, memory grows by one CSV row per round")
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--beta", type=float, default=0.0001)
     p.add_argument("--p-decode", type=float, default=1.0)

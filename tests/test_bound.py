@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from chirpfed.bound import (DerivedConstants, QuadraticFederationSpec,
-                            SmoothnessConstants, derive_constants,
-                            empirical_rounds_to_gap, m_of_T, tz_bound)
+from chirpfed.bound import (DerivedConstants, SmoothnessConstants,
+                            derive_constants, m_of_T, tz_bound)
 from chirpfed.errors import ConfigurationError, ValidityError
+from oracles import QuadraticFederationSpec, empirical_rounds_to_gap
 
 
 def consts(**kw):

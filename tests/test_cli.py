@@ -611,6 +611,7 @@ BAD_ARGV = [
     # three points on one noise stream, keyed by int(1000 * snr_db)
     ["ber-sweep", "--snr-db", "0.0001:0.0001:0.0003"],
     ["cir", "inspect"],  # no --path
+    ["complexity", "--n1", "7"],  # lambda = 2 and 6 do not divide it
 ]
 
 # Arguments that would size an allocation of gigabytes (or without end) if
