@@ -312,6 +312,25 @@ def _impair(samples: np.ndarray, alpha_dop: float, delta: float,
     return out
 
 
+def apply_sto(w: Waveform, delta_samples: float) -> Waveform:
+    """Shift the observation window: out[k] = w[k + delta], zero-filled.
+
+    The integer part is a plain index shift; any fractional part goes through
+    the windowed-sinc interpolator.  Length is preserved.
+    """
+    if delta_samples == 0:
+        return w
+    return Waveform(_impair(w.samples, 0.0, delta_samples), w.fs)
+
+
+def apply_doppler(w: Waveform, alpha_dop: float) -> Waveform:
+    """Time-scale the waveform: out(t) = w((1 + alpha)t), resampled by
+    band-limited interpolation and padded/truncated to the input length."""
+    if alpha_dop == 0:
+        return w
+    return Waveform(_impair(w.samples, alpha_dop, 0.0), w.fs)
+
+
 def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
                   seed: int, lam: int = 1) -> Waveform:
     """Tapped-delay-line convolution, then AWGN, Doppler scaling and STO,

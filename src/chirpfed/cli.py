@@ -402,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="local MAML steps per scheduled node and round; not "
                         "capped: run time is linear in it, memory does not grow with it")
     p.add_argument("--rounds", type=int, default=50,
-                   help="communication rounds; not capped: run time is linear in "
-                        "it, memory grows by one CSV row per round")
+                   help="communication rounds; not capped: run time and memory "
+                        "grow linearly with it, as every round's log and CSV row "
+                        "are kept until the CSV is written")
     p.add_argument("--alpha", type=float, default=0.001)
     p.add_argument("--beta", type=float, default=0.0001)
     p.add_argument("--p-decode", type=float, default=1.0)

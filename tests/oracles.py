@@ -4,8 +4,7 @@
 federated MAML update (`maml_update`, `aggregate`) on strongly convex
 quadratic node objectives with analytically known constants, so the
 closed-form round bound of `chirpfed.bound` can be checked against counted
-rounds.  `apply_sto` and `apply_doppler` apply one impairment to a whole
-waveform through the synthesis interpolator `channel._impair`.
+rounds.
 """
 
 from __future__ import annotations
@@ -15,29 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from chirpfed.bound import SmoothnessConstants
-from chirpfed.channel import _impair
-from chirpfed.chirp import Waveform
 from chirpfed.errors import ConfigurationError
 from chirpfed.federation import aggregate, maml_update
-
-
-def apply_sto(w: Waveform, delta_samples: float) -> Waveform:
-    """Shift the observation window: out[k] = w[k + delta], zero-filled.
-
-    The integer part is a plain index shift; any fractional part goes through
-    the windowed-sinc interpolator.  Length is preserved.
-    """
-    if delta_samples == 0:
-        return w
-    return Waveform(_impair(w.samples, 0.0, delta_samples), w.fs)
-
-
-def apply_doppler(w: Waveform, alpha_dop: float) -> Waveform:
-    """Time-scale the waveform: out(t) = w((1 + alpha)t), resampled by
-    band-limited interpolation and padded/truncated to the input length."""
-    if alpha_dop == 0:
-        return w
-    return Waveform(_impair(w.samples, alpha_dop, 0.0), w.fs)
 
 
 @dataclass(frozen=True)

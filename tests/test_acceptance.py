@@ -13,7 +13,8 @@ from scipy.stats import norm
 
 from chirpfed import cli
 from chirpfed.bound import derive_constants, tz_bound
-from chirpfed.channel import RayleighModelConfig, bell_spectrum, rayleigh_cir
+from chirpfed.channel import (RayleighModelConfig, apply_doppler, bell_spectrum,
+                              rayleigh_cir)
 from chirpfed.chirp import (ChirpParams, Waveform, downsample, generate_chirp,
                             matched_filter_detect_batch)
 from chirpfed.data import DatasetSpec, ber_monte_carlo
@@ -21,8 +22,7 @@ from chirpfed.federation import (FmlConfig, NodeState, build_nodes, maml_update,
                                  run_rounds, schedule)
 from chirpfed.receiver import (LabeledBatch, default_hidden, detect_batch,
                                grad, init_params, linearize, loss, train)
-from oracles import (QuadraticFederationSpec, apply_doppler,
-                     empirical_rounds_to_gap)
+from oracles import QuadraticFederationSpec, empirical_rounds_to_gap
 
 
 def hvp(p, batch, v):

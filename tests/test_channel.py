@@ -5,12 +5,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from chirpfed.channel import (MAX_CIR_ENTRIES, ChannelRealization, ImpairmentSpec,
                               RayleighModelConfig, _kernel, _KERNEL_OFFSETS,
-                              apply_channel, bell_spectrum, hilbert,
-                              identity_channel, load_cir, rayleigh_cir,
-                              save_cir, tap_mean_powers)
+                              apply_channel, apply_doppler, apply_sto,
+                              bell_spectrum, hilbert, identity_channel,
+                              load_cir, rayleigh_cir, save_cir,
+                              tap_mean_powers)
 from chirpfed.chirp import ChirpParams, Waveform, downsample, generate_chirp
 from chirpfed.errors import ConfigurationError, InputError, ParseError
-from oracles import apply_doppler, apply_sto
 
 
 # ------------------------------------------------------------ configuration
