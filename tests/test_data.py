@@ -18,7 +18,7 @@ from chirpfed.data import (BLOCK_ROWS, MAX_DATASET_SAMPLES, NOISE_CHUNK, Dataset
                            _clean_received_symbol, _rayleigh_channels,
                            ber_monte_carlo, build_node_dataset, load_dataset,
                            noise_stream_key, save_dataset)
-from chirpfed.errors import ConfigurationError, ParseError
+from chirpfed.errors import ConfigurationError, InputError, ParseError
 from chirpfed.receiver import LabeledBatch, ber_eval, default_hidden, \
     detect_batch, init_params, train
 
@@ -332,6 +332,77 @@ def test_node_dataset_golden_digest(profile):
                   s.snr_db, s.sto_samples, s.rel_speed, s.channel_tag):
             h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == digest
+
+
+# sha256 over the float32 records of build_node_dataset (seed 7; 25 symbols
+# and lam = 6 unless given) on the synthesis paths that GOLDEN_PROFILES
+# misses: taps that vary within the symbol, lam = 1 and 2, an integer and a
+# negative STO, Doppler without STO, no noise, and 129 symbols, two blocks
+# of 64 rows and one more.  Recorded from the per-symbol builder
+_IMPAIRED = dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0), speed_range=(0.0, 10.0))
+GOLDEN_EDGE_CASES = {
+    "fast_fading": (dict(_IMPAIRED, channel_tag="rayleigh",
+                         rayleigh=RayleighModelConfig(Ts=1.0 / 6000.0, fd=100.0)),
+                    "75015118bbd31ae83594b7fcf2d337b1b3cea88eaf7756723b5d4b1e99750f5d"),
+    "lam1": (dict(_IMPAIRED, lam=1),
+             "ff1400398ff0eb9a8fd2dcf02e0902a066eab5af9fab7668c061595d0fa04ea4"),
+    "lam2": (dict(_IMPAIRED, lam=2, channel_tag="rayleigh"),
+             "ac54a27371cc61be8f214b72e75a9c211499cc60e8118b4eba123637f6b44d1e"),
+    "integer_sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(5.0, 5.0)),
+                    "0707ac6d898c2e4ae5121b67364c2f1289c935977c4515f5ddfadcfb10ac10c9"),
+    "negative_sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(-40.0, -10.0)),
+                     "a0891e9be12242c821d6a322a000fd6231ccd8b721f880ae8ea7830f7c7abf73"),
+    "negative_sto_speed": (dict(_IMPAIRED, sto_range=(-40.0, -10.0)),
+                           "56591614d867f192cfd5c9ddaf1d54c29af02035dd3bb87a649a1e706217fa77"),
+    "speed_only": (dict(snr_db_range=(6.0, 12.0), speed_range=(0.0, 10.0)),
+                   "bbf83ff3b639f7ca78e122983a3f83ed0172fe8ac822d2ea6ebc57cddfd048d7"),
+    "noiseless": (dict(_IMPAIRED, snr_db_range=(np.inf, np.inf)),
+                  "87a034329fc96638f306bb62bc0e454b7208b9737bfe8cd82b43af9ad4bfd5c1"),
+    "two_blocks_plus_one": (dict(_IMPAIRED, channel_tag="rayleigh", n_symbols=129),
+                            "7d9716564e6794e171169f6310d1da5bfcff0405b30c5455aaa2d07f416e133a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EDGE_CASES))
+def test_node_dataset_golden_digest_on_edge_cases(case):
+    kwargs, digest = GOLDEN_EDGE_CASES[case]
+    kwargs = dict(kwargs)
+    lam, n = kwargs.pop("lam", 6), kwargs.pop("n_symbols", 25)
+    spec = DatasetSpec(n_symbols=n, chirp=ChirpParams(lam=lam), seed=7, **kwargs)
+    h = hashlib.sha256()
+    for s in build_node_dataset(spec):
+        for a in (s.batch.inputs, s.batch.labels, s.snr_db, s.sto_samples,
+                  s.rel_speed, s.channel_tag):
+            h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
+
+
+# The first bad record of 200 sits in the second block of 64 rows.  The
+# messages are those of the per-symbol builder: a record's own check fails
+# first, and a sample past the float32 range (record 45 of the last case)
+# is reported only when no record fails its own checks
+BAD_SECOND_BLOCK = [
+    (dict(speed_range=(0.0, 160.0)), 107, ConfigurationError,
+     "record 70: |alpha_dop|=0.10343158482343752 outside physical regime"),
+    (dict(sto_range=(0.0, 1000.0)), 5, InputError,
+     "record 89: |delta|=991.1184775799254 exceeds waveform length 960"),
+    (dict(snr_db_range=(-3100.0, 12.0)), 6, ConfigurationError,
+     "record 91: snr_db=-3094.945455824228 gives no finite noise level"),
+    (dict(snr_db_range=(-800.0, 12.0)), 30, ConfigurationError,
+     "record 73: sample outside the float32 range"),
+    (dict(snr_db_range=(-800.0, 12.0), speed_range=(0.0, 152.0)), 5, ConfigurationError,
+     "record 89: |alpha_dop|=0.10043333906143245 outside physical regime"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ranges, seed, error, message", BAD_SECOND_BLOCK)
+def test_the_first_bad_record_in_a_later_block_is_named(ranges, seed, error, message):
+    spec = small_spec(**{"n_symbols": 200, "seed": seed, "snr_db_range": (6.0, 12.0),
+                         **ranges})
+    with pytest.raises(error) as exc:
+        build_node_dataset(spec)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 # ------------------------------------------------------------ ber_monte_carlo
