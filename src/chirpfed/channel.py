@@ -40,6 +40,12 @@ _HALF_WINDOW_SIN = 0.5 * np.sin(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
 # Rows of kernel made at a time: one block holds every kept row of a
 # 960-sample symbol at lam >= 5; each (192, 64) float64 temporary is 96 KiB.
 _KERNEL_BLOCK = 192
+# Windows gathered at a time for fractional shifts: 512 KiB of float64.
+_WINDOW_BLOCK = 1024
+# Rows that apply_channel_rows works on at a time.  Part of no stream: each
+# row draws its noise from its own seed.  At 960 samples a block's complex
+# (rows, 2n) FFT temporaries are 1.9 MiB each.
+CHANNEL_BLOCK_ROWS = 64
 
 _ANALYTIC_SPECTRA = weakref.WeakKeyDictionary()  # Waveform -> _analytic_spectrum
 
@@ -81,6 +87,28 @@ class RayleighModelConfig:
         return int(np.floor(self.max_excess_delay / self.Ts)) + 1
 
 
+def _error(problem, row=None):
+    """The exception of an (error class, message) problem, naming `row` if
+    the problem is one row's of many."""
+    cls, message = problem
+    return cls(message if row is None else f"{row}: {message}")
+
+
+def _impairment_problem(snr_db, sto_samples, rel_speed):
+    """(error class, message) if these impairments are invalid."""
+    if not abs(rel_speed) < SOUND_SPEED:  # NaN too
+        return ConfigurationError, f"|rel_speed| must stay below {SOUND_SPEED} m/s"
+    if np.isnan(sto_samples):
+        return ConfigurationError, "sto_samples must not be NaN"
+    try:  # the noise-to-signal power ratio of apply_channel
+        scale = math.pow(10.0, -snr_db / 10.0)
+    except OverflowError:
+        scale = math.inf
+    if not scale < math.inf:  # NaN too; -inf dB would read as noiseless
+        return ConfigurationError, f"snr_db={snr_db} gives no finite noise level"
+    return None
+
+
 @dataclass(frozen=True)
 class ImpairmentSpec:
     """Per-transmission impairments applied after the tap convolution."""
@@ -90,16 +118,9 @@ class ImpairmentSpec:
     rel_speed: float = 0.0
 
     def __post_init__(self):
-        if not abs(self.rel_speed) < SOUND_SPEED:  # NaN too
-            raise ConfigurationError(f"|rel_speed| must stay below {SOUND_SPEED} m/s")
-        if np.isnan(self.sto_samples):
-            raise ConfigurationError("sto_samples must not be NaN")
-        try:  # the noise-to-signal power ratio of apply_channel
-            scale = math.pow(10.0, -self.snr_db / 10.0)
-        except OverflowError:
-            scale = math.inf
-        if not scale < math.inf:  # NaN too; -inf dB would read as noiseless
-            raise ConfigurationError(f"snr_db={self.snr_db} gives no finite noise level")
+        problem = _impairment_problem(self.snr_db, self.sto_samples, self.rel_speed)
+        if problem is not None:
+            raise _error(problem)
 
     @property
     def alpha_dop(self) -> float:
@@ -255,61 +276,148 @@ def _kernel(frac) -> np.ndarray:
     return sinc.reshape(frac.shape + (-1,))
 
 
-def _interp_at(samples: np.ndarray, base: np.ndarray, frac) -> np.ndarray:
-    """Band-limited evaluation of `samples` at base + frac, with integer
-    `base` and one fraction per position or one for all; values outside the
-    support read as zero."""
-    n, width = samples.size, 2 * _KERNEL_HALF
-    padded = np.zeros(n + 2 * width)
-    padded[width:width + n] = samples
-    # a window wholly outside the support reads an all-zero padding window
-    start = np.clip(base + (width - _KERNEL_HALF + 1), 0, n + width)
-    windows = sliding_window_view(padded, width)
-    if np.ndim(frac) == 0:
-        return windows[start] @ _kernel(frac)
-    # one kernel row per position, made a block of rows at a time: the
-    # (rows, 64) temporaries stay in cache and reuse freed memory, where
-    # whole-symbol ones (480 KiB at 960 rows) fault in fresh pages each call
-    out = np.empty(start.size)
-    for lo in range(0, start.size, _KERNEL_BLOCK):
-        rows = slice(lo, lo + _KERNEL_BLOCK)
-        out[rows] = np.einsum("ij,ij->i", windows[start[rows]], _kernel(frac[rows]))
-    return out
-
-
-def _doppler_at(samples: np.ndarray, alpha_dop: float, t: np.ndarray) -> np.ndarray:
-    """The time-scaled signal samples((1 + alpha) t) at the times t."""
-    positions = (1.0 + alpha_dop) * t
-    base = np.floor(positions)
-    return _interp_at(samples, base.astype(np.int64), positions - base)
-
-
-def _impair(samples: np.ndarray, alpha_dop: float, delta: float,
-            lam: int = 1) -> np.ndarray:
-    """Doppler scaling, then a shift by delta samples, at every lam-th output
-    sample: out[j] = D(lam j + delta), where D(t) = samples((1 + alpha) t) is
-    the Doppler-scaled signal on the window 0 <= t < n and zero outside it.
-
-    Each kept sample is one band-limited evaluation of `samples` at
-    (1 + alpha)(lam j + delta), one kernel row; nothing is interpolated
-    twice.  Without Doppler scaling an integer shift is an index offset and
-    a fractional one uses one kernel row for every kept sample.
-    """
-    n = samples.size
+def _signal_problem(loud: bool, snr_db, alpha_dop, delta, n: int):
+    """(error class, message) if the noise level overflows (`loud`), the
+    Doppler scale is unphysical or the shift leaves the n-sample window."""
+    if loud:
+        return ConfigurationError, f"the noise level at snr_db={snr_db} overflows"
     if not abs(alpha_dop) < 0.1:  # NaN too
-        raise ConfigurationError(f"|alpha_dop|={abs(alpha_dop)} outside physical regime")
+        return ConfigurationError, f"|alpha_dop|={abs(alpha_dop)} outside physical regime"
     if not abs(delta) < n:
-        raise InputError(f"|delta|={abs(delta)} exceeds waveform length {n}")
+        return InputError, f"|delta|={abs(delta)} exceeds waveform length {n}"
+    return None
+
+
+def _channel_problem(h: ChannelRealization, n: int, fs: float):
+    """(error class, message) if h does not apply to n samples at rate fs."""
+    step = h.Ts * fs
+    if abs(step - round(step)) > 1e-6:
+        return ConfigurationError, (f"tap spacing Ts={h.Ts} is not an integer number "
+                                    f"of samples at fs={fs}")
+    if 1 < h.n_time < n:
+        return InputError, (f"CIR has {h.n_time} time steps for {n} samples; "
+                            f"it needs 1 (static) or at least {n}")
+    return None
+
+
+def _taps_on(h: ChannelRealization, n: int, fs: float):
+    """(step, taps, analytic) of h on n samples at rate fs: the tap spacing
+    in samples and the gains of the taps k with k * step < n, real unless
+    any gain of h is complex.  Complex gains act on the analytic signal."""
+    step = int(round(h.Ts * fs))
+    analytic = bool(np.any(h.taps.imag))
+    taps = h.taps[:min(h.n_taps, -(-n // step))]
+    return step, taps if analytic else taps.real, analytic
+
+
+def _fft_batched(taps: np.ndarray, analytic: bool) -> bool:
+    """Whether static complex gains go through one batched FFT product."""
+    return analytic and taps.shape[1] == 1 and len(taps) > 1
+
+
+def _static_products(x, which, kernels) -> np.ndarray:
+    """Rows x[which[r]] through static complex gains kernels[r] = (step,
+    taps), as one batched FFT product with the waveforms' analytic spectra;
+    at length 2n the linear convolution does not wrap around into the n
+    samples kept."""
+    n = len(x[0])
+    spectra = np.stack([_analytic_spectrum(w) for w in x])
+    prod = np.zeros((len(kernels), 2 * n), dtype=np.complex128)
+    for r, (step, taps) in enumerate(kernels):
+        prod[r, : len(taps) * step: step] = taps[:, 0]
+    prod = np.fft.fft(prod, axis=1)
+    np.multiply(spectra[which], prod, out=prod)
+    return np.fft.ifft(prod, axis=1)[:, :n].real
+
+
+def _convolve(x: Waveform, step: int, taps: np.ndarray, analytic: bool) -> np.ndarray:
+    """x through the tapped delay line: a static CIR of more than one tap
+    is one FFT product, any other one tap at a time."""
+    n = len(x)
+    if _fft_batched(taps, analytic):
+        return _static_products((x,), [0], [(step, taps)])[0]
+    if taps.shape[1] == 1 and len(taps) > 1:
+        kernel = np.zeros(2 * n)
+        kernel[: len(taps) * step: step] = taps[:, 0]
+        return np.fft.irfft(np.fft.rfft(x.samples, 2 * n) * np.fft.rfft(kernel))[:n]
+    sig = hilbert(x.samples) if analytic else x.samples
+    acc = np.zeros(n, dtype=sig.dtype)
+    for k in range(len(taps)):
+        d = k * step
+        # a static CIR applies its one gain throughout; a longer one is cut to n
+        g = taps[k, 0] if taps.shape[1] == 1 else taps[k, d:n]
+        acc[d:] += g * sig[: n - d]
+    return acc.real
+
+
+def _impair_rows(out: np.ndarray, rows: np.ndarray, alpha_dop: np.ndarray,
+                 delta: np.ndarray, lam: int) -> None:
+    """Doppler scaling, then a shift by delta samples, at every lam-th sample
+    of each row, into the zeroed `out`: out[i, j] = D_i(lam j + delta[i]),
+    where D_i(t) = rows[i]((1 + alpha_dop[i]) t) is the Doppler-scaled row on
+    the window 0 <= t < n and zero outside it.  Needs |alpha_dop| < 0.1 and
+    |delta| < n.
+
+    Each kept sample is one band-limited evaluation of its row at
+    (1 + alpha)(lam j + delta), one kernel row; nothing is interpolated
+    twice.  Without Doppler scaling an integer shift is an index offset, and
+    a fractional one is one kernel row for all the kept samples of its row.
+    """
+    m, n = rows.shape
+    width = 2 * _KERNEL_HALF
     kept = np.arange(0, n, lam)
-    d_int = int(np.floor(delta))
-    if delta != d_int and not alpha_dop:
-        return _interp_at(samples, kept + d_int, delta - d_int)
-    t = kept + (delta if alpha_dop else d_int)
+    d_int = np.floor(delta)
+    doppler = alpha_dop != 0
+    fractional = (delta != d_int) & ~doppler
+    shifted = np.flatnonzero(~doppler & ~fractional)
+    if shifted.size:
+        t = kept + d_int[shifted, None].astype(np.int64)
+        inside = (t >= 0) & (t < n)
+        out[shifted] = np.where(inside, rows[shifted[:, None], np.clip(t, 0, n - 1)], 0.0)
+    if shifted.size == m:
+        return
+    padded = np.zeros((m, n + 2 * width))
+    padded[:, width:width + n] = rows
+    # a window wholly outside the support reads an all-zero padding window
+    windows = sliding_window_view(padded, width, axis=1)
+    lead = width - _KERNEL_HALF + 1
+
+    # one kernel row per row, and a stack of matrix-vector products over the
+    # row's gathered windows, _WINDOW_BLOCK windows at a time
+    fractional = np.flatnonzero(fractional)
+    group = max(1, _WINDOW_BLOCK // kept.size)
+    for lo in range(0, fractional.size, group):
+        sel = fractional[lo:lo + group]
+        start = np.clip(kept + (d_int[sel, None].astype(np.int64) + lead), 0, n + width)
+        kernel = _kernel(delta[sel] - d_int[sel])
+        out[sel] = np.matmul(windows[sel[:, None], start], kernel[:, :, None])[:, :, 0]
+
+    # one kernel row per kept sample of every Doppler-scaled row, made a block
+    # of rows at a time: the (rows, 64) temporaries stay in cache
+    doppler = np.flatnonzero(doppler)
+    t = kept + delta[doppler, None]
     inside = (t >= 0) & (t < n)
-    out = np.zeros(kept.size)
-    out[inside] = (_doppler_at(samples, alpha_dop, t[inside]) if alpha_dop
-                   else samples[t[inside]])
-    return out
+    row, col = np.nonzero(inside)
+    row = doppler[row]
+    positions = (1.0 + alpha_dop[row]) * t[inside]
+    base = np.floor(positions)
+    start = np.clip(base.astype(np.int64) + lead, 0, n + width)
+    frac = positions - base
+    for lo in range(0, frac.size, _KERNEL_BLOCK):
+        part = slice(lo, lo + _KERNEL_BLOCK)
+        out[row[part], col[part]] = np.einsum(
+            "ij,ij->i", windows[row[part], start[part]], _kernel(frac[part]))
+
+
+def _impaired(w: Waveform, alpha_dop: float, delta: float) -> Waveform:
+    """w Doppler-scaled by alpha_dop, then shifted by delta samples."""
+    problem = _signal_problem(False, None, alpha_dop, delta, len(w))
+    if problem is not None:
+        raise _error(problem)
+    out = np.zeros((1, len(w)))
+    _impair_rows(out, w.samples[None], np.array([alpha_dop], dtype=float),
+                 np.array([delta], dtype=float), 1)
+    return Waveform(out[0], w.fs)
 
 
 def apply_sto(w: Waveform, delta_samples: float) -> Waveform:
@@ -318,17 +426,106 @@ def apply_sto(w: Waveform, delta_samples: float) -> Waveform:
     The integer part is a plain index shift; any fractional part goes through
     the windowed-sinc interpolator.  Length is preserved.
     """
-    if delta_samples == 0:
-        return w
-    return Waveform(_impair(w.samples, 0.0, delta_samples), w.fs)
+    return w if delta_samples == 0 else _impaired(w, 0.0, delta_samples)
 
 
 def apply_doppler(w: Waveform, alpha_dop: float) -> Waveform:
     """Time-scale the waveform: out(t) = w((1 + alpha)t), resampled by
     band-limited interpolation and padded/truncated to the input length."""
-    if alpha_dop == 0:
-        return w
-    return Waveform(_impair(w.samples, alpha_dop, 0.0), w.fs)
+    return w if alpha_dop == 0 else _impaired(w, alpha_dop, 0.0)
+
+
+def apply_channel_rows(x, which, channels, snr_db, sto_samples, rel_speed, seeds,
+                       lam: int = 1, out=None, row_name=None) -> np.ndarray:
+    """Row i is apply_channel(x[which[i]], channel i, ImpairmentSpec(snr_db[i],
+    sto_samples[i], rel_speed[i]), seeds[i], lam).samples, rounded once to
+    the dtype of `out`.  Returns `out`, by default a new float64 array.
+
+    `x` holds waveforms of one length and rate.  `channels` is one
+    ChannelRealization for every row, or an iterable of one per row, taken a
+    row at a time.  Rows are worked CHANNEL_BLOCK_ROWS at a time in array
+    passes: a shared channel takes each waveform once; static complex gains
+    of one row each are one batched FFT product; gains that vary within the
+    symbol take the tap loop row by row.  Row i draws its noise from
+    default_rng(seeds[i]), so the block size changes no bytes.
+
+    Each row is checked as apply_channel checks it before its block's signal
+    work, and the error of the first bad row is raised; with `row_name`, its
+    message starts "<row_name> <i>: ".
+    """
+    n, fs = len(x[0]), x[0].fs
+    if not (isinstance(lam, (int, np.integer)) and lam >= 1) or n % lam:
+        raise ConfigurationError(f"lam={lam} must be a positive integer dividing {n}")
+    which = np.asarray(which, dtype=np.intp)
+    m = which.size
+    if out is None:
+        out = np.empty((m, n // lam))
+    shared = isinstance(channels, ChannelRealization)
+    if shared:
+        channel_problem = _channel_problem(channels, n, fs)
+        if channel_problem is None:
+            layout = _taps_on(channels, n, fs)
+            received = np.stack([_convolve(w, *layout) for w in x])
+    else:
+        channels = iter(channels)
+    for lo in range(0, m, CHANNEL_BLOCK_ROWS):
+        k = min(CHANNEL_BLOCK_ROWS, m - lo)
+        # the values as given, as an ImpairmentSpec holds and prints them
+        snr, sto, speed = (list(v[lo:lo + k]) for v in (snr_db, sto_samples, rel_speed))
+        alpha = [v / SOUND_SPEED for v in speed]
+        rx = np.empty((k, n))
+        batched, kernels = [], []
+        bad = None
+        for r in range(k):
+            # apply_channel's order: the impairments, then the channel
+            bad = _impairment_problem(snr[r], sto[r], speed[r])
+            if bad is None:
+                h = channels if shared else next(channels)
+                bad = channel_problem if shared else _channel_problem(h, n, fs)
+            if bad is not None:
+                k = r  # the rows before it are checked below
+                break
+            if shared:
+                continue
+            step, taps, analytic = _taps_on(h, n, fs)
+            if _fft_batched(taps, analytic):
+                batched.append(r)
+                kernels.append((step, taps))
+            else:
+                rx[r] = _convolve(x[which[lo + r]], step, taps, analytic)
+        if shared and k:
+            rx[:k] = received[which[lo:lo + k]]
+        if kernels:
+            rx[batched] = _static_products(x, which[lo + np.array(batched)], kernels)
+        # then, in apply_channel's order, the noise level, the Doppler scale
+        # and the shift of each row that the checks above passed
+        noisy = np.flatnonzero(np.isfinite(snr[:k]))
+        with np.errstate(over="ignore"):  # an overflow is an infinite noise level
+            scale = np.array([10.0 ** (-snr[r] / 10.0) for r in noisy])
+            power = rx[noisy]
+            power *= power
+            sigma = np.sqrt(power.mean(axis=1) * scale)
+        loud = np.zeros(k, dtype=bool)
+        loud[noisy] = ~(sigma < np.inf)
+        for r in range(k):
+            problem = _signal_problem(loud[r], snr[r], alpha[r], sto[r], n)
+            if problem is not None:
+                bad, k = problem, r
+                break
+        if bad is not None:
+            raise _error(bad, row_name and f"{row_name} {lo + k}")
+        # row i's noise from its own stream, drawn as standard_normal(n)
+        noise = np.empty((noisy.size, n))
+        for j, r in enumerate(noisy):
+            np.random.default_rng(seeds[lo + r]).standard_normal(out=noise[j])
+        noise *= sigma[:, None]
+        rx[noisy] += noise
+        impaired = np.zeros((k, n // lam))
+        _impair_rows(impaired, rx, np.array(alpha, dtype=float),
+                     np.array(sto, dtype=float), lam)
+        with np.errstate(over="ignore"):  # past the range of out's dtype: inf
+            out[lo:lo + k] = impaired
+    return out
 
 
 def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
@@ -341,50 +538,12 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
     CIR of more than one tap is applied as one FFT product.  Noise power
     is the received signal power scaled by 10^(-snr/10).  The result equals
     downsample(apply_channel(x, h, imp, seed), lam), but the interpolation is
-    evaluated only where a sample is kept.
+    evaluated only where a sample is kept.  The one-row case of
+    apply_channel_rows.
     """
-    n = len(x)
-    if not (isinstance(lam, (int, np.integer)) and lam >= 1) or n % lam:
-        raise ConfigurationError(f"lam={lam} must be a positive integer dividing {n}")
-    step = h.Ts * x.fs
-    if abs(step - round(step)) > 1e-6:
-        raise ConfigurationError(
-            f"tap spacing Ts={h.Ts} is not an integer number of samples at fs={x.fs}")
-    step = int(round(step))
-    if 1 < h.n_time < n:
-        raise InputError(f"CIR has {h.n_time} time steps for {n} samples; "
-                         f"it needs 1 (static) or at least {n}")
-    taps = h.taps
-    analytic = bool(np.any(taps.imag))
-    if not analytic:
-        taps = taps.real
-    reach = min(h.n_taps, -(-n // step))  # the taps k with k * step < n
-    if h.n_time == 1 and reach > 1:
-        # one FFT product; at length 2n the linear convolution does not wrap
-        # around into the n samples kept
-        kernel = np.zeros(2 * n, dtype=taps.dtype)
-        kernel[: reach * step: step] = taps[:reach, 0]
-        if analytic:
-            r = np.fft.ifft(_analytic_spectrum(x) * np.fft.fft(kernel))[:n].real
-        else:
-            r = np.fft.irfft(np.fft.rfft(x.samples, 2 * n) * np.fft.rfft(kernel))[:n]
-    else:
-        sig = hilbert(x.samples) if analytic else x.samples
-        acc = np.zeros(n, dtype=sig.dtype)
-        for k in range(reach):
-            d = k * step
-            # a static CIR applies its one gain throughout; a longer one is cut to n
-            g = taps[k, 0] if h.n_time == 1 else taps[k, d:n]
-            acc[d:] += g * sig[: n - d]
-        r = acc.real
-    if np.isfinite(imp.snr_db):
-        rng = np.random.default_rng(seed)
-        p_sig = float(np.mean(r * r))
-        sigma = np.sqrt(p_sig * 10.0 ** (-imp.snr_db / 10.0))
-        if not sigma < np.inf:
-            raise ConfigurationError(f"the noise level at snr_db={imp.snr_db} overflows")
-        r = r + rng.standard_normal(n) * sigma
-    return Waveform(_impair(r, imp.alpha_dop, imp.sto_samples, lam), x.fs / lam)
+    out = apply_channel_rows((x,), [0], h, [imp.snr_db], [imp.sto_samples],
+                             [imp.rel_speed], [seed], lam)
+    return Waveform(out[0], x.fs / lam)
 
 
 def save_cir(path, h: ChannelRealization) -> None:

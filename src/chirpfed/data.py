@@ -20,8 +20,8 @@ import numpy as np
 
 from . import container
 from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
-                      apply_channel, identity_channel, rayleigh_cir,
-                      tap_mean_powers)
+                      apply_channel, apply_channel_rows, identity_channel,
+                      rayleigh_cir, tap_mean_powers)
 from .chirp import (ChirpParams, downsample, generate_chirp,
                     matched_filter_detect_batch)
 from .errors import ConfigurationError, ParseError
@@ -130,56 +130,54 @@ def _draw(rng, lo, hi):
 def synthesize_symbol(bit: int, spec: DatasetSpec, snr_db: float, sto: float,
                       speed: float, channel: ChannelRealization,
                       noise_seed: int) -> np.ndarray:
-    """One received, downsampled symbol as a float64 vector of length N1."""
-    tx = generate_chirp(spec.chirp, "down" if bit else "up")
-    imp = ImpairmentSpec(snr_db=snr_db, sto_samples=sto, rel_speed=speed)
-    return apply_channel(tx, channel, imp, seed=noise_seed, lam=spec.chirp.lam).samples
+    """One received, downsampled symbol as a float64 vector of length N1:
+    the one-row case of the node builder's apply_channel_rows."""
+    return apply_channel_rows(_chirps(spec.chirp), [bit], channel, [snr_db], [sto],
+                              [speed], [noise_seed], lam=spec.chirp.lam)[0]
+
+
+def _chirps(params: ChirpParams):
+    """The symbols of bits 0 and 1."""
+    return generate_chirp(params, "up"), generate_chirp(params, "down")
 
 
 def build_node_dataset(spec: DatasetSpec):
     """Deterministically synthesize the node dataset; returns (train, test)
-    SymbolSet pairs with disjoint records."""
+    SymbolSet pairs with disjoint records.
+
+    Every draw of the node comes first, symbol by symbol in one stream: the
+    bit, the SNR, STO and speed, the noise seed, then the CIR seed.  The
+    symbols are then built a block of rows at a time by apply_channel_rows,
+    each rounded once into the float32 records, and an error names the first
+    bad record."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
     n = spec.n_symbols
-    n1 = spec.chirp.n1
-    samples = np.empty((n, n1))
-    labels = np.empty(n, dtype=np.float32)
-    snr = np.empty(n, dtype=np.float32)
-    sto = np.empty(n, dtype=np.float32)
-    speed = np.empty(n, dtype=np.float32)
-    if spec.channel_tag == "identity":
-        base_channel = identity_channel(Ts=1.0 / spec.chirp.fs)
-    else:
-        rayleigh_channel = _rayleigh_channels(spec)
-    for i in range(n):
-        bit = int(rng.random() < 0.5)
-        snr_i = _draw(rng, *spec.snr_db_range)
-        sto_i = _draw(rng, *spec.sto_range)
-        speed_i = _draw(rng, *spec.speed_range)
-        noise_seed = int(rng.integers(0, 2 ** 63 - 1))
+    bits, snr, sto, speed, noise_seeds, cir_seeds = [], [], [], [], [], []
+    for _ in range(n):
+        bits.append(int(rng.random() < 0.5))
+        snr.append(_draw(rng, *spec.snr_db_range))
+        sto.append(_draw(rng, *spec.sto_range))
+        speed.append(_draw(rng, *spec.speed_range))
+        noise_seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
         if spec.channel_tag == "rayleigh":
-            cir_seed = int(rng.integers(0, 2 ** 63 - 1))
-            channel = rayleigh_channel(cir_seed)
-        else:
-            channel = base_channel
-        try:
-            samples[i] = synthesize_symbol(bit, spec, snr_i, sto_i, speed_i,
-                                           channel, noise_seed)
-        except Exception as exc:
-            raise type(exc)(f"record {i}: {exc}") from exc
-        labels[i] = bit
-        snr[i], sto[i], speed[i] = snr_i, sto_i, speed_i
+            cir_seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
+    if spec.channel_tag == "identity":
+        channels = identity_channel(Ts=1.0 / spec.chirp.fs)
+    else:
+        channels = map(_rayleigh_channels(spec), cir_seeds)
     # samples are kept as the dataset container stores them, in f32, so
     # save/load round-trips are bit-identical and the receiver computes in f32
-    with np.errstate(over="ignore"):  # a sample past the f32 range is caught below
-        samples = samples.astype(np.float32)
-    finite = np.isfinite(samples).all(axis=1)
+    samples = np.empty((n, spec.chirp.n1), dtype=np.float32)
+    apply_channel_rows(_chirps(spec.chirp), bits, channels, snr, sto, speed,
+                       noise_seeds, lam=spec.chirp.lam, out=samples, row_name="record")
+    finite = np.isfinite(samples).all(axis=1)  # a sample past the f32 range is inf
     if not finite.all():
         raise ConfigurationError(
             f"record {int(np.argmin(finite))}: sample outside the float32 range")
     tag_idx = np.full(n, CHANNEL_TAGS.index(spec.channel_tag), dtype=np.uint16)
-    return _split(spec.n_train, samples, labels, snr, sto, speed, tag_idx,
-                  CHANNEL_TAGS)
+    return _split(spec.n_train, samples, np.array(bits, dtype=np.float32),
+                  *(np.array(v, dtype=np.float32) for v in (snr, sto, speed)),
+                  tag_idx, CHANNEL_TAGS)
 
 
 def _split(k, samples, labels, snr, sto, speed, tag_idx, tag_table):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom
 
-from chirpfed.channel import RayleighModelConfig, rayleigh_cir, tap_mean_powers
+from chirpfed.channel import (CHANNEL_BLOCK_ROWS, RayleighModelConfig, rayleigh_cir,
+                              tap_mean_powers)
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
-from chirpfed import data
+from chirpfed import channel, data
 from chirpfed.data import (BLOCK_ROWS, MAX_DATASET_SAMPLES, NOISE_CHUNK, DatasetSpec,
                            _clean_received_symbol, _rayleigh_channels,
                            ber_monte_carlo, build_node_dataset, load_dataset,
@@ -368,6 +369,7 @@ def test_node_dataset_golden_digest_on_edge_cases(case):
     kwargs, digest = GOLDEN_EDGE_CASES[case]
     kwargs = dict(kwargs)
     lam, n = kwargs.pop("lam", 6), kwargs.pop("n_symbols", 25)
+    assert case != "two_blocks_plus_one" or n == 2 * CHANNEL_BLOCK_ROWS + 1
     spec = DatasetSpec(n_symbols=n, chirp=ChirpParams(lam=lam), seed=7, **kwargs)
     h = hashlib.sha256()
     for s in build_node_dataset(spec):
@@ -403,6 +405,20 @@ def test_the_first_bad_record_in_a_later_block_is_named(ranges, seed, error, mes
     with pytest.raises(error) as exc:
         build_node_dataset(spec)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_a_numpy_memory_error_reaches_the_caller_unchanged(monkeypatch):
+    # numpy's MemoryError takes (shape, dtype), not a message, so it cannot
+    # be rebuilt with a record prefix; only the package's own errors are
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    def fail(frac):
+        raise _ArrayMemoryError((2 ** 40, 64), np.dtype(np.float64))
+
+    monkeypatch.setattr(channel, "_kernel", fail)
+    with pytest.raises(MemoryError) as exc:
+        build_node_dataset(small_spec(n_symbols=4, sto_range=(0.5, 0.5)))
+    assert type(exc.value) is _ArrayMemoryError
 
 
 # ------------------------------------------------------------ ber_monte_carlo
