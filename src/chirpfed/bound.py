@@ -105,13 +105,17 @@ def derive_constants(c: SmoothnessConstants,
 
 
 def m_of_T(d: DerivedConstants, T: int) -> float:
-    """Heterogeneity drift m(T) = a'T - a'/(beta H') * [1 - (1-beta H')^T]."""
+    """Heterogeneity drift m(T) = a'T - a'/(beta H') * [1 - (1-beta H')^T];
+    ConfigurationError when it is not finite."""
     if T < 0:
         raise ValidityError("T must be >= 0")
     q = d.beta * d.H_p
     if not 0 < q < 1:
         raise ValidityError(f"beta*H' = {q} outside (0, 1)")
-    return d.alpha_p * T - (d.alpha_p / q) * (1.0 - (1.0 - q) ** T)
+    m = d.alpha_p * T - (d.alpha_p / q) * (1.0 - (1.0 - q) ** T)
+    if not math.isfinite(m):
+        raise ConfigurationError(f"m(T) at T={T} overflows the float range")
+    return m
 
 
 def tz_bound(c: SmoothnessConstants, xi_variant: str = "proof") -> float:
@@ -128,4 +132,8 @@ def tz_bound(c: SmoothnessConstants, xi_variant: str = "proof") -> float:
     arg = (c.epsilon + km) / c.n
     if arg <= 0:
         raise ValidityError(f"log argument (epsilon + K*m(T0))/n = {arg} <= 0")
-    return math.log(arg) / math.log(d.xi)
+    tz = math.log(arg) / math.log(d.xi)
+    if not math.isfinite(tz):
+        raise ConfigurationError(f"log argument (epsilon + K*m(T0))/n = {arg} "
+                                 "overflows the float range")
+    return tz

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -310,36 +310,52 @@ def _taps_on(h: ChannelRealization, n: int, fs: float):
     return step, taps if analytic else taps.real, analytic
 
 
-def _fft_batched(taps: np.ndarray, analytic: bool) -> bool:
-    """Whether static complex gains go through one batched FFT product."""
-    return analytic and taps.shape[1] == 1 and len(taps) > 1
+def _rayleigh_layout(cfg: RayleighModelConfig, n: int, fs: float):
+    """(cfg, step, amplitudes) of the CIRs that cfg draws for rows of n
+    samples at rate fs: cfg with Ts snapped to `step` whole samples, and the
+    amplitudes sqrt(p_k) of the taps k with k * step < n.  While fd < 1/T,
+    rayleigh_cir's bell spectrum keeps only the DC bin, which for n i.i.d.
+    CN(0, 1) draws over sqrt(n) is CN(0, 1): each tap is one static
+    CN(0, p_k) gain.  From 1/T on, amplitudes is None: the gains vary in
+    time as rayleigh_cir draws them."""
+    step = max(1, int(round(cfg.Ts * fs)))
+    cfg = replace(cfg, Ts=step / fs)
+    if n > 1 and cfg.fd >= np.fft.fftfreq(n, d=1.0 / fs)[1]:
+        return cfg, step, None
+    return cfg, step, np.sqrt(tap_mean_powers(cfg)[:-(-n // step)])
 
 
-def _static_products(x, which, kernels) -> np.ndarray:
-    """Rows x[which[r]] through static complex gains kernels[r] = (step,
-    taps), as one batched FFT product with the waveforms' analytic spectra;
-    at length 2n the linear convolution does not wrap around into the n
-    samples kept."""
+def _static_gains(amplitudes: np.ndarray, seeds) -> np.ndarray:
+    """(rows, taps) complex64 static gains CN(0, amplitudes**2), row r drawn
+    from default_rng(seeds[r]) tap by tap, real part then imaginary part,
+    and rounded as rayleigh_cir rounds its gains."""
+    z = np.empty((len(seeds), len(amplitudes), 2))
+    for row, seed in zip(z, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2)
+    return (g * amplitudes).astype(np.complex64)
+
+
+def _static_products(x, which, gains: np.ndarray, step: int) -> np.ndarray:
+    """Rows x[which[r]] through the static complex gains gains[r] of taps
+    `step` samples apart, as one batched FFT product with the waveforms'
+    analytic spectra; at length 2n the linear convolution does not wrap
+    around into the n samples kept."""
     n = len(x[0])
     spectra = np.stack([_analytic_spectrum(w) for w in x])
-    prod = np.zeros((len(kernels), 2 * n), dtype=np.complex128)
-    for r, (step, taps) in enumerate(kernels):
-        prod[r, : len(taps) * step: step] = taps[:, 0]
+    prod = np.zeros((len(gains), 2 * n), dtype=np.complex128)
+    prod[:, : gains.shape[1] * step: step] = gains
     prod = np.fft.fft(prod, axis=1)
     np.multiply(spectra[which], prod, out=prod)
     return np.fft.ifft(prod, axis=1)[:, :n].real
 
 
 def _convolve(x: Waveform, step: int, taps: np.ndarray, analytic: bool) -> np.ndarray:
-    """x through the tapped delay line: a static CIR of more than one tap
-    is one FFT product, any other one tap at a time."""
+    """x through the tapped delay line: static complex gains of more than
+    one tap are one FFT product, any other CIR is taken one tap at a time."""
     n = len(x)
-    if _fft_batched(taps, analytic):
-        return _static_products((x,), [0], [(step, taps)])[0]
-    if taps.shape[1] == 1 and len(taps) > 1:
-        kernel = np.zeros(2 * n)
-        kernel[: len(taps) * step: step] = taps[:, 0]
-        return np.fft.irfft(np.fft.rfft(x.samples, 2 * n) * np.fft.rfft(kernel))[:n]
+    if analytic and taps.shape[1] == 1 and len(taps) > 1:
+        return _static_products((x,), [0], taps.T, step)[0]
     sig = hilbert(x.samples) if analytic else x.samples
     acc = np.zeros(n, dtype=sig.dtype)
     for k in range(len(taps)):
@@ -435,19 +451,21 @@ def apply_doppler(w: Waveform, alpha_dop: float) -> Waveform:
     return w if alpha_dop == 0 else _impaired(w, alpha_dop, 0.0)
 
 
-def apply_channel_rows(x, which, channels, snr_db, sto_samples, rel_speed, seeds,
-                       lam: int = 1, out=None, row_name=None) -> np.ndarray:
-    """Row i is apply_channel(x[which[i]], channel i, ImpairmentSpec(snr_db[i],
+def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, seeds,
+                       lam: int = 1, out=None, row_name=None, cir_seeds=None) -> np.ndarray:
+    """Row i is apply_channel(x[which[i]], h_i, ImpairmentSpec(snr_db[i],
     sto_samples[i], rel_speed[i]), seeds[i], lam).samples, rounded once to
     the dtype of `out`.  Returns `out`, by default a new float64 array.
 
-    `x` holds waveforms of one length and rate.  `channels` is one
-    ChannelRealization for every row, or an iterable of one per row, taken a
-    row at a time.  Rows are worked CHANNEL_BLOCK_ROWS at a time in array
-    passes: a shared channel takes each waveform once; static complex gains
-    of one row each are one batched FFT product; gains that vary within the
-    symbol take the tap loop row by row.  Row i draws its noise from
-    default_rng(seeds[i]), so the block size changes no bytes.
+    `x` holds waveforms of one length n and rate fs.  `channel` is one
+    ChannelRealization h_i for every row, or a RayleighModelConfig from
+    which row i draws its own CIR h_i with seed cir_seeds[i] (see
+    _rayleigh_layout).  Rows are worked CHANNEL_BLOCK_ROWS at a time in
+    array passes: a shared channel takes each waveform once; the static
+    gains of a block are one (rows, taps) draw and, above one tap, one
+    batched FFT product; gains that vary within the symbol come from
+    rayleigh_cir and take the tap loop row by row.  Row i draws its noise
+    from default_rng(seeds[i]), so the block size changes no bytes.
 
     Each row is checked as apply_channel checks it before its block's signal
     work, and the error of the first bad row is raised; with `row_name`, its
@@ -460,43 +478,42 @@ def apply_channel_rows(x, which, channels, snr_db, sto_samples, rel_speed, seeds
     m = which.size
     if out is None:
         out = np.empty((m, n // lam))
-    shared = isinstance(channels, ChannelRealization)
+    shared = isinstance(channel, ChannelRealization)
+    fading = False  # whether each row's gains vary in time
     if shared:
-        channel_problem = _channel_problem(channels, n, fs)
+        channel_problem = _channel_problem(channel, n, fs)
         if channel_problem is None:
-            layout = _taps_on(channels, n, fs)
+            layout = _taps_on(channel, n, fs)
             received = np.stack([_convolve(w, *layout) for w in x])
     else:
-        channels = iter(channels)
+        channel_problem = None
+        cfg, step, amplitudes = _rayleigh_layout(channel, n, fs)
+        fading = amplitudes is None
     for lo in range(0, m, CHANNEL_BLOCK_ROWS):
         k = min(CHANNEL_BLOCK_ROWS, m - lo)
         # the values as given, as an ImpairmentSpec holds and prints them
         snr, sto, speed = (list(v[lo:lo + k]) for v in (snr_db, sto_samples, rel_speed))
         alpha = [v / SOUND_SPEED for v in speed]
         rx = np.empty((k, n))
-        batched, kernels = [], []
         bad = None
         for r in range(k):
             # apply_channel's order: the impairments, then the channel
-            bad = _impairment_problem(snr[r], sto[r], speed[r])
-            if bad is None:
-                h = channels if shared else next(channels)
-                bad = channel_problem if shared else _channel_problem(h, n, fs)
+            bad = _impairment_problem(snr[r], sto[r], speed[r]) or channel_problem
             if bad is not None:
                 k = r  # the rows before it are checked below
                 break
-            if shared:
-                continue
-            step, taps, analytic = _taps_on(h, n, fs)
-            if _fft_batched(taps, analytic):
-                batched.append(r)
-                kernels.append((step, taps))
-            else:
-                rx[r] = _convolve(x[which[lo + r]], step, taps, analytic)
+            if fading:
+                h = rayleigh_cir(cfg, n / fs, fs, cir_seeds[lo + r])
+                rx[r] = _convolve(x[which[lo + r]], *_taps_on(h, n, fs))
         if shared and k:
             rx[:k] = received[which[lo:lo + k]]
-        if kernels:
-            rx[batched] = _static_products(x, which[lo + np.array(batched)], kernels)
+        elif k and not fading:
+            gains = _static_gains(amplitudes, cir_seeds[lo:lo + k])
+            if len(amplitudes) > 1:
+                rx[:k] = _static_products(x, which[lo:lo + k], gains, step)
+            else:  # one tap is taken as apply_channel takes it
+                for r in range(k):
+                    rx[r] = _convolve(x[which[lo + r]], step, gains[r, :, None], True)
         # then, in apply_channel's order, the noise level, the Doppler scale
         # and the shift of each row that the checks above passed
         noisy = np.flatnonzero(np.isfinite(snr[:k]))
@@ -534,8 +551,9 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
     returned at every lam-th sample (rate fs/lam).
 
     Complex gains act on the analytic signal and the real part is kept; real
-    gains act on x itself, the real part of its analytic signal.  A static
-    CIR of more than one tap is applied as one FFT product.  Noise power
+    gains act on x itself, the real part of its analytic signal.  Static
+    complex gains of more than one tap are one FFT product; real ones, and
+    gains that vary in time, are taken one tap at a time.  Noise power
     is the received signal power scaled by 10^(-snr/10).  The result equals
     downsample(apply_channel(x, h, imp, seed), lam), but the interpolation is
     evaluated only where a sample is kept.  The one-row case of

@@ -14,14 +14,13 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import container
 from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
-                      apply_channel, apply_channel_rows, identity_channel,
-                      rayleigh_cir, tap_mean_powers)
+                      apply_channel, apply_channel_rows, identity_channel)
 from .chirp import (ChirpParams, downsample, generate_chirp,
                     matched_filter_detect_batch)
 from .errors import ConfigurationError, ParseError
@@ -161,15 +160,14 @@ def build_node_dataset(spec: DatasetSpec):
         noise_seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
         if spec.channel_tag == "rayleigh":
             cir_seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
-    if spec.channel_tag == "identity":
-        channels = identity_channel(Ts=1.0 / spec.chirp.fs)
-    else:
-        channels = map(_rayleigh_channels(spec), cir_seeds)
+    channel = (identity_channel(Ts=1.0 / spec.chirp.fs) if spec.channel_tag == "identity"
+               else spec.rayleigh)
     # samples are kept as the dataset container stores them, in f32, so
     # save/load round-trips are bit-identical and the receiver computes in f32
     samples = np.empty((n, spec.chirp.n1), dtype=np.float32)
-    apply_channel_rows(_chirps(spec.chirp), bits, channels, snr, sto, speed,
-                       noise_seeds, lam=spec.chirp.lam, out=samples, row_name="record")
+    apply_channel_rows(_chirps(spec.chirp), bits, channel, snr, sto, speed, noise_seeds,
+                       lam=spec.chirp.lam, out=samples, row_name="record",
+                       cir_seeds=cir_seeds)
     finite = np.isfinite(samples).all(axis=1)  # a sample past the f32 range is inf
     if not finite.all():
         raise ConfigurationError(
@@ -187,32 +185,6 @@ def _split(k, samples, labels, snr, sto, speed, tag_idx, tag_table):
                          snr[sl], sto[sl], speed[sl], tag_idx[sl], tag_table)
 
     return part(slice(0, k)), part(slice(k, None))
-
-
-def _rayleigh_channels(spec: DatasetSpec):
-    """seed -> the CIR of one symbol, with the parts that depend only on the
-    spec worked out once.  While fd is below the first FFT bin of the symbol,
-    1/T, rayleigh_cir's bell spectrum keeps only the DC bin and every tap is
-    static: the DC bin of n i.i.d. CN(0, 1) draws over sqrt(n) is CN(0, 1).
-    So one CN(0, p_k) gain is drawn per tap that reaches into the symbol, as
-    rayleigh_cir would round it, and the taps past it are skipped."""
-    cfg = spec.rayleigh
-    fs = spec.chirp.fs
-    # tap spacing snapped to an integer number of samples at the chirp rate
-    step = max(1, int(round(cfg.Ts * fs)))
-    cfg = replace(cfg, Ts=step / fs)
-    n = spec.chirp.symbol_samples
-    if n > 1 and cfg.fd >= np.fft.fftfreq(n, d=1.0 / fs)[1]:
-        return lambda seed: rayleigh_cir(cfg, spec.chirp.T, fs, seed)
-    n_taps = min(cfg.n_taps, -(-n // step))  # the taps with k * step < n
-    amplitudes = np.sqrt(tap_mean_powers(cfg)[:n_taps])
-
-    def draw(seed):
-        z = np.random.default_rng(seed).standard_normal((n_taps, 2))
-        g = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)
-        return ChannelRealization((g * amplitudes).astype(np.complex64)[:, None], cfg.Ts)
-
-    return draw
 
 
 def _clean_received_symbol(bit, params, sto, speed):

@@ -136,6 +136,17 @@ def test_m_of_t_validity_guard():
         m_of_T(derive_constants(consts()), -1)
 
 
+def test_m_of_t_that_overflows_is_a_configuration_error():
+    # alpha' / (beta H') overflows to inf, and inf - inf is NaN
+    d = derive_constants(consts(mu=0.001, H=0.002, delta=1e308))
+    assert math.isfinite(m_of_T(derive_constants(consts(mu=0.001, H=0.002, delta=1e300)),
+                                100000))
+    with pytest.raises(ConfigurationError, match="overflows"):
+        m_of_T(d, 100000)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        tz_bound(consts(mu=0.001, H=0.002, delta=1e308, T0=100000))
+
+
 # ------------------------------------------------------------------ tz bound
 
 def test_tz_zero_when_target_exceeds_gap():
@@ -150,6 +161,13 @@ def test_tz_monotone_in_t0_and_epsilon():
     assert all(a >= b - 1e-12 for a, b in zip(tz, tz[1:]))
     tz_eps = [tz_bound(consts(n=10.0, epsilon=e)) for e in (0.01, 0.1, 1.0)]
     assert all(a >= b - 1e-12 for a, b in zip(tz_eps, tz_eps[1:]))
+
+
+def test_tz_of_an_overflowing_log_argument_is_a_configuration_error():
+    # epsilon / n overflows to inf at a subnormal gap bound: tz would be -inf
+    with pytest.raises(ConfigurationError, match="overflows"):
+        tz_bound(consts(n=1e-320))
+    assert math.isfinite(tz_bound(consts(n=1e-300)))
 
 
 def test_tz_invalid_flags_raise():

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
 import struct
 import subprocess
@@ -129,6 +130,17 @@ def test_bound_flags_a_log_argument_that_underflows(tmp_path):
     cols = dict(zip(header, data[0]))
     assert cols["tz"] == ""
     assert cols["validity_flags"] == "log argument (epsilon + K*m(T0))/n = 0.0 <= 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mu", "0.001", "--big-h", "0.002", "--delta", "1e308", "--t0", "100000"],
+    ["--mu", "1", "--big-h", "2", "--gap0", "1e-320"],
+])
+def test_bound_with_a_non_finite_result_exits_2(tmp_path, argv):
+    out = tmp_path / "bound.csv"
+    rc, err = run_to_stderr(["bound", "--seed", "1", *argv, "--out", str(out)])
+    assert rc == cli.EXIT_USAGE and not out.exists()
+    assert err.count("\n") == 1 and err.startswith("chirpfed: ") and "overflows" in err
 
 
 # ---------------------------------------------------------------- ber-sweep
@@ -728,8 +740,9 @@ def small_int(hi):
 
 
 def drawn_argv(options):
-    """Lists of up to six drawn options, each from its strategy in `options`;
-    a strategy of tuples gives an option of several values."""
+    """Lists of up to six drawn options, each from its strategy in `options`,
+    a dict of option name -> strategy; a strategy of tuples gives an option
+    of several values."""
     option = st.sampled_from(sorted(options)).flatmap(
         lambda name: options[name].map(
             lambda value: [name, *value] if isinstance(value, tuple) else [name, value]))
@@ -744,14 +757,14 @@ def complexity_options():
         st.integers(1, 10 ** 6).filter(lambda n: n % 6).map(str) | \
         st.integers(10 ** 399, 10 ** 400 - 1).map(str) | \
         st.integers(-10 ** 400 + 1, -10 ** 399).map(str)
-    return drawn_argv({"--n1": n1, "--seed": SEED})
+    return {"--n1": n1, "--seed": SEED}
 
 
 def ber_sweep_options():
     """Drawn ber-sweep options: drawn numbers, grids well and badly formed,
     small trial counts and seeds of any sign."""
     grid = NUMBER | st.lists(NUMBER, min_size=2, max_size=4).map(":".join)
-    return drawn_argv({
+    return {
         "--snr-db": grid,
         "--trials": st.sampled_from(["-1", "nan", "1e300", "2.5", ""]) |
         st.integers(0, 40).map(str),
@@ -761,27 +774,30 @@ def ber_sweep_options():
         "--detector": st.sampled_from(["mf", "dnn", "mf,dnn", "dnn,mf", "mf,mf",
                                        "", ",", "zf", "-1"]),
         "--seed": SEED,
-    })
+    }
 
 
 def bound_options():
-    """Drawn bound options: drawn constants, --t0 lists with 0, negatives and
-    400-digit integers, and xi variants known and unknown."""
-    t0 = st.sampled_from(["0", "-1", "1", "10", str(2 ** 53), str(2 ** 53 + 1),
-                          str(10 ** 399), str(-10 ** 399), "1.5", "abc", ""]) | \
+    """Drawn bound options: drawn constants, --t0 lists and node counts with
+    0, negatives and 400-digit integers, and xi variants known and unknown."""
+    integer = st.sampled_from(["0", "-1", "1", "10", str(2 ** 53), str(2 ** 53 + 1),
+                               str(10 ** 399), str(-10 ** 399), "1.5", "abc", ""]) | \
         st.integers(-2 ** 70, 2 ** 70).map(str) | \
         st.integers(10 ** 399, 10 ** 400 - 1).map(str)
-    options = {name: NUMBER for name in ("--mu", "--big-h", "--rho", "--alpha",
-                                         "--beta", "--epsilon")}
-    options["--t0"] = st.lists(t0, min_size=1, max_size=4).map(",".join)
+    options = {name: NUMBER for name in ("--mu", "--big-h", "--rho", "--b", "--delta",
+                                         "--sigma", "--alpha", "--beta", "--c", "--tau",
+                                         "--gap0", "--epsilon")}
+    options["--n-nodes"] = integer
+    options["--t0"] = st.lists(integer, min_size=1, max_size=4).map(",".join)
     options["--xi-variant"] = st.sampled_from([*XI_VARIANTS, "", "bogus"])
-    return drawn_argv(options)
+    options["--seed"] = SEED
+    return options
 
 
 def gen_data_options():
     """Drawn gen-data options: few symbols, drawn numbers and ranges of them."""
     pair = st.tuples(NUMBER, NUMBER)
-    return drawn_argv({
+    return {
         "--symbols": small_int(12),
         "--split": NUMBER,
         "--lambda": LAMBDA,
@@ -790,20 +806,20 @@ def gen_data_options():
         "--speed-range": pair,
         "--channel": st.sampled_from(["identity", "rayleigh", "", "bogus"]),
         "--seed": SEED,
-    })
+    }
 
 
 def train_single_options(workdir):
     """Drawn train-single options: few epochs, drawn rates and batch sizes,
     and data files good, missing and of the wrong kind."""
-    return drawn_argv({
+    return {
         "--data": st.sampled_from([os.path.join(workdir, name) for name in
                                    ("node.uwds", "missing.uwds", "net.cdnn")]),
         "--epochs": small_int(3),
         "--lr": NUMBER,
         "--batch-size": small_int(40),
         "--seed": SEED,
-    })
+    }
 
 
 def run_fed_options():
@@ -813,7 +829,7 @@ def run_fed_options():
         st.tuples(st.sampled_from(["snr", "sto", "speed"]), NUMBER, NUMBER).map(
             lambda f: f"{f[0]}={f[1]}:{f[2]}"), max_size=2).map(
         lambda fields: ",".join(["count=1", *fields]))
-    return drawn_argv({
+    return {
         "--group": group,
         "--g": NUMBER,
         "--t0": small_int(2),
@@ -826,42 +842,45 @@ def run_fed_options():
         "--split": NUMBER,
         "--mode": st.sampled_from(["fml", "fl", "bogus"]),
         "--seed": SEED,
-    })
+    }
 
 
 def cir_options():
     """Drawn cir generate options: drawn numbers, and short durations."""
-    return drawn_argv({
+    return {
         "--fd": NUMBER,
         "--ts": NUMBER,
         "--fs": NUMBER,
         "--duration": st.sampled_from(["0", "-1", "0.05", "1", "nan", "inf", "1e300",
                                        "5e-324", "abc", ""]),
         "--seed": SEED,
-    })
+    }
 
 
 def cir_inspect_options(workdir):
     """Drawn cir inspect options: CIR paths good, missing and malformed, a
     directory and an endless device."""
-    return drawn_argv({
+    return {
         "--path": st.sampled_from(["/dev/zero", workdir] + [
             os.path.join(workdir, name) for name in
             ("chan.uwac", "missing.uwac", "empty.uwac", "truncated.uwac", "garbage.uwac")]),
         "--seed": SEED,
-    })
+    }
 
 
-def check_drawn_argv(base, options, exit_codes, examples):
-    """Every argv of base plus drawn options exits with one of exit_codes,
-    without a traceback and without a RuntimeWarning."""
+def check_drawn_argv(base, options, exit_codes, examples, written=None):
+    """Every argv of base plus options drawn from `options` exits with one of
+    exit_codes, without a traceback and without a RuntimeWarning; after an
+    exit 0, written() checks what the run wrote."""
     @settings(max_examples=examples, deadline=None, database=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(options)
+    @given(drawn_argv(options))
     def check(options):
         rc, err = run_to_stderr(base + options)
         assert rc in exit_codes and "Traceback" not in err and \
             "RuntimeWarning" not in err, (options, rc, err)
+        if rc == 0 and written is not None:
+            written()
 
     check()
 
@@ -881,10 +900,16 @@ def check_ber_sweep_argv(workdir, examples):
 
 
 def check_bound_argv(workdir, examples):
-    """Every drawn bound argv exits 0, 2 or 3 without a traceback."""
-    base = ["bound", "--seed", "1", "--mu", "1", "--big-h", "2",
-            "--out", os.path.join(workdir, "bound.csv")]
-    check_drawn_argv(base, bound_options(), (0, 2, 3), examples)
+    """Every drawn bound argv exits 0, 2 or 3 without a traceback, and one
+    that exits 0 writes only finite numbers."""
+    out = os.path.join(workdir, "bound.csv")
+    base = ["bound", "--seed", "1", "--mu", "1", "--big-h", "2", "--out", out]
+
+    def finite():
+        _, _, data = read_csv(out)
+        assert all(math.isfinite(float(v)) for row in data for v in row[:-1]), data
+
+    check_drawn_argv(base, bound_options(), (0, 2, 3), examples, finite)
 
 
 def check_data_and_channel_argv(workdir, examples):
@@ -945,6 +970,22 @@ def test_drawn_data_and_channel_arguments_exit_cleanly(tmp_path):
     (tmp_path / "truncated.uwac").write_bytes(cir.read_bytes()[:-3])
     (tmp_path / "garbage.uwac").write_bytes(np.random.default_rng(0).bytes(64))
     run_bounded_child("check_data_and_channel_argv", tmp_path, 250)
+
+
+def test_drawn_options_name_every_option_of_their_subcommand(tmp_path):
+    # an option added to a subcommand needs a strategy in its drawn test;
+    # --out and the checkpoint fixed in ber-sweep's base argv are exempt
+    subcommands, = (action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    drawn = {"complexity": complexity_options(), "ber-sweep": ber_sweep_options(),
+             "bound": bound_options(), "gen-data": gen_data_options(),
+             "train-single": train_single_options(str(tmp_path)),
+             "run-fed": run_fed_options(),
+             "cir": {**cir_options(), **cir_inspect_options(str(tmp_path))}}
+    assert sorted(drawn) == sorted(subcommands.choices)
+    for name, parser in subcommands.choices.items():
+        options = {option for action in parser._actions for option in action.option_strings}
+        assert options - {"-h", "--help", "--out", "--checkpoint"} == set(drawn[name]), name
 
 
 def test_grid_point_cap():

@@ -16,7 +16,7 @@ from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
 from chirpfed import channel, data
 from chirpfed.data import (BLOCK_ROWS, MAX_DATASET_SAMPLES, NOISE_CHUNK, DatasetSpec,
-                           _clean_received_symbol, _rayleigh_channels,
+                           _clean_received_symbol,
                            ber_monte_carlo, build_node_dataset, load_dataset,
                            noise_stream_key, save_dataset)
 from chirpfed.errors import ConfigurationError, InputError, ParseError
@@ -162,16 +162,29 @@ def test_rayleigh_records_differ_from_identity():
     assert fady.tag_table[fady.channel_tag[0]] == "rayleigh"
 
 
+def rayleigh_layout(spec):
+    """(cfg, step, amplitudes) of the CIRs that spec's rayleigh rows draw."""
+    return channel._rayleigh_layout(spec.rayleigh, spec.chirp.symbol_samples, spec.chirp.fs)
+
+
+def rayleigh_row(spec, bit, cir_seed, h=None):
+    """The noiseless, unimpaired row of bit through spec's rayleigh CIR of
+    cir_seed, or through the CIR h."""
+    x = data._chirps(spec.chirp)
+    return channel.apply_channel_rows(x, [bit], spec.rayleigh if h is None else h,
+                                      [np.inf], [0.0], [0.0], [0], lam=spec.chirp.lam,
+                                      cir_seeds=[cir_seed])[0]
+
+
 def test_dataset_rayleigh_taps_follow_the_tap_law():
     # one CN(0, p_k) gain per tap and symbol: per-delay mean power against
     # tap_mean_powers, Gaussian real and imaginary parts, and no correlation
     # between them, over 2000 symbols' draws
     from scipy import stats
     spec = small_spec(channel_tag="rayleigh")
-    draw = _rayleigh_channels(spec)
-    cirs = [draw(seed) for seed in range(2000)]
-    g = np.array([h.taps[:, 0] for h in cirs])
-    p = tap_mean_powers(replace(spec.rayleigh, Ts=cirs[0].Ts))[:g.shape[1]]
+    cfg, _, amplitudes = rayleigh_layout(spec)
+    g = channel._static_gains(amplitudes, range(2000))
+    p = tap_mean_powers(cfg)[:g.shape[1]]
     power = np.mean(np.abs(g) ** 2, axis=0) / p
     assert np.max(np.abs(power - 1.0)) < 0.12  # 5.4 sigma per delay
     assert abs(power.mean() - 1.0) < 0.015
@@ -185,22 +198,45 @@ def test_dataset_rayleigh_taps_are_static_and_stop_at_the_symbol():
     # fd = 5 Hz is below the 100 Hz bins of a 10 ms symbol: one gain per tap,
     # and only the 60 taps of delay k * 16 < 960 samples
     spec = small_spec(channel_tag="rayleigh")
-    h = _rayleigh_channels(spec)(3)
-    assert h.n_time == 1 and h.n_taps == 60
-    assert np.array_equal(h.taps.astype(np.complex64), h.taps)
+    cfg, step, amplitudes = rayleigh_layout(spec)
+    g = channel._static_gains(amplitudes, [3])
+    assert amplitudes is not None and g.shape == (1, 60)
+    assert np.array_equal(g.astype(np.complex64), g)
+    # a row takes them as apply_channel takes one static CIR of these gains
+    h = channel.ChannelRealization(g.T, cfg.Ts)
+    assert step == 16 and cfg.Ts == 16 / spec.chirp.fs
+    assert rayleigh_row(spec, 1, 3).tobytes() == rayleigh_row(spec, 1, None, h).tobytes()
+
+
+def test_one_tap_rayleigh_row_is_apply_channel():
+    # a delay spread below one tap spacing leaves one static gain, which the
+    # tap loop takes, not the batched FFT product
+    spec = small_spec(channel_tag="rayleigh", rayleigh=RayleighModelConfig(
+        max_excess_delay=1e-4, Ts=1.0 / 6000.0, fd=5.0))
+    cfg, _, amplitudes = rayleigh_layout(spec)
+    assert len(amplitudes) == 1
+    h = channel.ChannelRealization(channel._static_gains(amplitudes, [9]).T, cfg.Ts)
+    for bit in (0, 1):
+        assert rayleigh_row(spec, bit, 9).tobytes() == rayleigh_row(spec, bit, None, h).tobytes()
 
 
 @pytest.mark.parametrize("fd", [100.0, 250.0])
-def test_fast_fading_rayleigh_symbol_is_rayleigh_cir(fd):
+def test_fast_fading_rayleigh_symbol_is_rayleigh_cir(fd, monkeypatch):
     # from the first FFT bin of the symbol, 1/T = 100 Hz, up, the taps vary
     # within the symbol and come from rayleigh_cir unchanged
     spec = small_spec(channel_tag="rayleigh", rayleigh=RayleighModelConfig(
         Ts=1.0 / 6000.0, fd=fd))
-    h = _rayleigh_channels(spec)(5)
+    drawn = []
+    monkeypatch.setattr(channel, "rayleigh_cir",
+                        lambda *args: drawn.append(rayleigh_cir(*args)) or drawn[-1])
+    row = rayleigh_row(spec, 0, 5)
+    h, = drawn
     ref = rayleigh_cir(RayleighModelConfig(Ts=16 / spec.chirp.fs, fd=fd),
                        spec.chirp.T, spec.chirp.fs, seed=5)
     assert h.Ts == ref.Ts and h.taps.tobytes() == ref.taps.tobytes()
     assert h.n_time == 960 and np.any(h.taps[:, 1:] != h.taps[:, :1])
+    assert rayleigh_layout(spec)[2] is None
+    assert row.tobytes() == rayleigh_row(spec, 0, None, ref).tobytes()
 
 
 # ------------------------------------------------------------- domain shift
@@ -405,6 +441,20 @@ def test_the_first_bad_record_in_a_later_block_is_named(ranges, seed, error, mes
     with pytest.raises(error) as exc:
         build_node_dataset(spec)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+# A fast-fading CIR past MAX_CIR_ENTRIES fails in the first record's draw,
+# after that record's own checks, with the per-symbol builder's messages
+@pytest.mark.parametrize("ranges, message", [
+    ({}, "6001 taps x 960 time steps exceed 2097152 entries"),
+    (dict(speed_range=(2000.0, 2000.0)), "record 0: |rel_speed| must stay below 1500.0 m/s"),
+])
+def test_an_oversized_fast_fading_cir_fails_as_before(ranges, message):
+    cfg = RayleighModelConfig(max_excess_delay=1.0, fd=200.0, Ts=1.0 / 6000.0)
+    spec = small_spec(channel_tag="rayleigh", rayleigh=cfg, **ranges)
+    with pytest.raises(ConfigurationError) as exc:
+        build_node_dataset(spec)
+    assert type(exc.value) is ConfigurationError and str(exc.value) == message
 
 
 def test_a_numpy_memory_error_reaches_the_caller_unchanged(monkeypatch):
