@@ -175,6 +175,10 @@ def cmd_ber_sweep(args) -> int:
             raise ConfigurationError("--checkpoint is required when detector includes dnn")
         ckpt = recv_mod.load_params(args.checkpoint)
     params = chirp_mod.ChirpParams(lam=args.lam)
+    if ckpt is not None and ckpt.layer_sizes[0] != params.n1:
+        raise ConfigurationError(
+            f"--checkpoint takes {ckpt.layer_sizes[0]}-sample symbols, but --lambda "
+            f"{args.lam} gives {params.n1}-sample symbols")
     rows = []
     for snr in args.snr_db if args.trials > 0 else []:
         bers = data_mod.ber_monte_carlo(params, detectors, snr, args.sto, args.speed,

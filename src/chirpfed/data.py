@@ -260,9 +260,15 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     full-rate symbol energy, so ebn0_db is 10*log10(T*fs/2) dB, 26.8 dB at
     960 samples, above the per-sample SNR of DatasetSpec.snr_db_range.
 
+    The matched filter scores the float64 rows.  The network scores them
+    rounded once to float32, the precision it is trained in; a block whose
+    pass leaves the float32 range raises InputError (see
+    receiver.detect_batch) rather than scoring a saturated network.
+
     With one BLAS thread and two cores (see _use_helper) a helper thread
-    draws the next block while the calling thread scores the current one;
-    the helper is joined before the call returns or raises.
+    makes the generator calls, the next block's bits and normals, while the
+    calling thread builds and scores the current block; the helper is joined
+    before the call returns or raises.
     """
     detectors = list(detectors)
     if not detectors or not set(detectors) <= set(DETECTORS) or (
@@ -282,35 +288,39 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
     rows = min(BLOCK_ROWS, trials)
     bufs = [np.empty((rows, params.n1)), np.empty((rows, params.n1))]
+    rows32 = np.empty((rows, params.n1), np.float32) if "dnn" in detectors else None
 
     def draws():
-        """(bits, received symbols) of each block in stream order: a chunk's
-        bits, then its normals a block at a time, into the two buffers in turn."""
+        """(bits, standard normals) of each block in stream order: a chunk's
+        bits, then its normals a block at a time, into the two buffers in
+        turn.  Generator calls only."""
         for c0 in range(0, trials, NOISE_CHUNK):
             bits = rng.integers(0, 2, size=min(NOISE_CHUNK, trials - c0))
             for r0 in range(0, bits.size, BLOCK_ROWS):
                 b = bits[r0:r0 + BLOCK_ROWS]
                 rx = bufs[0][:b.size]
                 bufs.reverse()
-                # rounded once per element as s_bit + z*sigma, with no temporaries
-                rng.standard_normal(out=rx)
-                np.multiply(rx, sigma, out=rx)
-                one = (b == 1)[:, None]
-                np.add(rx, s_clean[0], out=rx, where=~one)
-                np.add(rx, s_clean[1], out=rx, where=one)
-                yield b, rx
+                yield b, rng.standard_normal(out=rx)
 
     errors = [0] * len(detectors)
-    # A helper draws block k+1 into one buffer while this thread scores block
-    # k in the other.  Only one thread draws, in block order, so the stream
-    # is the serial one; leaving the with-block joins the helper.
+    # A helper draws block k+1 into one buffer while this thread builds and
+    # scores block k in the other.  Only one thread draws, in block order, so
+    # the stream is the serial one; leaving the with-block joins the helper.
     with _helper_pool() as pool:
         for b, rx in _prefetched(draws(), pool):
+            # rounded once per element as s_bit + z*sigma, with no temporaries
+            np.multiply(rx, sigma, out=rx)
+            one = (b == 1)[:, None]
+            np.add(rx, s_clean[0], out=rx, where=~one)
+            np.add(rx, s_clean[1], out=rx, where=one)
             for i, detector in enumerate(detectors):
                 if detector == "mf":
                     dec = matched_filter_detect_batch(rx, params)
                 else:
-                    dec = detect_batch(checkpoint_params, rx)
+                    x = rows32[:b.size]
+                    with np.errstate(over="ignore"):  # inf inputs fail the pass
+                        np.copyto(x, rx)
+                    dec = detect_batch(checkpoint_params, x)
                 errors[i] += int(np.count_nonzero(dec != b))
     return [e / trials for e in errors]
 

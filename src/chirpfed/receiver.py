@@ -168,20 +168,30 @@ def _forward_pass(p: MlpParams, x: np.ndarray):
     return a1, a2, _sigmoid(z3)
 
 
+def _diverged_pass(p: MlpParams, logits) -> bool:
+    """Whether a parameter of p, or an array of the _logits pass `logits`,
+    is not finite."""
+    return not (np.isfinite(p.to_flat()).all() and all(np.isfinite(a).all() for a in logits))
+
+
 def diverged(p: MlpParams, inputs) -> bool:
     """Whether p has diverged on `inputs`: a parameter is not finite, or a
     hidden activation or output logit of the forward pass over them, in
     their precision, is past the float range or NaN."""
-    return not (np.isfinite(p.to_flat()).all()
-                and all(np.isfinite(a).all() for a in _logits(p, _samples(inputs))))
+    return _diverged_pass(p, _logits(p, _samples(inputs)))
 
 
-def forward_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
+def _checked_inputs(p: MlpParams, inputs) -> np.ndarray:
+    """`inputs` in the working precision, checked to be rows of p's width."""
     inputs = _samples(inputs)
     if inputs.ndim != 2 or inputs.shape[1] != p.layer_sizes[0]:
         raise InputError(
             f"expected (n, {p.layer_sizes[0]}) inputs, got shape {inputs.shape}")
-    return _forward_pass(p, inputs)[-1]
+    return inputs
+
+
+def forward_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
+    return _forward_pass(p, _checked_inputs(p, inputs))[-1]
 
 
 def loss(p: MlpParams, batch: LabeledBatch) -> float:
@@ -290,14 +300,25 @@ def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:
 
 
 def detect_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
-    return (forward_batch(p, inputs) >= 0.5).astype(np.uint8)
+    """Bit decisions, the output >= 0.5, in the inputs' precision.  Raises
+    InputError if p has diverged on them (see diverged), checked on the
+    decisions' own pass: a network past the float range decides nothing."""
+    x = _checked_inputs(p, inputs)
+    logits = _logits(p, x)
+    if _diverged_pass(p, logits):
+        raise InputError(f"the network's {x.dtype} forward pass is not finite: "
+                         "its parameters have diverged on these inputs")
+    return (_sigmoid(logits[-1]) >= 0.5).astype(np.uint8)
 
 
 def ber_eval(p: MlpParams, batch: LabeledBatch) -> float:
-    """Fraction of rows where detect_batch disagrees with the label."""
+    """Fraction of rows where the output >= 0.5 disagrees with the label.
+    Unlike detect_batch it scores a diverged network too: the accuracies
+    that run_rounds logs take it as it comes, and train and run_rounds check
+    for divergence where they make parameters."""
     if len(batch) == 0:
         raise InputError("batch is empty")
-    pred = detect_batch(p, batch.inputs)
+    pred = forward_batch(p, batch.inputs) >= 0.5
     return float(np.mean(pred != batch.labels))
 
 

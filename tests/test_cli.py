@@ -209,6 +209,68 @@ def test_ber_sweep_golden_digest_with_the_helper(tmp_path, monkeypatch, helper):
     check_ber_sweep_golden_digest(tmp_path, monkeypatch)
 
 
+@pytest.fixture(scope="module")
+def readme_net(tmp_path_factory):
+    """The README's trained receiver: its gen-data and train-single runs."""
+    path = tmp_path_factory.mktemp("readme")
+    assert run(["gen-data", "--seed", "2", "--symbols", "1250", "--lambda", "6",
+                "--snr-range", "6", "12", "--sto-range", "0", "60",
+                "--out", str(path / "node0.uwds")]) == 0
+    assert run(["train-single", "--seed", "3", "--data", str(path / "node0.uwds"),
+                "--epochs", "20", "--out", str(path / "net.cdnn")]) == 0
+    return load_params(path / "net.cdnn")
+
+
+# sha256 of the README's mf,dnn sweep on the README's trained receiver,
+# recorded when the sweep still scored the network in float64
+README_SWEEP_GOLDEN = "94bcc2505741a2a5e302c5ef455d0f947a8dcdde01ef3bf4fd407681ea49dd31"
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+def test_readme_ber_sweep_golden_digest(request, tmp_path, monkeypatch, readme_net, threads):
+    request.getfixturevalue(threads)
+    monkeypatch.chdir(tmp_path)  # the checkpoint path is part of the config hash
+    save_params("net.cdnn", readme_net)
+    assert run(["ber-sweep", "--seed", "1", "--snr-db", "9", "--detector", "mf,dnn",
+                "--lambda", "6", "--checkpoint", "net.cdnn", "--out", "sweep.csv"]) == 0
+    raw = (tmp_path / "sweep.csv").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == README_SWEEP_GOLDEN
+
+
+@pytest.mark.parametrize("scale, snr_db", [(1e200, "9"), (1e25, "9"), (1.0, "-800")])
+def test_ber_sweep_of_a_pass_past_the_float_range_exits_2(tmp_path, readme_net, scale,
+                                                          snr_db):
+    # scaled by 1e200 the pass overflows in any precision; scaled by 1e25 it
+    # overflows only in the float32 that the network is scored in, as do
+    # samples at -800 dB.  Each used to write a BER near 0.5 and exit 0
+    ckpt = tmp_path / "net.cdnn"
+    save_params(ckpt, readme_net.from_flat(readme_net.to_flat() * scale))
+    out = tmp_path / "sweep.csv"
+    rc, err = run_to_stderr(["ber-sweep", "--seed", "1", "--snr-db", snr_db, "--detector",
+                             "mf,dnn", "--lambda", "6", "--trials", "5000",
+                             "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == cli.EXIT_USAGE and not out.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chirpfed: ") and \
+        "diverged" in lines[0], err
+
+
+def test_ber_sweep_checks_the_checkpoint_width_before_drawing(tmp_path, monkeypatch):
+    ckpt = tmp_path / "net.cdnn"
+    n1 = ChirpParams(lam=6).n1
+    save_params(ckpt, init_params([n1, *default_hidden(n1), 1], np.random.default_rng(0)))
+    sweeps = []
+    monkeypatch.setattr(cli.data_mod, "ber_monte_carlo",
+                        lambda *args, **kwargs: sweeps.append(args) or [0.5, 0.5])
+    out = tmp_path / "sweep.csv"
+    rc, err = run_to_stderr(["ber-sweep", "--seed", "1", "--detector", "mf,dnn",
+                             "--lambda", "2", "--checkpoint", str(ckpt),
+                             "--out", str(out)])
+    assert rc == cli.EXIT_USAGE and not out.exists() and sweeps == []
+    assert err.count("\n") == 1 and err.startswith("chirpfed: "), err
+    assert "160" in err and "480" in err and "--lambda 2" in err, err
+
+
 def test_ber_sweep_zero_width_checkpoint(tmp_path, capsys):
     ckpt = tmp_path / "zero.cdnn"
     ckpt.write_bytes(struct.pack("<4sHB4I", b"CDNN", 1, 4, 0, 0, 0, 1))

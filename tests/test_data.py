@@ -556,6 +556,35 @@ def check_matches_the_whole_chunk_loop(untrained_receiver, detectors):
         whole_chunk_bers(*args, untrained_receiver)
 
 
+@pytest.mark.parametrize("detectors", [["mf", "dnn"], ["dnn", "mf"]])
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+def test_ber_monte_carlo_scores_the_network_in_float32(request, monkeypatch,
+                                                       untrained_receiver, detectors, threads):
+    # the matched filter takes each float64 block, the network the same block
+    # rounded once to float32, the precision it is trained in
+    request.getfixturevalue(threads)
+    mf_rows, dnn_rows = [], []
+
+    def mf(rx, params):
+        mf_rows.append(rx.copy())
+        return matched_filter_detect_batch(rx, params)
+
+    def dnn(p, rx):
+        dnn_rows.append(rx.copy())
+        return detect_batch(p, rx)
+
+    monkeypatch.setattr(data, "matched_filter_detect_batch", mf)
+    monkeypatch.setattr(data, "detect_batch", dnn)
+    trials = NOISE_CHUNK + BLOCK_ROWS + 123
+    ber_monte_carlo(ChirpParams(lam=6), detectors, 4.0, 3.5, 1.5, trials, seed=11,
+                    checkpoint_params=untrained_receiver)
+    assert len(mf_rows) == len(dnn_rows) == 6
+    assert sum(map(len, mf_rows)) == trials
+    for rx, x in zip(mf_rows, dnn_rows):
+        assert rx.dtype == np.float64 and x.dtype == np.float32
+        assert np.array_equal(x, rx.astype(np.float32))
+
+
 def mf_ber_closed_form(params, ebn0_db, sto, speed):
     """The matched filter's exact error probability on the clean impaired
     symbols r_b plus white noise of per-sample sigma.  It decides bit 1 when

@@ -157,11 +157,14 @@ def test_forward_matches_straight_line_evaluator():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_forward_pass_saturates_past_the_float_range_without_a_warning():
-    # every activation overflows to +inf, and the output saturates at 1
+    # every activation overflows to +inf, and the output saturates at 1;
+    # detect_batch refuses to decide on such a pass
     p = params(tuple(np.full(s, 1e300) for s in [(3, 4), (3, 3), (1, 3)]),
                (np.zeros(3), np.zeros(3), np.zeros(1)))
     assert forward_batch(p, np.ones((2, 4))).tolist() == [1.0, 1.0]
-    assert detect_batch(p, np.ones((1, 4)))[0] == 1
+    assert ber_eval(p, LabeledBatch(np.ones((1, 4)), [1.0])) == 0.0
+    with pytest.raises(InputError, match="diverged"):
+        detect_batch(p, np.ones((1, 4)))
 
 
 def test_forward_shape_checks():
@@ -413,6 +416,22 @@ def test_detect_threshold_convention():
     p = params(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
                   (np.zeros(3), np.zeros(3), np.zeros(1)))
     assert detect_batch(p, np.ones((1, 4)))[0] == 1  # output exactly 0.5 -> 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_detect_batch_refuses_a_pass_past_the_float32_range(monkeypatch):
+    # weights of 1e25 make second-layer activations near 1e50: finite in
+    # float64, past the float32 range.  The check reuses the decisions' pass
+    p = params(tuple(np.full(s, 1e25) for s in [(3, 4), (3, 3), (1, 3)]),
+               (np.zeros(3), np.zeros(3), np.zeros(1)))
+    x = np.ones((2, 4))
+    assert detect_batch(p, x).tolist() == [1, 1]
+    passes = []
+    logits = receiver._logits
+    monkeypatch.setattr(receiver, "_logits", lambda *a: passes.append(1) or logits(*a))
+    with pytest.raises(InputError, match="float32 forward pass is not finite"):
+        detect_batch(p, x.astype(np.float32))
+    assert passes == [1]
 
 
 def test_ber_eval_basics():
