@@ -11,6 +11,7 @@ convex combination).
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -116,10 +117,18 @@ def maml_update(theta: np.ndarray, train, grad_test, alpha: float, beta: float,
     """
     for step in range(T0):
         g_tr, hvp_tr = train(theta)
-        phi = theta - alpha * g_tr
-        g_te = grad_test(phi)
-        meta = g_te - alpha * hvp_tr(g_te) if mode == "exact" else g_te
-        theta = theta - beta * meta
+        # rounded as phi = theta - alpha*g_tr, meta = g_te - alpha*H g_te and
+        # theta - beta*meta, in two buffers; phi's is freed before the product
+        phi = np.multiply(alpha, g_tr)
+        g_te = grad_test(np.subtract(theta, phi, out=phi))
+        del phi
+        if mode == "exact":
+            update = np.multiply(alpha, hvp_tr(g_te))
+            np.subtract(g_te, update, out=update)
+            np.multiply(beta, update, out=update)
+        else:
+            update = np.multiply(beta, g_te)
+        theta = np.subtract(theta, update, out=update)
         if not np.all(np.isfinite(theta)):
             raise TrainingError("local MAML update diverged", step_index=step)
     return theta
@@ -138,7 +147,7 @@ def local_maml_step(node: NodeState, alpha: float, beta: float, T0: int,
         lin = first or receiver.linearize(p0.from_flat(th), node.train_split,
                                           hvp=mode == "exact")
         first = None
-        return lin.grad, lin.hvp
+        return lin.grad, lambda v: lin.hvp(v, last=True)  # the step's one product
 
     theta = maml_update(
         p0.to_flat(), train,
@@ -200,41 +209,48 @@ def evaluate(theta: MlpParams, node: NodeState, alpha: float, g):
 
 
 def _node_pass(work, first, rest, pool):
-    """{pos: work(pos)}: this thread runs the positions in `first`, then it and
-    pool's thread, if there is one, take the positions in `rest` from one
-    queue.  A failure on either thread empties the queue, and the helper has
-    finished its node before this returns or raises.  The helper runs under
-    this thread's numpy error state, which numpy keeps per thread."""
-    results = {}
-    queue = collections.deque(rest)
+    """{pos: work(pos)} over one queue, the positions in `first` then those
+    in `rest`: this thread takes the front position, then starts pool's
+    thread, if there is one, and both take positions from the front until the
+    queue is empty.  A failure empties the queue, so every position before it
+    in the queue has been taken; once the helper has finished its position,
+    the failure earliest in the queue is raised, the one a serial pass would
+    raise.  The helper runs under this thread's numpy error state, which
+    numpy keeps per thread."""
+    queue = collections.deque(enumerate(itertools.chain(first, rest)))
+    results, failures = {}, []
 
-    def drain():
+    def take():
         try:
-            while True:
-                try:
-                    pos = queue.popleft()
-                except IndexError:
-                    return
+            return queue.popleft()
+        except IndexError:
+            return None
+
+    def drain(item):
+        while item:
+            i, pos = item
+            try:
                 results[pos] = work(pos)
-        except BaseException:
-            queue.clear()  # the other thread takes no further node
-            raise
+            except BaseException as exc:
+                queue.clear()  # neither thread takes a further position
+                failures.append((i, exc))
+                return
+            item = take()
 
     def helper_drain(err):
         with np.errstate(**err):
-            drain()
+            drain(take())
 
+    front = take()
     helper = pool.submit(helper_drain, np.geterr()) if pool else None
     try:
-        for pos in first:
-            results[pos] = work(pos)
-        drain()
+        drain(front)
     finally:
         queue.clear()
         if helper:
-            helper.exception()  # waits for the helper's last node
-    if helper:
-        helper.result()  # raises what the helper raised
+            helper.result()  # waits for the helper's last position
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return results
 
 
@@ -286,10 +302,12 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     loss on the other nodes; the last only evaluates, leaving the nodes at
     the last broadcast theta.
 
-    In a pass the calling thread steps the scheduled nodes, and then it and,
-    with one BLAS thread and two cores (see data._use_helper), one helper thread
-    take the other nodes from a shared queue.  The node results are merged
-    in node order, so the logs and parameters do not depend on the helper.
+    A pass puts its nodes in one queue, the scheduled nodes first, as their
+    MAML steps are the longest work; the calling thread and, with one BLAS
+    thread and two cores (see data._use_helper), one helper thread both take
+    nodes from its front.  The node results are merged in node order, so
+    the logs and parameters do not depend on the helper, and a failing pass
+    raises the error of the node a serial pass would fail at first.
     """
     if mode not in ("fml", "fl"):
         raise ConfigurationError(f"mode must be 'fml' or 'fl', got {mode!r}")

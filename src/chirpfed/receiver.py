@@ -216,53 +216,70 @@ class Linearization:
         """The batch's mean squared error, rounded as `loss` rounds it."""
         return float(np.mean((self._labels - self._out) ** 2))
 
-    def hvp(self, v: np.ndarray) -> np.ndarray:
-        """Exact Hessian-vector product H v, in the canonical flat ordering."""
+    def hvp(self, v: np.ndarray, *, last: bool = False) -> np.ndarray:
+        """Exact Hessian-vector product H v, in the canonical flat ordering.
+        With last=True the kept activations are dropped once it is made, for a
+        caller that takes no further product."""
         if self._cache is None:
-            raise ConfigurationError("linearized without hvp=True: no activations kept")
-        p, x, a1, a2, m1, m2, d_out, w2, w3 = self._cache
-        out = self._out
+            raise ConfigurationError("no activations kept: linearized without "
+                                     "hvp=True, or after its last product")
+        n_params = self._cache[0].n_params
         v = np.asarray(v, dtype=np.float64)
-        if v.size != p.n_params:
-            raise InputError(f"tangent has {v.size} entries, expected {p.n_params}")
-        v1, c1, v2, c2, v3, c3 = _views_in(p._sizes, v, x.dtype)
-
-        # forward tangent sweep, each (rows, hidden) array made in place but
-        # rounded as m1 * (x v1' + c1) and m2 * (a1 v2' + ra1 w2' + c2)
-        ra1 = x @ v1.T
-        ra1 += c1
-        ra1 *= m1
-        ra2 = a1 @ v2.T
-        ra2 += ra1 @ w2.T
-        ra2 += c2
-        ra2 *= m2
-        rz3 = (a2 @ v3.T + ra2 @ w3.T + c3)[:, 0]
-        sp = out * (1.0 - out)                    # sigmoid'
-
-        # reverse sweep with tangents; d3 and d2 are rounded as d_out*sp, not
-        # as in the gradient, which keeps the HVP's recorded outputs bit-exact
-        r_d_out = 2.0 * (sp * rz3) / x.shape[0]
-        d3 = d_out * sp
-        r_d3 = r_d_out * sp + d_out * sp * (1.0 - 2.0 * out) * rz3
-        hv = np.empty(p.n_params, dtype=x.dtype)
-        rg_w1, rg_b1, rg_w2, rg_b2, rg_w3, rg_b3 = _views(p._sizes, hv)
-        np.add(r_d3[None, :] @ a2, d3[None, :] @ ra2, out=rg_w3)
-        rg_b3[0] = r_d3.sum()
-        d2 = np.multiply(d3[:, None], w3)
-        d2 *= m2
-        # r_d2 over ra2 and r_d1 over ra1, rounded as
-        # (d3 v3 + r_d3 w3) * m2 and (d2 v2 + r_d2 w2) * m1
-        r_d2 = np.multiply(d3[:, None], v3, out=ra2)
-        r_d2 += r_d3[:, None] * w3
-        r_d2 *= m2
-        np.add(r_d2.T @ a1, d2.T @ ra1, out=rg_w2)
-        r_d2.sum(axis=0, out=rg_b2)
-        r_d1 = np.matmul(d2, v2, out=ra1)
-        r_d1 += r_d2 @ w2
-        r_d1 *= m1
-        np.matmul(r_d1.T, x, out=rg_w1)
-        r_d1.sum(axis=0, out=rg_b1)
+        if v.size != n_params:
+            raise InputError(f"tangent has {v.size} entries, expected {n_params}")
+        hv = _hvp(*self._cache, self._out, v)
+        if last:
+            self._cache = None
         return hv.astype(np.float64, copy=False)
+
+
+def _hvp(p, x, a1, a2, m1, m2, d_out, w2, w3, out, v):
+    """H v in x's precision.  Its (rows, hidden) temporaries live in three
+    buffers: ra1, ra2 and one scratch array, all freed when it returns."""
+    v1, c1, v2, c2, v3, c3 = _views_in(p._sizes, v, x.dtype)
+    rows, h1, h2 = x.shape[0], *p._sizes[1:3]
+    scratch = np.empty(rows * max(h1, h2), dtype=x.dtype)
+    s1, s2 = scratch[:rows * h1].reshape(rows, h1), scratch[:rows * h2].reshape(rows, h2)
+
+    # forward tangent sweep, each (rows, hidden) array made in place but
+    # rounded as m1 * (x v1' + c1) and m2 * (a1 v2' + ra1 w2' + c2)
+    ra1 = x @ v1.T
+    ra1 += c1
+    ra1 *= m1
+    ra2 = a1 @ v2.T
+    ra2 += np.matmul(ra1, w2.T, out=s2)
+    ra2 += c2
+    ra2 *= m2
+    rz3 = (a2 @ v3.T + ra2 @ w3.T + c3)[:, 0]
+    sp = out * (1.0 - out)                    # sigmoid'
+
+    # reverse sweep with tangents; d3 and d2 are rounded as d_out*sp, not
+    # as in the gradient, which keeps the HVP's recorded outputs bit-exact
+    r_d_out = 2.0 * (sp * rz3) / x.shape[0]
+    d3 = d_out * sp
+    r_d3 = r_d_out * sp + d_out * sp * (1.0 - 2.0 * out) * rz3
+    hv = np.empty(p.n_params, dtype=x.dtype)
+    rg_w1, rg_b1, rg_w2, rg_b2, rg_w3, rg_b3 = _views(p._sizes, hv)
+    np.add(r_d3[None, :] @ a2, d3[None, :] @ ra2, out=rg_w3)
+    rg_b3[0] = r_d3.sum()
+    # r_d2 over ra2, then d2 in the scratch, rounded as
+    # (d3 v3 + r_d3 w3) * m2 and (d3 w3) * m2
+    r_d2 = np.multiply(d3[:, None], v3, out=ra2)
+    r_d2 += np.multiply(r_d3[:, None], w3, out=s2)
+    r_d2 *= m2
+    d2 = np.multiply(d3[:, None], w3, out=s2)
+    d2 *= m2
+    np.matmul(r_d2.T, a1, out=rg_w2)
+    rg_w2 += d2.T @ ra1
+    r_d2.sum(axis=0, out=rg_b2)
+    # r_d1 over ra1, rounded as (d2 v2 + r_d2 w2) * m1; r_d2 w2 takes the
+    # scratch once d2 has been read
+    r_d1 = np.matmul(d2, v2, out=ra1)
+    r_d1 += np.matmul(r_d2, w2, out=s1)
+    r_d1 *= m1
+    np.matmul(r_d1.T, x, out=rg_w1)
+    r_d1.sum(axis=0, out=rg_b1)
+    return hv
 
 
 def linearize(p: MlpParams, batch: LabeledBatch, hvp: bool = True) -> Linearization:
@@ -291,7 +308,9 @@ def linearize(p: MlpParams, batch: LabeledBatch, hvp: bool = True) -> Linearizat
     np.matmul(d1.T, x, out=g_w1)
     d1.sum(axis=0, out=g_b1)
     return Linearization(g.astype(np.float64, copy=False), out, y,
-                         (p, x, a1, a2, m1, m2, d_out, w2, w3) if hvp else None)
+                         # copies of w2 and w3, not views that keep the whole
+                         # rounded parameter vector
+                         (p, x, a1, a2, m1, m2, d_out, w2.copy(), w3.copy()) if hvp else None)
 
 
 def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:

@@ -665,6 +665,53 @@ def test_node_pass_waits_for_the_helper_when_the_caller_raises(pool):
     assert finished == [1]  # its node done, and no further node taken
 
 
+def test_node_pass_lets_the_helper_take_positions_from_first(pool):
+    # the caller's first position waits until the helper has run one of the
+    # other positions in `first`, the scheduled nodes of a pass
+    caller = threading.get_ident()
+    helper_stepped = threading.Event()
+
+    def work(pos):
+        on_caller = threading.get_ident() == caller
+        if pos == 0:
+            assert helper_stepped.wait(timeout=30)
+        elif pos in (1, 2) and not on_caller:
+            helper_stepped.set()
+        return on_caller
+
+    results = federation._node_pass(work, [0, 1, 2], [3, 4], pool)
+    assert sorted(results) == [0, 1, 2, 3, 4]
+    assert results[0] and not (results[1] and results[2])
+
+
+def test_node_pass_raises_the_failure_earliest_in_the_queue(pool):
+    # the helper holds position 1 while the caller fails at position 2; the
+    # helper then fails too, later in time but earlier in the queue
+    caller = threading.get_ident()
+    helper_took, caller_failed = threading.Event(), threading.Event()
+    events = []
+
+    def work(pos):
+        if threading.get_ident() != caller:
+            helper_took.set()
+            assert caller_failed.wait(timeout=30)
+            time.sleep(0.2)
+            events.append(f"helper failed at {pos}")
+            raise ValueError(f"node {pos}")
+        if pos == 0:
+            assert helper_took.wait(timeout=30)
+            return pos
+        events.append(f"caller failed at {pos}")
+        caller_failed.set()
+        raise ValueError(f"node {pos}")
+
+    with pytest.raises(ValueError, match="node 1"):
+        federation._node_pass(work, [0], [1, 2, 3, 4], pool)
+    # the helper's failure came last, so the pass waited for it, and no
+    # position after the failures was taken
+    assert events == ["caller failed at 2", "helper failed at 1"]
+
+
 def test_node_pass_takes_each_node_once_under_contention():
     # four passes at once, each with its own helper: eight threads on the
     # cores, switching every microsecond
@@ -713,6 +760,44 @@ def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
     with pytest.raises(InputError, match="ber_eval failed"):
         run_rounds(cfg, nodes, "fml")
     assert threading.active_count() == threads
+
+
+# tracemalloc's peak over one exact-MAML node step at the `fed` benchmark's
+# sizes (lambda=6, 1000 train and 250 test rows), in the pass that opens a
+# round and evaluates the one before.  It read 5,677,445 B before the MAML
+# step and the HVP were trimmed, and 4,716,217 B after; the bound leaves 5.6%
+# over the second.  A helper thread steps such nodes too, and each thread's
+# allocator keeps its own peak, so this bounds what the helper adds to a
+# run's peak RSS.
+SCHEDULED_NODE_PEAK_BOUND = 4.75 * 2**20
+
+
+def test_a_scheduled_node_step_peaks_below_its_bound():
+    import tracemalloc
+    rng = np.random.default_rng(0)
+    n1 = ChirpParams(lam=6).n1
+    theta = init_params([n1, *default_hidden(n1), 1], rng)
+
+    def split(rows):
+        return LabeledBatch(rng.standard_normal((rows, n1), dtype=np.float32),
+                            rng.integers(0, 2, rows).astype(np.float32))
+
+    node = NodeState(0, theta, split(1000), split(250))
+    cfg = FmlConfig(K=10, G=0.3, alpha=0.5, beta=0.2, T0=1, rounds=2, mode="exact")
+    federation._node_work(node, theta, 1, True, True, 1, cfg, "fml")  # warm
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, update, _ = federation._node_work(node, theta, 1, True, True, 1, cfg, "fml")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert update is not None
+    assert peak < SCHEDULED_NODE_PEAK_BOUND
 
 
 @pytest.mark.parametrize("env, threads", [
