@@ -106,6 +106,12 @@ class RoundLog:
             raise ConfigurationError("successful ids must be a subset of scheduled")
 
 
+def _widened(a, b) -> np.ndarray:
+    """Array a in the type numpy gives a op b: a itself, or a widened copy,
+    which a float32-to-float64 cast makes exactly."""
+    return np.asarray(a, dtype=np.result_type(a, b))
+
+
 def maml_update(theta: np.ndarray, train, grad_test, alpha: float, beta: float,
                 T0: int, mode: str = "exact") -> np.ndarray:
     """Generic MAML local update on a flat parameter vector.
@@ -117,17 +123,19 @@ def maml_update(theta: np.ndarray, train, grad_test, alpha: float, beta: float,
     """
     for step in range(T0):
         g_tr, hvp_tr = train(theta)
-        # rounded as phi = theta - alpha*g_tr, meta = g_te - alpha*H g_te and
-        # theta - beta*meta, in two buffers; phi's is freed before the product
-        phi = np.multiply(alpha, g_tr)
+        # rounded and typed as phi = theta - alpha*g_tr, meta = g_te -
+        # alpha*H g_te and theta - beta*meta, in two buffers; phi's is freed
+        # before the product
+        phi = _widened(np.multiply(alpha, g_tr), theta)
         g_te = grad_test(np.subtract(theta, phi, out=phi))
         del phi
         if mode == "exact":
-            update = np.multiply(alpha, hvp_tr(g_te))
+            update = _widened(np.multiply(alpha, hvp_tr(g_te)), g_te)
             np.subtract(g_te, update, out=update)
             np.multiply(beta, update, out=update)
         else:
             update = np.multiply(beta, g_te)
+        update = _widened(update, theta)
         theta = np.subtract(theta, update, out=update)
         if not np.all(np.isfinite(theta)):
             raise TrainingError("local MAML update diverged", step_index=step)
@@ -147,7 +155,7 @@ def local_maml_step(node: NodeState, alpha: float, beta: float, T0: int,
         lin = first or receiver.linearize(p0.from_flat(th), node.train_split,
                                           hvp=mode == "exact")
         first = None
-        return lin.grad, lambda v: lin.hvp(v, last=True)  # the step's one product
+        return lin.grad, lin.hvp
 
     theta = maml_update(
         p0.to_flat(), train,
@@ -271,11 +279,13 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
     if opens:
         node.theta = theta
         loss = lin.loss if lin else receiver.loss(theta, node.train_split)
+    g = lin.grad if t else None
     update = None
     if stepping:
         try:
             if maml:
                 new = local_maml_step(node, cfg.alpha, cfg.beta, cfg.T0, cfg.mode, lin)
+                lin = None  # evaluate takes only g: the kept activations go
             else:
                 new = local_fedavg_step(node, cfg.alpha, cfg.T0)
             if receiver.diverged(new, node.test_split.inputs):
@@ -285,7 +295,7 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
             raise TrainingError(exc.reason, round_index=t, node_id=node.id,
                                 step_index=exc.step_index) from exc
         update = (new.to_flat(), node.data_size, u)
-    accs = evaluate(theta, node, cfg.alpha, lin.grad) if t else None
+    accs = evaluate(theta, node, cfg.alpha, g) if t else None
     return loss, update, accs
 
 

@@ -216,26 +216,21 @@ class Linearization:
         """The batch's mean squared error, rounded as `loss` rounds it."""
         return float(np.mean((self._labels - self._out) ** 2))
 
-    def hvp(self, v: np.ndarray, *, last: bool = False) -> np.ndarray:
-        """Exact Hessian-vector product H v, in the canonical flat ordering.
-        With last=True the kept activations are dropped once it is made, for a
-        caller that takes no further product."""
+    def hvp(self, v: np.ndarray) -> np.ndarray:
+        """Exact Hessian-vector product H v, in the canonical flat ordering."""
         if self._cache is None:
-            raise ConfigurationError("no activations kept: linearized without "
-                                     "hvp=True, or after its last product")
+            raise ConfigurationError("linearized without hvp=True: no activations kept")
         n_params = self._cache[0].n_params
         v = np.asarray(v, dtype=np.float64)
         if v.size != n_params:
             raise InputError(f"tangent has {v.size} entries, expected {n_params}")
-        hv = _hvp(*self._cache, self._out, v)
-        if last:
-            self._cache = None
-        return hv.astype(np.float64, copy=False)
+        return _hvp(*self._cache, self._out, v).astype(np.float64, copy=False)
 
 
 def _hvp(p, x, a1, a2, m1, m2, d_out, w2, w3, out, v):
     """H v in x's precision.  Its (rows, hidden) temporaries live in three
-    buffers: ra1, ra2 and one scratch array, all freed when it returns."""
+    buffers, ra1, ra2 and one scratch array, all freed when it returns: before
+    hvp's float64 cast, which would otherwise set a MAML step's peak."""
     v1, c1, v2, c2, v3, c3 = _views_in(p._sizes, v, x.dtype)
     rows, h1, h2 = x.shape[0], *p._sizes[1:3]
     scratch = np.empty(rows * max(h1, h2), dtype=x.dtype)

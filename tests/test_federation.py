@@ -148,6 +148,45 @@ def test_first_order_drops_hessian_term():
     assert np.allclose(new, theta - 0.1 * (A @ phi))
 
 
+def _out_of_place_maml(theta, train, grad_test, alpha, beta, T0, mode):
+    for _ in range(T0):
+        g_tr, hvp_tr = train(theta)
+        phi = theta - alpha * g_tr
+        g_te = grad_test(phi)
+        meta = g_te - alpha * hvp_tr(g_te) if mode == "exact" else g_te
+        theta = theta - beta * meta
+    return theta
+
+
+@pytest.mark.parametrize("mode", ["exact", "first_order"])
+@pytest.mark.parametrize("types", [
+    # theta, train gradient, Hessian-vector product, test gradient
+    (np.float64, np.float32, np.float32, np.float32),
+    (np.float64, np.float32, np.float64, np.float32),
+    (np.float64, np.float64, np.float32, np.float64),
+    (np.float32, np.float32, np.float32, np.float32),
+    (np.float32, np.float64, np.float32, np.float32),
+], ids=lambda types: "-".join(np.dtype(t).name for t in types))
+def test_maml_update_types_and_rounds_as_the_out_of_place_step(types, mode):
+    theta_type, train_type, hvp_type, test_type = types
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 6))
+    A = A @ A.T / 6 + np.eye(6)
+    b_tr, b_te = rng.standard_normal((2, 6))
+    theta = rng.standard_normal(6).astype(theta_type)
+
+    def train(th):
+        return (A @ th - b_tr).astype(train_type), lambda v: (A @ v).astype(hvp_type)
+
+    def grad_test(th):
+        return (A @ th - b_te).astype(test_type)
+
+    got = maml_update(theta, train, grad_test, 0.05, 0.1, T0=3, mode=mode)
+    want = _out_of_place_maml(theta, train, grad_test, 0.05, 0.1, 3, mode)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------- local updates
 
 def test_fedavg_lr_zero_is_identity():
@@ -764,12 +803,13 @@ def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
 
 # tracemalloc's peak over one exact-MAML node step at the `fed` benchmark's
 # sizes (lambda=6, 1000 train and 250 test rows), in the pass that opens a
-# round and evaluates the one before.  It read 5,677,445 B before the MAML
-# step and the HVP were trimmed, and 4,716,217 B after; the bound leaves 5.6%
-# over the second.  A helper thread steps such nodes too, and each thread's
-# allocator keeps its own peak, so this bounds what the helper adds to a
-# run's peak RSS.
-SCHEDULED_NODE_PEAK_BOUND = 4.75 * 2**20
+# round and evaluates the one before.  Under numpy 2.4.6 with OpenBLAS 0.3.31
+# it read 5,677,445 B before the MAML step and the HVP were trimmed, and
+# 4,716,121 B after.  The bound sits halfway between: 10% over the second, so
+# numpy staging a temporary differently leaves room, and 8% under the first.
+# A helper thread steps such nodes too, and each thread's allocator keeps its
+# own peak, so this bounds what the helper adds to a run's peak RSS.
+SCHEDULED_NODE_PEAK_BOUND = 5_200_000
 
 
 def test_a_scheduled_node_step_peaks_below_its_bound():
