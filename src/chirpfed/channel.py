@@ -351,10 +351,10 @@ def _static_products(x, which, gains: np.ndarray, step: int) -> np.ndarray:
 
 
 def _convolve(x: Waveform, step: int, taps: np.ndarray, analytic: bool) -> np.ndarray:
-    """x through the tapped delay line: static complex gains of more than
-    one tap are one FFT product, any other CIR is taken one tap at a time."""
+    """x through the tapped delay line: static complex gains are one FFT
+    product, any other CIR is taken one tap at a time."""
     n = len(x)
-    if analytic and taps.shape[1] == 1 and len(taps) > 1:
+    if analytic and taps.shape[1] == 1:
         return _static_products((x,), [0], taps.T, step)[0]
     sig = hilbert(x.samples) if analytic else x.samples
     acc = np.zeros(n, dtype=sig.dtype)
@@ -462,9 +462,9 @@ def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, seeds,
     which row i draws its own CIR h_i with seed cir_seeds[i] (see
     _rayleigh_layout).  Rows are worked CHANNEL_BLOCK_ROWS at a time in
     array passes: a shared channel takes each waveform once; the static
-    gains of a block are one (rows, taps) draw and, above one tap, one
-    batched FFT product; gains that vary within the symbol come from
-    rayleigh_cir and take the tap loop row by row.  Row i draws its noise
+    gains of a block are one (rows, taps) draw and one batched FFT product;
+    gains that vary within the symbol come from rayleigh_cir and take the
+    tap loop row by row.  Row i draws its noise
     from default_rng(seeds[i]), so the block size changes no bytes.
 
     Each row is checked as apply_channel checks it before its block's signal
@@ -509,11 +509,7 @@ def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, seeds,
             rx[:k] = received[which[lo:lo + k]]
         elif k and not fading:
             gains = _static_gains(amplitudes, cir_seeds[lo:lo + k])
-            if len(amplitudes) > 1:
-                rx[:k] = _static_products(x, which[lo:lo + k], gains, step)
-            else:  # one tap is taken as apply_channel takes it
-                for r in range(k):
-                    rx[r] = _convolve(x[which[lo + r]], step, gains[r, :, None], True)
+            rx[:k] = _static_products(x, which[lo:lo + k], gains, step)
         # then, in apply_channel's order, the noise level, the Doppler scale
         # and the shift of each row that the checks above passed
         noisy = np.flatnonzero(np.isfinite(snr[:k]))
@@ -552,11 +548,11 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
 
     Complex gains act on the analytic signal and the real part is kept; real
     gains act on x itself, the real part of its analytic signal.  Static
-    complex gains of more than one tap are one FFT product; real ones, and
-    gains that vary in time, are taken one tap at a time.  Noise power
-    is the received signal power scaled by 10^(-snr/10).  The result equals
-    downsample(apply_channel(x, h, imp, seed), lam), but the interpolation is
-    evaluated only where a sample is kept.  The one-row case of
+    complex gains are one FFT product; real ones, and gains that vary in
+    time, are taken one tap at a time.  Noise power is the received signal
+    power scaled by 10^(-snr/10).  The result equals
+    downsample(apply_channel(x, h, imp, seed), lam), but the interpolation
+    is evaluated only where a sample is kept.  The one-row case of
     apply_channel_rows.
     """
     out = apply_channel_rows((x,), [0], h, [imp.snr_db], [imp.sto_samples],

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import container
-from .channel import (ChannelRealization, ImpairmentSpec, RayleighModelConfig,
-                      apply_channel, apply_channel_rows, identity_channel)
+from .channel import (ChannelRealization, RayleighModelConfig, apply_channel_rows,
+                      identity_channel)
 from .chirp import (ChirpParams, downsample, generate_chirp,
                     matched_filter_detect_batch)
 from .errors import ConfigurationError, ParseError
@@ -189,12 +189,10 @@ def _split(k, samples, labels, snr, sto, speed, tag_idx, tag_table):
 
 def _clean_received_symbol(bit, params, sto, speed):
     """Noise-free impaired symbol at the downsampled rate."""
-    w = generate_chirp(params, "down" if bit else "up")
-    imp = ImpairmentSpec(sto_samples=sto, rel_speed=speed)
-    if not (imp.sto_samples or imp.alpha_dop):  # no impairment: no channel
-        return downsample(w, params.lam).samples
-    h = identity_channel(Ts=1.0 / params.fs)
-    return apply_channel(w, h, imp, seed=0, lam=params.lam).samples
+    if not (sto or speed):  # no impairment: no channel
+        return downsample(_chirps(params)[bit], params.lam).samples
+    return apply_channel_rows(_chirps(params), [bit], identity_channel(Ts=1.0 / params.fs),
+                              [np.inf], [sto], [speed], [0], lam=params.lam)[0]
 
 
 def _blas_threads(environ=os.environ):

@@ -210,8 +210,13 @@ def aggregate(updates) -> np.ndarray:
 
 def evaluate(theta: MlpParams, node: NodeState, alpha: float, g):
     """The node's test accuracy at theta and after the one-step adaptation
-    -alpha*g, g being its train-split gradient at theta."""
+    -alpha*g, g being its train-split gradient at theta.  A g or adapted
+    parameters that are not finite raise TrainingError naming the node."""
+    if not np.isfinite(g).all():
+        raise TrainingError("train gradient is not finite", node_id=node.id)
     phi = theta.from_flat(theta.to_flat() - alpha * g)
+    if not np.isfinite(phi.to_flat()).all():
+        raise TrainingError("adapted parameters are not finite", node_id=node.id)
     return (1.0 - receiver.ber_eval(theta, node.test_split),
             1.0 - receiver.ber_eval(phi, node.test_split))
 
@@ -265,27 +270,32 @@ def _node_pass(work, first, rest, pool):
 def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
                cfg: FmlConfig, mode: str):
     """One node's part of the pass at broadcast theta: its train loss if theta
-    opens round t, its (flat params, data size, u) update if it steps, and
-    its two accuracies from evaluate if theta evaluates round t-1; None for
-    each part it does not take.  An update has diverged if a step left its
-    parameters non-finite, or if the parameters it returns have diverged on
-    the node's test split (see receiver.diverged)."""
+    opens round t, its two accuracies from evaluate if theta evaluates round
+    t-1, and its (flat params, data size, u) update if it steps; None for each
+    part it does not take.  A TrainingError names the node and the round whose
+    log it stops: a loss that is not finite (round t), evaluate's refusal
+    (round t-1), or an update that is not finite or has diverged on the
+    node's test split (round t, see receiver.diverged)."""
     maml = stepping and mode == "fml"
     lin = None
     if t or maml:  # only a node that calls hvp keeps its activations
         lin = receiver.linearize(theta, node.train_split,
                                  hvp=maml and cfg.mode == "exact")
-    loss = None
+    loss = accs = update = None
     if opens:
         node.theta = theta
         loss = lin.loss if lin else receiver.loss(theta, node.train_split)
-    g = lin.grad if t else None
-    update = None
+        if not math.isfinite(loss):
+            raise TrainingError("train loss is not finite", round_index=t, node_id=node.id)
+    if t:
+        try:
+            accs = evaluate(theta, node, cfg.alpha, lin.grad)
+        except TrainingError as exc:
+            raise TrainingError(exc.reason, round_index=t - 1, node_id=node.id) from exc
     if stepping:
         try:
             if maml:
                 new = local_maml_step(node, cfg.alpha, cfg.beta, cfg.T0, cfg.mode, lin)
-                lin = None  # evaluate takes only g: the kept activations go
             else:
                 new = local_fedavg_step(node, cfg.alpha, cfg.T0)
             if receiver.diverged(new, node.test_split.inputs):
@@ -295,7 +305,6 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
             raise TrainingError(exc.reason, round_index=t, node_id=node.id,
                                 step_index=exc.step_index) from exc
         update = (new.to_flat(), node.data_size, u)
-    accs = evaluate(theta, node, cfg.alpha, g) if t else None
     return loss, update, accs
 
 

@@ -326,14 +326,11 @@ def detect_batch(p: MlpParams, inputs: np.ndarray) -> np.ndarray:
 
 
 def ber_eval(p: MlpParams, batch: LabeledBatch) -> float:
-    """Fraction of rows where the output >= 0.5 disagrees with the label.
-    Unlike detect_batch it scores a diverged network too: the accuracies
-    that run_rounds logs take it as it comes, and train and run_rounds check
-    for divergence where they make parameters."""
+    """Fraction of rows where detect_batch's decision disagrees with the
+    label; like detect_batch, raises InputError if p has diverged on them."""
     if len(batch) == 0:
         raise InputError("batch is empty")
-    pred = forward_batch(p, batch.inputs) >= 0.5
-    return float(np.mean(pred != batch.labels))
+    return float(np.mean(detect_batch(p, batch.inputs) != batch.labels))
 
 
 class _Rows(LabeledBatch):

@@ -100,6 +100,12 @@ def test_bell_spectrum_of_a_tiny_fd_does_not_overflow_outside_its_band():
     assert s[0] == pytest.approx(3.0 / (np.pi * 1e-300)) and np.all(s[1:] == 0.0)
 
 
+@pytest.mark.parametrize("fd, a", [(0.0, 9.0), (10.0, 0.0), (10.0, -1.0)])
+def test_bell_spectrum_needs_a_positive_width_and_shape(fd, a):
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        bell_spectrum(1.0, fd, a)
+
+
 def test_bell_spectrum_zero_outside_support():
     assert bell_spectrum(10.01, 10.0, 9.0) == 0.0
     with pytest.raises(ConfigurationError):

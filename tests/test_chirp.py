@@ -138,6 +138,13 @@ def test_downsample_requires_divisor():
         downsample(w, 3)
 
 
+@pytest.mark.parametrize("lam", [0, -2, 2.0])
+def test_downsample_requires_a_positive_integer_stride(lam):
+    w = Waveform(np.arange(10, dtype=float) + 1, 10.0)
+    with pytest.raises(ConfigurationError, match="must be a positive integer"):
+        downsample(w, lam)
+
+
 @settings(max_examples=20, deadline=None)
 @given(a=st.sampled_from([2, 3, 4]), b=st.sampled_from([2, 3, 5]))
 def test_downsample_composes(a, b):
@@ -241,6 +248,12 @@ def test_dnn_op_count_values():
     assert rep.additions == 160 + 140 + 1 == 301
     assert rep.nonlinear_activations == 301
     assert rep.multiplications == 160 * 160 + 160 * 140 + 140 * 1 == 48140
+
+
+@pytest.mark.parametrize("count", [mf_op_count, dnn_op_count])
+def test_op_counts_need_an_input_sample(count):
+    with pytest.raises(ConfigurationError):
+        count(0)
 
 
 def test_op_counts_deterministic():

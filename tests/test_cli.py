@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from chirpfed.chirp import ChirpParams
 from chirpfed.channel import RayleighModelConfig
 from chirpfed.data import DatasetSpec, build_node_dataset, load_dataset, \
     save_dataset
-from chirpfed.receiver import default_hidden, init_params, load_params, \
-    save_params
+from chirpfed.receiver import LabeledBatch, default_hidden, init_params, \
+    load_params, save_params
 
 
 def run(argv):
@@ -316,6 +317,26 @@ def test_train_single_divergence_exit_code(tmp_path, capsys):
     assert rc == cli.EXIT_RUNTIME
     err = capsys.readouterr().err
     assert "training error" in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_single_refuses_a_held_out_pass_that_is_not_finite(tmp_path, capsys):
+    # train accepts the network on gen-data's training symbols, but its pass
+    # over held-out symbols at the float32 edge overflows: the held-out BER is
+    # refused as detect_batch refuses it, after the checkpoint is written
+    spec = DatasetSpec(n_symbols=60, split=0.8, chirp=ChirpParams(lam=24), seed=4)
+    train, test = build_node_dataset(spec)
+    edge = np.where(test.batch.inputs >= 0, 3e38, -3e38).astype(np.float32)
+    test = replace(test, batch=LabeledBatch(edge, test.batch.labels))
+    data_path, ckpt = tmp_path / "node.uwds", tmp_path / "net.cdnn"
+    save_dataset(data_path, train, test, spec)
+    rc = run(["train-single", "--seed", "5", "--data", str(data_path),
+              "--epochs", "2", "--out", str(ckpt)])
+    out, err = capsys.readouterr()
+    assert rc == cli.EXIT_USAGE and out == ""
+    assert err == ("chirpfed: the network's float32 forward pass is not finite: "
+                   "its parameters have diverged on these inputs\n")
+    assert ckpt.exists()
 
 
 # sha256 of the checkpoint below, recorded when the receiver came to compute
@@ -630,6 +651,7 @@ BAD_ARGV = [
     ["ber-sweep", "--snr-db", "0:1:inf"],
     ["ber-sweep", "--snr-db", "0:inf:3"],
     ["ber-sweep", "--snr-db", "nan:1:3"],
+    ["ber-sweep", "--snr-db", "0:0:3"],  # grid step must be positive
     ["run-fed", "--group", "count=abc"],
     ["run-fed", "--group", "bogus=1"],
     ["run-fed", "--group", "snr=a:b"],

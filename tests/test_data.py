@@ -50,6 +50,8 @@ def test_spec_defaults():
     dict(split=0.0),
     dict(split=1.0),
     dict(split=np.nan),
+    dict(n_symbols=2, split=0.1),  # no train part
+    dict(n_symbols=2, split=0.9),  # no test part
     dict(snr_db_range=(-np.inf, -np.inf)),
     dict(channel_tag="bellhop"),
     dict(snr_db_range=(1e300, 1e300)),  # beyond the float32 metadata
@@ -210,7 +212,7 @@ def test_dataset_rayleigh_taps_are_static_and_stop_at_the_symbol():
 
 def test_one_tap_rayleigh_row_is_apply_channel():
     # a delay spread below one tap spacing leaves one static gain, which the
-    # tap loop takes, not the batched FFT product
+    # batched FFT product takes as it takes more taps
     spec = small_spec(channel_tag="rayleigh", rayleigh=RayleighModelConfig(
         max_excess_delay=1e-4, Ts=1.0 / 6000.0, fd=5.0))
     cfg, _, amplitudes = rayleigh_layout(spec)
@@ -500,6 +502,11 @@ def test_ber_monte_carlo_detectors_share_bits_and_noise(untrained_receiver):
 def test_ber_monte_carlo_rejects_bad_detector_lists(detectors):
     with pytest.raises(ConfigurationError):
         ber_monte_carlo(ChirpParams(lam=6), detectors, 9.0, 0.0, 0.0, 10, seed=1)
+
+
+def test_ber_monte_carlo_needs_a_trial():
+    with pytest.raises(ConfigurationError, match="at least one trial"):
+        ber_monte_carlo(ChirpParams(lam=6), ["mf"], 9.0, 0.0, 0.0, 0, seed=1)
 
 
 def test_ber_monte_carlo_builds_each_chunk_in_one_buffer():

@@ -563,6 +563,24 @@ def test_run_rounds_linearizes_each_train_split_once_per_theta(monkeypatch, T0):
     assert seen.count(True) == K * (R + 1) + N * R * (T0 - 1)
 
 
+@pytest.mark.parametrize("mode, T0", [("fml", 1), ("fml", 3), ("fl", 2)])
+def test_run_rounds_checks_divergence_on_the_passes_it_makes(monkeypatch, mode, T0):
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 80 + i, theta=theta) for i in range(5)]
+    cfg = FmlConfig(K=5, G=0.4, alpha=0.05, beta=0.05, T0=T0, rounds=4,
+                    p_decode=0.5, seed=3)
+    passes = []
+    logits = receiver._logits
+    monkeypatch.setattr(receiver, "_logits", lambda *a: passes.append(1) or logits(*a))
+    run_rounds(cfg, nodes, mode)
+    K, N, R = cfg.K, cfg.N, cfg.rounds
+    # per theta, each train split once; per evaluated round, each test split
+    # at theta and at phi; per local update, its train- and test-side
+    # gradients and the check of its result
+    steps = 2 * T0 if mode == "fml" else T0 + 1
+    assert len(passes) == K * (R + 1) + 2 * K * R + N * R * steps
+
+
 @pytest.mark.parametrize("mode", ["fml", "fl"])
 def test_diverging_local_step_names_its_round(mode):
     check_diverging_local_step_names_its_round(mode)
@@ -598,21 +616,93 @@ def test_an_update_past_the_float32_range_diverged(mode, alpha):
         run_rounds(cfg, nodes, mode)
 
 
-def check_diverging_local_step_names_its_round(mode):
+def diverging_run(mode):
+    """run_rounds on five nodes, of which node 2's train inputs overflow
+    x @ W.T at every theta; it is first scheduled in round 3 under seed 7."""
     theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
     nodes = [make_node(i, 100 + i, theta=theta) for i in range(5)]
-    bad = nodes[2]  # first scheduled in round 3 under seed 7
-    huge = np.where(bad.train_split.inputs > 0, 1.7e308, -1.7e308)  # overflows x @ W.T
+    bad = nodes[2]
+    huge = np.where(bad.train_split.inputs > 0, 1.7e308, -1.7e308)
     nodes[2] = NodeState(bad.id, theta, LabeledBatch(huge, bad.train_split.labels),
                          bad.test_split)
     cfg = FmlConfig(K=5, G=0.4, alpha=0.05, beta=0.05, rounds=6, p_decode=0.5,
                     seed=7)
-    with np.errstate(all="ignore"), pytest.raises(TrainingError) as info:
-        run_rounds(cfg, nodes, mode)
-    assert info.value.round_index == 3
-    assert info.value.step_index == 0
+    with np.errstate(all="ignore"):
+        return run_rounds(cfg, nodes, mode)
+
+
+def check_diverging_local_step_names_its_round(mode):
+    # node 2's loss at the first broadcast theta is refused in the pass that
+    # opens round 0, long before its first local step in round 3
+    with pytest.raises(TrainingError) as info:
+        diverging_run(mode)
+    assert info.value.round_index == 0
+    assert info.value.step_index is None
     assert info.value.node_id == 2
-    assert str(info.value).endswith("update diverged (round 3, node 2, step 0)")
+    assert str(info.value).endswith("train loss is not finite (round 0, node 2)")
+
+
+def run_with_train_gradient(monkeypatch, fill):
+    """A one-round 'fl' run on three nodes, with alpha 2, in which node 1's
+    train gradient at the theta that evaluates round 0 is `fill` in every
+    entry."""
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 120 + i, theta=theta) for i in range(3)]
+    original = receiver.linearize
+
+    def filled(p, batch, hvp=True):
+        lin = original(p, batch, hvp)
+        if batch is nodes[1].train_split:  # only linearized when evaluated
+            lin.grad = np.full_like(lin.grad, fill)
+        return lin
+
+    monkeypatch.setattr(receiver, "linearize", filled)
+    cfg = FmlConfig(K=3, G=1.0, alpha=2.0, beta=0.05, rounds=1, seed=1)
+    return run_rounds(cfg, nodes, "fl")
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+@pytest.mark.parametrize("fill, reason", [
+    (1e308, "adapted parameters are not finite"),  # finite, but 2 * 1e308 is not
+    (np.inf, "train gradient is not finite"),
+    (np.nan, "train gradient is not finite")])
+def test_a_gradient_that_is_not_finite_or_overflows_is_refused_for_its_round(
+        request, monkeypatch, threads, fill, reason):
+    request.getfixturevalue(threads)
+    with pytest.raises(TrainingError) as info:
+        run_with_train_gradient(monkeypatch, fill)
+    assert (info.value.round_index, info.value.node_id) == (0, 1)
+    assert str(info.value) == f"{reason} (round 0, node 1)"
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+@pytest.mark.parametrize("scenario", ["diverging", "overflowing step"])
+def test_run_rounds_scores_only_finite_parameters(request, monkeypatch, threads,
+                                                  scenario):
+    request.getfixturevalue(threads)
+    original = receiver.ber_eval
+    scored = []
+
+    def spy(p, batch):
+        scored.append(bool(np.isfinite(p.to_flat()).all()))
+        return original(p, batch)
+
+    monkeypatch.setattr(receiver, "ber_eval", spy)
+    with pytest.raises(TrainingError):
+        if scenario == "diverging":
+            diverging_run("fml")
+        else:
+            run_with_train_gradient(monkeypatch, 1e308)
+    assert all(scored)
+
+
+def test_evaluate_names_the_node_whose_adapted_parameters_overflow():
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    node = make_node(4, 130, theta=theta)
+    g = np.full(theta.n_params, 1e308)
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match=r"^adapted parameters are not finite \(node 4\)$"):
+        evaluate(theta, node, 2.0, g)
 
 
 # ---------------------------------------------------------------- the helper

@@ -158,11 +158,12 @@ def test_forward_matches_straight_line_evaluator():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_forward_pass_saturates_past_the_float_range_without_a_warning():
     # every activation overflows to +inf, and the output saturates at 1;
-    # detect_batch refuses to decide on such a pass
+    # detect_batch, and ber_eval through it, refuse to decide on such a pass
     p = params(tuple(np.full(s, 1e300) for s in [(3, 4), (3, 3), (1, 3)]),
                (np.zeros(3), np.zeros(3), np.zeros(1)))
     assert forward_batch(p, np.ones((2, 4))).tolist() == [1.0, 1.0]
-    assert ber_eval(p, LabeledBatch(np.ones((1, 4)), [1.0])) == 0.0
+    with pytest.raises(InputError, match="diverged"):
+        ber_eval(p, LabeledBatch(np.ones((1, 4)), [1.0]))
     with pytest.raises(InputError, match="diverged"):
         detect_batch(p, np.ones((1, 4)))
 
