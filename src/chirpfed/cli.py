@@ -222,8 +222,8 @@ def cmd_train_single(args) -> int:
     p = recv_mod.init_params([n1, h1, h2, 1], rng)
     p = recv_mod.train(p, train.batch, epochs=args.epochs, lr=args.lr,
                        batch_size=args.batch_size, rng=rng)
+    ber = recv_mod.ber_eval(p, test.batch)  # a refused pass writes no checkpoint
     recv_mod.save_params(args.out, p)
-    ber = recv_mod.ber_eval(p, test.batch)
     print(f"test BER {ber:.6f} on {len(test.batch)} held-out symbols")
     return EXIT_OK
 

@@ -207,22 +207,22 @@ def _blas_threads(environ=os.environ):
 
 
 def _use_helper() -> bool:
-    """Whether run_rounds and ber_monte_carlo take a helper thread: only with
+    """Whether run_rounds and ber_monte_carlo take helper threads: only with
     one BLAS thread and at least two cores in this process's affinity, so
-    that the two threads never oversubscribe the cores."""
+    that their two busy threads never oversubscribe the cores."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     return _blas_threads() == 1 and cores >= 2
 
 
-def _helper_pool():
-    """A one-thread pool, or a null context without a helper.  Leaving it
-    joins the helper thread."""
+def _helper_pool(workers: int):
+    """A pool of `workers` helper threads, or a null context without
+    helpers (see _use_helper).  Leaving it joins the threads."""
     if not _use_helper():
         return contextlib.nullcontext()
-    # imported here, as it loads logging: 10 ms that only the helper needs
+    # imported here, as it loads logging: 10 ms that only the helpers need
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1)
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _prefetched(items, pool):
@@ -304,7 +304,7 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     # A helper draws block k+1 into one buffer while this thread builds and
     # scores block k in the other.  Only one thread draws, in block order, so
     # the stream is the serial one; leaving the with-block joins the helper.
-    with _helper_pool() as pool:
+    with _helper_pool(1) as pool:
         for b, rx in _prefetched(draws(), pool):
             # rounded once per element as s_bit + z*sigma, with no temporaries
             np.multiply(rx, sigma, out=rx)

@@ -10,8 +10,6 @@ convex combination).
 
 from __future__ import annotations
 
-import collections
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import receiver
 from .data import MAX_DATASET_SAMPLES, _helper_pool, build_node_dataset
-from .errors import ConfigurationError, EmptyRoundError, TrainingError
+from .errors import ConfigurationError, EmptyRoundError, InputError, TrainingError
 from .receiver import LabeledBatch, MlpParams
 
 
@@ -211,60 +209,35 @@ def aggregate(updates) -> np.ndarray:
 def evaluate(theta: MlpParams, node: NodeState, alpha: float, g):
     """The node's test accuracy at theta and after the one-step adaptation
     -alpha*g, g being its train-split gradient at theta.  A g or adapted
-    parameters that are not finite raise TrainingError naming the node."""
+    parameters that are not finite, or a pass over the test split that
+    ber_eval refuses, raise TrainingError naming the node."""
     if not np.isfinite(g).all():
         raise TrainingError("train gradient is not finite", node_id=node.id)
     phi = theta.from_flat(theta.to_flat() - alpha * g)
     if not np.isfinite(phi.to_flat()).all():
         raise TrainingError("adapted parameters are not finite", node_id=node.id)
-    return (1.0 - receiver.ber_eval(theta, node.test_split),
-            1.0 - receiver.ber_eval(phi, node.test_split))
-
-
-def _node_pass(work, first, rest, pool):
-    """{pos: work(pos)} over one queue, the positions in `first` then those
-    in `rest`: this thread takes the front position, then starts pool's
-    thread, if there is one, and both take positions from the front until the
-    queue is empty.  A failure empties the queue, so every position before it
-    in the queue has been taken; once the helper has finished its position,
-    the failure earliest in the queue is raised, the one a serial pass would
-    raise.  The helper runs under this thread's numpy error state, which
-    numpy keeps per thread."""
-    queue = collections.deque(enumerate(itertools.chain(first, rest)))
-    results, failures = {}, []
-
-    def take():
-        try:
-            return queue.popleft()
-        except IndexError:
-            return None
-
-    def drain(item):
-        while item:
-            i, pos = item
-            try:
-                results[pos] = work(pos)
-            except BaseException as exc:
-                queue.clear()  # neither thread takes a further position
-                failures.append((i, exc))
-                return
-            item = take()
-
-    def helper_drain(err):
-        with np.errstate(**err):
-            drain(take())
-
-    front = take()
-    helper = pool.submit(helper_drain, np.geterr()) if pool else None
     try:
-        drain(front)
-    finally:
-        queue.clear()
-        if helper:
-            helper.result()  # waits for the helper's last position
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return results
+        return (1.0 - receiver.ber_eval(theta, node.test_split),
+                1.0 - receiver.ber_eval(phi, node.test_split))
+    except InputError as exc:
+        raise TrainingError(str(exc), node_id=node.id) from exc
+
+
+def _node_pass(work, order, pool):
+    """[work(pos) for pos in order], on pool's workers if there is a pool.
+    They take positions from the front of the pool's queue, each under this
+    thread's numpy error state, which numpy keeps per thread.  A failing
+    pass raises the failure earliest in `order`, the one a serial pass would
+    raise, and cancels the positions not yet started."""
+    if pool is None:
+        return list(map(work, order))
+    err = np.geterr()
+
+    def run(pos):
+        with np.errstate(**err):
+            return work(pos)
+
+    return list(pool.map(run, order))
 
 
 def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
@@ -321,12 +294,12 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     loss on the other nodes; the last only evaluates, leaving the nodes at
     the last broadcast theta.
 
-    A pass puts its nodes in one queue, the scheduled nodes first, as their
-    MAML steps are the longest work; the calling thread and, with one BLAS
-    thread and two cores (see data._use_helper), one helper thread both take
-    nodes from its front.  The node results are merged in node order, so
-    the logs and parameters do not depend on the helper, and a failing pass
-    raises the error of the node a serial pass would fail at first.
+    A pass maps its nodes in one order, the scheduled nodes first, as their
+    MAML steps are the longest work; with one BLAS thread and two cores (see
+    data._use_helper) two worker threads take nodes from its front while
+    the calling thread waits.  The node results are merged in node order,
+    so the logs and parameters do not depend on the workers, and a failing
+    pass raises the error of the node a serial pass would fail at first.
     """
     if mode not in ("fml", "fl"):
         raise ConfigurationError(f"mode must be 'fml' or 'fl', got {mode!r}")
@@ -334,20 +307,23 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
         raise ConfigurationError("node list is empty")
     if len(nodes) != cfg.K:
         raise ConfigurationError(f"config says K={cfg.K} but got {len(nodes)} nodes")
+    if any(len(n.train_split) == 0 or len(n.test_split) == 0 for n in nodes):
+        raise ConfigurationError("every node needs nonempty train and test splits")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x5C4ED]))
     theta = nodes[0].theta
     total = sum(n.data_size for n in nodes)
     logs = []
     # overflow on the way to divergence is caught by the local updates' checks
-    with _helper_pool() as pool, np.errstate(over="ignore", invalid="ignore"):
+    with _helper_pool(2) as pool, np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.rounds + 1):
             opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
             # schedule() draws positions into the node list; logs carry node ids
             positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
-            results = _node_pass(
+            order = [*positions, *(pos for pos in range(cfg.K) if pos not in positions)]
+            results = dict(zip(order, _node_pass(
                 lambda pos: _node_work(nodes[pos], theta, t, opens, pos in positions,
                                        u.get(pos), cfg, mode),
-                positions, [pos for pos in range(cfg.K) if pos not in positions], pool)
+                order, pool)))
             loss, update, accs = zip(*(results[pos] for pos in range(cfg.K)))
             if t:
                 acc = adapted = 0.0  # weighted by data size, summed in node order

@@ -5,8 +5,8 @@ from chirpfed import data
 
 @pytest.fixture
 def helper(monkeypatch):
-    """run_rounds and ber_monte_carlo share their work with a helper thread,
-    whatever the BLAS threads and cores."""
+    """run_rounds and ber_monte_carlo take their helper threads (see
+    data._helper_pool), whatever the BLAS threads and cores."""
     monkeypatch.setattr(data, "_use_helper", lambda: True)
 
 

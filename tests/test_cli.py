@@ -323,7 +323,7 @@ def test_train_single_divergence_exit_code(tmp_path, capsys):
 def test_train_single_refuses_a_held_out_pass_that_is_not_finite(tmp_path, capsys):
     # train accepts the network on gen-data's training symbols, but its pass
     # over held-out symbols at the float32 edge overflows: the held-out BER is
-    # refused as detect_batch refuses it, after the checkpoint is written
+    # refused as detect_batch refuses it, before the checkpoint is written
     spec = DatasetSpec(n_symbols=60, split=0.8, chirp=ChirpParams(lam=24), seed=4)
     train, test = build_node_dataset(spec)
     edge = np.where(test.batch.inputs >= 0, 3e38, -3e38).astype(np.float32)
@@ -336,7 +336,7 @@ def test_train_single_refuses_a_held_out_pass_that_is_not_finite(tmp_path, capsy
     assert rc == cli.EXIT_USAGE and out == ""
     assert err == ("chirpfed: the network's float32 forward pass is not finite: "
                    "its parameters have diverged on these inputs\n")
-    assert ckpt.exists()
+    assert not ckpt.exists()
 
 
 # sha256 of the checkpoint below, recorded when the receiver came to compute

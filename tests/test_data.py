@@ -729,7 +729,7 @@ def test_prefetched_takes_the_next_item_while_the_caller_works(request, threads)
             log.append(("draw", k, threading.get_ident()))
             yield k
 
-    with data._helper_pool() as pool:
+    with data._helper_pool(1) as pool:
         for k in data._prefetched(items(), pool):
             if pool:
                 pool.submit(int).result()  # the helper has drawn k + 1

@@ -2,7 +2,6 @@ import collections
 import hashlib
 import itertools
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -356,6 +355,17 @@ def test_run_rounds_validation():
         run_rounds(FmlConfig(K=1, G=1.0), [], "fml")
 
 
+@pytest.mark.parametrize("split", ["train_split", "test_split"])
+def test_run_rounds_refuses_an_empty_split_before_any_pass(split):
+    # an empty test split is a configuration error, not a refused pass
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 100 + i, theta=theta) for i in range(5)]
+    setattr(nodes[2], split, LabeledBatch(np.zeros((0, 4)), np.zeros(0)))
+    cfg = FmlConfig(K=5, G=0.4, alpha=0.05, beta=0.05, rounds=2, p_decode=0.5, seed=7)
+    with pytest.raises(ConfigurationError, match="nonempty train and test splits"):
+        run_rounds(cfg, nodes, "fml")
+
+
 def evaluate_all(theta, nodes, alpha):
     """Oracle: each node's evaluate pair at its train gradient, weighted by
     data size and summed in node order."""
@@ -515,7 +525,9 @@ HELPER_GOLDEN_CASES = (
 def test_run_rounds_golden_digest_with_and_without_the_helper(
         request, threads, digest, mode, meta, config):
     request.getfixturevalue(threads)
+    before = threading.active_count()
     assert golden_run(mode, meta, **config)[1] == digest
+    assert threading.active_count() == before  # the workers were joined
 
 
 # sha256 of the final parameter bytes and repr(logs) of run_rounds on four
@@ -616,15 +628,14 @@ def test_an_update_past_the_float32_range_diverged(mode, alpha):
         run_rounds(cfg, nodes, mode)
 
 
-def diverging_run(mode):
-    """run_rounds on five nodes, of which node 2's train inputs overflow
+def diverging_run(mode, split="train_split"):
+    """run_rounds on five nodes, of which node 2's inputs in `split` overflow
     x @ W.T at every theta; it is first scheduled in round 3 under seed 7."""
     theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
     nodes = [make_node(i, 100 + i, theta=theta) for i in range(5)]
-    bad = nodes[2]
-    huge = np.where(bad.train_split.inputs > 0, 1.7e308, -1.7e308)
-    nodes[2] = NodeState(bad.id, theta, LabeledBatch(huge, bad.train_split.labels),
-                         bad.test_split)
+    bad = getattr(nodes[2], split)
+    huge = np.where(bad.inputs > 0, 1.7e308, -1.7e308)
+    setattr(nodes[2], split, LabeledBatch(huge, bad.labels))
     cfg = FmlConfig(K=5, G=0.4, alpha=0.05, beta=0.05, rounds=6, p_decode=0.5,
                     seed=7)
     with np.errstate(all="ignore"):
@@ -640,6 +651,20 @@ def check_diverging_local_step_names_its_round(mode):
     assert info.value.step_index is None
     assert info.value.node_id == 2
     assert str(info.value).endswith("train loss is not finite (round 0, node 2)")
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+@pytest.mark.parametrize("mode", ["fml", "fl"])
+def test_a_test_split_pass_that_is_not_finite_is_refused_for_its_round(
+        request, threads, mode):
+    # node 2's pass over its test split at the finite theta that evaluates
+    # round 0 is refused by ber_eval; the error names that round and node
+    request.getfixturevalue(threads)
+    with pytest.raises(TrainingError) as info:
+        diverging_run(mode, "test_split")
+    assert (info.value.round_index, info.value.node_id) == (0, 2)
+    assert str(info.value) == ("the network's float64 forward pass is not finite: its "
+                               "parameters have diverged on these inputs (round 0, node 2)")
 
 
 def run_with_train_gradient(monkeypatch, fill):
@@ -710,139 +735,104 @@ def test_evaluate_names_the_node_whose_adapted_parameters_overflow():
 @pytest.fixture
 def pool():
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=1) as executor:
+    with ThreadPoolExecutor(max_workers=2) as executor:
         yield executor
 
 
-def test_node_pass_shares_the_queue_with_the_helper(pool):
-    # the caller's node waits until the helper has taken one from the queue
-    helper_took = threading.Event()
-    caller = threading.get_ident()
+def test_node_pass_returns_in_order_what_both_workers_took(pool):
+    # the worker on the first position holds it until the other has taken
+    # one, so the first position finishes after a later one
+    other_took = threading.Event()
+    order = [3, 1, 4, 0, 2]
+    taken_by = {}
 
     def work(pos):
-        if pos == 0:
-            assert helper_took.wait(timeout=30)
-        elif threading.get_ident() != caller:
-            helper_took.set()
-        return pos, threading.get_ident() == caller
+        taken_by[pos] = threading.get_ident()
+        if pos == order[0]:
+            assert other_took.wait(timeout=30)
+        else:
+            other_took.set()
+        return -pos
 
-    results = federation._node_pass(work, [0], [1, 2, 3, 4], pool)
-    assert sorted(results) == [0, 1, 2, 3, 4]
-    assert all(results[pos][0] == pos for pos in results)
-    assert results[0][1] and not all(on_caller for _, on_caller in results.values())
-
-
-def test_node_pass_without_a_helper_takes_first_then_the_rest():
-    order = []
-    results = federation._node_pass(lambda pos: order.append(pos) or -pos,
-                                    (2, 4), [0, 1, 3], None)
-    assert order == [2, 4, 0, 1, 3]
-    assert results == {0: 0, 1: -1, 2: -2, 3: -3, 4: -4}
+    assert federation._node_pass(work, order, pool) == [-pos for pos in order]
+    workers = set(taken_by.values())
+    assert len(workers) == 2 and threading.get_ident() not in workers
 
 
-def test_node_pass_runs_the_helper_in_the_callers_error_state(pool):
-    helper_took = threading.Event()
+def test_node_pass_without_a_pool_runs_in_serial_order():
+    taken = []
     caller = threading.get_ident()
+    results = federation._node_pass(
+        lambda pos: taken.append((pos, threading.get_ident() == caller)) or -pos,
+        [2, 4, 0, 1, 3], None)
+    assert taken == [(2, True), (4, True), (0, True), (1, True), (3, True)]
+    assert results == [-2, -4, 0, -1, -3]
+
+
+def test_node_pass_runs_the_workers_in_the_callers_error_state(pool):
+    other_took = threading.Event()
+    taken_by = {}
 
     def work(pos):
+        taken_by[pos] = threading.get_ident()
         if pos == 0:
-            assert helper_took.wait(timeout=30)
-        elif threading.get_ident() != caller:
-            helper_took.set()
+            assert other_took.wait(timeout=30)
+        else:
+            other_took.set()
         return np.geterr()
 
     with np.errstate(over="raise", invalid="ignore", divide="warn", under="ignore"):
         want = np.geterr()
-        results = federation._node_pass(work, [0], [1, 2, 3], pool)
-    assert all(state == want for state in results.values())
+        results = federation._node_pass(work, range(4), pool)
+    assert len(set(taken_by.values())) == 2
+    assert all(state == want for state in results)
 
 
-def test_node_pass_raises_what_the_helper_raised_and_stops_the_queue(pool):
-    caller = threading.get_ident()
-    helper_failed = threading.Event()
-    taken = []
-
-    def work(pos):
-        taken.append(pos)
-        if threading.get_ident() != caller:
-            helper_failed.set()
-            raise ValueError(f"node {pos}")
-        assert helper_failed.wait(timeout=30)  # the caller's first node
-        return pos
-
-    with pytest.raises(ValueError, match="node 1"):
-        federation._node_pass(work, [0], [1, 2, 3, 4], pool)
-    assert sorted(taken) == [0, 1]  # the failure emptied the queue
-
-
-def test_node_pass_waits_for_the_helper_when_the_caller_raises(pool):
-    caller = threading.get_ident()
-    helper_started = threading.Event()
-    finished = []
-
-    def work(pos):
-        if threading.get_ident() == caller:
-            assert helper_started.wait(timeout=30)
-            raise ValueError("caller's node")
-        helper_started.set()
-        time.sleep(0.2)
-        finished.append(pos)
-        return pos
-
-    with pytest.raises(ValueError, match="caller's node"):
-        federation._node_pass(work, [0], [1, 2, 3, 4], pool)
-    assert finished == [1]  # its node done, and no further node taken
-
-
-def test_node_pass_lets_the_helper_take_positions_from_first(pool):
-    # the caller's first position waits until the helper has run one of the
-    # other positions in `first`, the scheduled nodes of a pass
-    caller = threading.get_ident()
-    helper_stepped = threading.Event()
-
-    def work(pos):
-        on_caller = threading.get_ident() == caller
-        if pos == 0:
-            assert helper_stepped.wait(timeout=30)
-        elif pos in (1, 2) and not on_caller:
-            helper_stepped.set()
-        return on_caller
-
-    results = federation._node_pass(work, [0, 1, 2], [3, 4], pool)
-    assert sorted(results) == [0, 1, 2, 3, 4]
-    assert results[0] and not (results[1] and results[2])
-
-
-def test_node_pass_raises_the_failure_earliest_in_the_queue(pool):
-    # the helper holds position 1 while the caller fails at position 2; the
-    # helper then fails too, later in time but earlier in the queue
-    caller = threading.get_ident()
-    helper_took, caller_failed = threading.Event(), threading.Event()
+def test_node_pass_raises_the_failure_earliest_in_order(pool):
+    # one worker holds position 0 while the other fails at position 1; the
+    # first then fails too, later in time but earlier in the order
+    later_failed = threading.Event()
     events = []
 
     def work(pos):
-        if threading.get_ident() != caller:
-            helper_took.set()
-            assert caller_failed.wait(timeout=30)
-            time.sleep(0.2)
-            events.append(f"helper failed at {pos}")
-            raise ValueError(f"node {pos}")
+        if pos == 1:
+            events.append("failed at 1")
+            later_failed.set()
+            raise ValueError("node 1")
         if pos == 0:
-            assert helper_took.wait(timeout=30)
-            return pos
-        events.append(f"caller failed at {pos}")
-        caller_failed.set()
-        raise ValueError(f"node {pos}")
+            assert later_failed.wait(timeout=30)
+            events.append("failed at 0")
+            raise ValueError("node 0")
+        return pos
 
-    with pytest.raises(ValueError, match="node 1"):
-        federation._node_pass(work, [0], [1, 2, 3, 4], pool)
-    # the helper's failure came last, so the pass waited for it, and no
-    # position after the failures was taken
-    assert events == ["caller failed at 2", "helper failed at 1"]
+    with pytest.raises(ValueError, match="node 0"):
+        federation._node_pass(work, range(5), pool)
+    assert events == ["failed at 1", "failed at 0"]
+
+
+def test_node_pass_starts_no_position_queued_after_the_failure(pool):
+    # position 0 fails at once; the positions the workers take next are held
+    # until the pass has raised, and no position may start after that
+    raised = threading.Event()
+    started_late = []
+
+    def work(pos):
+        if raised.is_set():
+            started_late.append(pos)
+        if pos == 0:
+            raise ValueError("node 0")
+        assert raised.wait(timeout=30)
+        return pos
+
+    with pytest.raises(ValueError, match="node 0"):
+        federation._node_pass(work, range(10), pool)
+    raised.set()
+    pool.shutdown(wait=True)
+    assert started_late == []
 
 
 def test_node_pass_takes_each_node_once_under_contention():
-    # four passes at once, each with its own helper: eight threads on the
+    # four passes at once, each on its own two workers: twelve threads on the
     # cores, switching every microsecond
     import sys
     from concurrent.futures import ThreadPoolExecutor
@@ -854,10 +844,10 @@ def test_node_pass_takes_each_node_once_under_contention():
             counts[pos] += 1
             return pos * pos
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            results = federation._node_pass(work, range(0, 3000, 7),
-                                            [p for p in range(3000) if p % 7], pool)
-        return results, counts
+        order = [*range(0, 3000, 7), *(p for p in range(3000) if p % 7)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = federation._node_pass(work, order, pool)
+        return order, results, counts
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -866,9 +856,9 @@ def test_node_pass_takes_each_node_once_under_contention():
             done = list(passes.map(one_pass, range(4), timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for results, counts in done:
-        assert results == {pos: pos * pos for pos in range(3000)}
-        assert set(counts.values()) == {1}
+    for order, results, counts in done:
+        assert results == [pos * pos for pos in order]
+        assert sorted(counts) == list(range(3000)) and set(counts.values()) == {1}
 
 
 def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
@@ -886,7 +876,8 @@ def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
 
     monkeypatch.setattr(receiver, "ber_eval", failing)
     threads = threading.active_count()
-    with pytest.raises(InputError, match="ber_eval failed"):
+    # evaluate names the node, and the pass the round, of the refused pass
+    with pytest.raises(TrainingError, match=r"^ber_eval failed \(round 0, node \d\)$"):
         run_rounds(cfg, nodes, "fml")
     assert threading.active_count() == threads
 
@@ -897,8 +888,8 @@ def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
 # it read 5,677,445 B before the MAML step and the HVP were trimmed, and
 # 4,716,121 B after.  The bound sits halfway between: 10% over the second, so
 # numpy staging a temporary differently leaves room, and 8% under the first.
-# A helper thread steps such nodes too, and each thread's allocator keeps its
-# own peak, so this bounds what the helper adds to a run's peak RSS.
+# Either worker of a pass steps such nodes, and each thread's allocator keeps
+# its own peak, so this bounds what the second worker adds to a run's peak RSS.
 SCHEDULED_NODE_PEAK_BOUND = 5_200_000
 
 
