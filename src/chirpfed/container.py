@@ -39,10 +39,13 @@ def pack_strings(texts) -> bytes:
     return pack_fields("H", len(texts)) + b"".join(map(pack_string, texts))
 
 
-def save(path, magic: bytes, version: int, *blocks: bytes) -> None:
-    """Writes the header and the packed blocks in one piece."""
+def save(path, magic: bytes, version: int, *blocks) -> None:
+    """Writes the header, then each packed block (any bytes-like object) in
+    turn, so that no block is copied to join them."""
     with open(path, "wb") as f:
-        f.write(pack_fields("4sH", magic, version) + b"".join(blocks))
+        f.write(pack_fields("4sH", magic, version))
+        for block in blocks:
+            f.write(block)
 
 
 class Reader:

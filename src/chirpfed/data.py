@@ -9,7 +9,9 @@ receiver-side noise, and counts detection errors.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -37,7 +39,10 @@ DETECTORS = ("mf", "dnn")  # of ber_monte_carlo
 NOISE_CHUNK = 20000
 # Rows of a chunk that ber_monte_carlo draws and scores at a time.  Not part
 # of the stream: the normals of a chunk come in the same order in any block.
-BLOCK_ROWS = 5000
+# At lam=6 a block is 1.25 MiB of float64, within a 2 MiB L2 cache; at
+# lam=1 it keeps the 960-wide network's GEMMs long enough that sgemm's
+# packing of the weights stays a small share of each call.
+BLOCK_ROWS = 1024
 MAX_DATASET_SAMPLES = 2 ** 24  # records x n1; 64 MB of float32 samples
 
 
@@ -225,15 +230,23 @@ def _helper_pool(workers: int):
     return ThreadPoolExecutor(max_workers=workers)
 
 
+# Items that _prefetched's helper takes ahead of the caller's current one.
+# With two, the helper finds its next item queued when it finishes one, and
+# does not wait for a wake-up by the caller between items.
+_PREFETCH_AHEAD = 2
+
+
 def _prefetched(items, pool):
-    """Iterate `items`, none of them None, taking each next one on pool's
-    thread while the caller works on the current one; inline without one."""
+    """Iterate `items`, none of them None, taking the next _PREFETCH_AHEAD
+    ones on pool's thread, in order, while the caller works on the current
+    one; inline without a pool."""
     if pool is None:
         yield from items
         return
-    pending = pool.submit(next, items, None)
-    while (item := pending.result()) is not None:
-        pending = pool.submit(next, items, None)
+    pending = collections.deque(pool.submit(next, items, None)
+                                for _ in range(_PREFETCH_AHEAD))
+    while (item := pending.popleft().result()) is not None:
+        pending.append(pool.submit(next, items, None))
         yield item
 
 
@@ -258,15 +271,19 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     full-rate symbol energy, so ebn0_db is 10*log10(T*fs/2) dB, 26.8 dB at
     960 samples, above the per-sample SNR of DatasetSpec.snr_db_range.
 
-    The matched filter scores the float64 rows.  The network scores them
-    rounded once to float32, the precision it is trained in; a block whose
-    pass leaves the float32 range raises InputError (see
-    receiver.detect_batch) rather than scoring a saturated network.
+    Each chunk is drawn and scored BLOCK_ROWS rows at a time, so memory
+    holds a few blocks, not a chunk: the float64 blocks of normals (one, or
+    three with the helper) and, for the network, the current block in
+    float32 with its hidden activations.  The matched filter scores the
+    float64 rows.  The network scores them rounded once to float32, the
+    precision it is trained in; a block whose pass leaves the float32 range
+    raises InputError (see receiver.detect_batch) rather than scoring a
+    saturated network.
 
     With one BLAS thread and two cores (see _use_helper) a helper thread
-    makes the generator calls, the next block's bits and normals, while the
-    calling thread builds and scores the current block; the helper is joined
-    before the call returns or raises.
+    makes the generator calls, the next two blocks' bits and normals, while
+    the calling thread builds and scores the current block; the helper is
+    joined before the call returns or raises.
     """
     detectors = list(detectors)
     if not detectors or not set(detectors) <= set(DETECTORS) or (
@@ -285,27 +302,27 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     rng = np.random.default_rng(np.random.SeedSequence([seed, noise_stream_key(ebn0_db)]))
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
     rows = min(BLOCK_ROWS, trials)
-    bufs = [np.empty((rows, params.n1)), np.empty((rows, params.n1))]
     rows32 = np.empty((rows, params.n1), np.float32) if "dnn" in detectors else None
 
-    def draws():
+    def draws(ring):
         """(bits, standard normals) of each block in stream order: a chunk's
-        bits, then its normals a block at a time, into the two buffers in
-        turn.  Generator calls only."""
+        bits, then its normals a block at a time, into the buffers of `ring`
+        in turn.  Generator calls only."""
         for c0 in range(0, trials, NOISE_CHUNK):
             bits = rng.integers(0, 2, size=min(NOISE_CHUNK, trials - c0))
             for r0 in range(0, bits.size, BLOCK_ROWS):
                 b = bits[r0:r0 + BLOCK_ROWS]
-                rx = bufs[0][:b.size]
-                bufs.reverse()
-                yield b, rng.standard_normal(out=rx)
+                yield b, rng.standard_normal(out=next(ring)[:b.size])
 
     errors = [0] * len(detectors)
-    # A helper draws block k+1 into one buffer while this thread builds and
-    # scores block k in the other.  Only one thread draws, in block order, so
-    # the stream is the serial one; leaving the with-block joins the helper.
+    # A helper draws blocks k+1 and k+2, each into a buffer of its own, while
+    # this thread builds and scores block k in a third.  Only one thread
+    # draws, in block order, so the stream is the serial one; leaving the
+    # with-block joins the helper.
     with _helper_pool(1) as pool:
-        for b, rx in _prefetched(draws(), pool):
+        buffers = 1 + (_PREFETCH_AHEAD if pool else 0)
+        ring = itertools.cycle([np.empty((rows, params.n1)) for _ in range(buffers)])
+        for b, rx in _prefetched(draws(ring), pool):
             # rounded once per element as s_bit + z*sigma, with no temporaries
             np.multiply(rx, sigma, out=rx)
             one = (b == 1)[:, None]
@@ -379,15 +396,19 @@ def save_dataset(path, train: SymbolSet, test: SymbolSet,
             raise ConfigurationError("tag index outside the tag table")
         if not np.all((s.batch.labels == 0) | (s.batch.labels == 1)):
             raise ConfigurationError("label is not a bit")
-    rec = np.empty(len(train) + len(test), _record_dtype(n1))
+    # the records are the only copy of the samples: each column is assigned
+    # in place, and the file is written from their buffer
+    k = len(train)
+    rec = np.empty(k + len(test), _record_dtype(n1))
     with np.errstate(over="ignore"):  # a sample past the f32 range is caught below
         for name, a, b in zip(rec.dtype.names, columns(train), columns(test)):
-            rec[name] = np.concatenate([a, b])
+            rec[name][:k] = a
+            rec[name][k:] = b
     if not np.all(np.isfinite(rec["x"])):
         raise ConfigurationError("sample outside the float32 range")
     container.save(path, DATASET_MAGIC, DATASET_VERSION,
                    container.pack_fields("IQH", n1, rec.size, spec.chirp.lam),
-                   rec.tobytes(), container.pack_strings(train.tag_table),
+                   memoryview(rec).cast("B"), container.pack_strings(train.tag_table),
                    container.pack_string(_spec_to_json(spec, len(train)), length="I"))
 
 

@@ -339,6 +339,30 @@ def test_save_dataset_rejects_bad_tags_and_labels(tmp_path):
         assert not path.exists()
 
 
+def test_save_dataset_keeps_one_copy_of_the_samples(tmp_path):
+    # the packed records, plus the finiteness check's bools; concatenated
+    # columns, a bytes copy of the records and the joined file held 4.1
+    # times the sample bytes
+    spec = small_spec(n_symbols=20000)
+    n, n1 = spec.n_symbols, spec.chirp.n1
+    rng = np.random.default_rng(0)
+    samples = rng.standard_normal((n, n1), dtype=np.float32)
+    meta = [rng.standard_normal(n, dtype=np.float32) for _ in range(3)]
+    train, test = data._split(spec.n_train, samples, rng.integers(0, 2, n).astype(np.float32),
+                              *meta, np.zeros(n, np.uint16), data.CHANNEL_TAGS)
+    path = tmp_path / "node.uwds"
+    tracemalloc.start()
+    try:
+        save_dataset(path, train, test, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * samples.nbytes, peak / samples.nbytes
+    back_train, back_test, _ = load_dataset(path)
+    assert np.array_equal(np.concatenate([back_train.batch.inputs, back_test.batch.inputs]),
+                          samples)
+
+
 # sha256 over the records of build_node_dataset (25 symbols, lam = 6, seed 7)
 # under the three impairment profiles of the synthesis benchmark.  The sto
 # digest was computed with the full-rate interpolation that the decimating
@@ -585,7 +609,9 @@ def test_ber_monte_carlo_scores_the_network_in_float32(request, monkeypatch,
     trials = NOISE_CHUNK + BLOCK_ROWS + 123
     ber_monte_carlo(ChirpParams(lam=6), detectors, 4.0, 3.5, 1.5, trials, seed=11,
                     checkpoint_params=untrained_receiver)
-    assert len(mf_rows) == len(dnn_rows) == 6
+    blocks = sum(-(-min(NOISE_CHUNK, trials - c0) // BLOCK_ROWS)
+                 for c0 in range(0, trials, NOISE_CHUNK))
+    assert len(mf_rows) == len(dnn_rows) == blocks
     assert sum(map(len, mf_rows)) == trials
     for rx, x in zip(mf_rows, dnn_rows):
         assert rx.dtype == np.float64 and x.dtype == np.float32
@@ -647,6 +673,32 @@ def test_ber_monte_carlo_holds_blocks_not_chunks(untrained_receiver):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * chunk_bytes, peak / chunk_bytes
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+@pytest.mark.parametrize("detectors, extra", [(["mf"], 0.25), (["mf", "dnn"], 2.5)],
+                         ids=["mf", "mf,dnn"])
+@pytest.mark.parametrize("lam", [1, 6])
+def test_ber_monte_carlo_holds_a_few_blocks(request, lam, detectors, extra, threads):
+    # the float64 blocks of normals, one or, with the helper two blocks
+    # ahead, three; for the network also the float32 rows, their hidden
+    # activations and the float32 parameters (0.9 of a block at lam=1): a few
+    # blocks, which keep under a third of a chunk
+    request.getfixturevalue(threads)
+    params = ChirpParams(lam=lam)
+    n1 = params.n1
+    theta = init_params([n1, *default_hidden(n1), 1], np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        ber_monte_carlo(params, detectors, 3.0, 0, 0, NOISE_CHUNK + BLOCK_ROWS + 123, seed=4,
+                        checkpoint_params=theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes, chunk_bytes = (rows * n1 * 8 for rows in (BLOCK_ROWS, NOISE_CHUNK))
+    buffers = {"serial": 1, "helper": 3}[threads]
+    assert peak <= (buffers + extra) * block_bytes, peak / block_bytes
+    assert peak <= chunk_bytes / 3, peak / chunk_bytes
 
 
 def test_ber_monte_carlo_joins_its_helper(untrained_receiver, monkeypatch, serial):
@@ -732,14 +784,14 @@ def test_prefetched_takes_the_next_item_while_the_caller_works(request, threads)
     with data._helper_pool(1) as pool:
         for k in data._prefetched(items(), pool):
             if pool:
-                pool.submit(int).result()  # the helper has drawn k + 1
+                pool.submit(int).result()  # the helper has drawn k + 1 and k + 2
             log.append(("use", k, threading.get_ident()))
     caller = threading.get_ident()
     drawn_on = {ident for step, _, ident in log if step == "draw"}
     steps = [step[0] + str(k) for step, k, _ in log]
     if threads == "helper":
         assert caller not in drawn_on and len(drawn_on) == 1
-        assert steps == ["d0", "d1", "u0", "d2", "u1", "d3", "u2", "u3"]
+        assert steps == ["d0", "d1", "d2", "u0", "d3", "u1", "u2", "u3"]
     else:
         assert drawn_on == {caller}
         assert steps == ["d0", "u0", "d1", "u1", "d2", "u2", "d3", "u3"]
