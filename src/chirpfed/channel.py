@@ -569,7 +569,7 @@ def save_cir(path, h: ChannelRealization) -> None:
     container.save(path, CIR_MAGIC, CIR_VERSION,
                    container.pack_fields("IQd", h.n_taps, h.n_time, h.Ts),
                    container.pack_strings([f"{k}={v}" for k, v in sorted(h.meta.items())]),
-                   inter.tobytes())
+                   memoryview(inter).cast("B"))
 
 
 def load_cir(path) -> ChannelRealization:

@@ -165,10 +165,6 @@ def cmd_ber_sweep(args) -> int:
             f"--detector {args.detector!r} names a detector more than once")
     if args.trials < 0:
         raise ConfigurationError("--trials must be >= 0")
-    # noise_stream_key also rejects a non-finite Eb/N0
-    if len({data_mod.noise_stream_key(snr) for snr in args.snr_db}) < len(args.snr_db):
-        raise ConfigurationError("two --snr-db values share one noise stream, keyed by "
-                                 "int(1000 * snr_db)")
     ckpt = None
     if "dnn" in detectors:
         if not args.checkpoint:
@@ -179,10 +175,13 @@ def cmd_ber_sweep(args) -> int:
         raise ConfigurationError(
             f"--checkpoint takes {ckpt.layer_sizes[0]}-sample symbols, but --lambda "
             f"{args.lam} gives {params.n1}-sample symbols")
+    grid = []  # no trials, no rows
+    if args.trials > 0:
+        grid = data_mod.ber_monte_carlo(params, detectors, args.snr_db, args.sto,
+                                        args.speed, args.trials, args.seed,
+                                        checkpoint_params=ckpt)
     rows = []
-    for snr in args.snr_db if args.trials > 0 else []:
-        bers = data_mod.ber_monte_carlo(params, detectors, snr, args.sto, args.speed,
-                                        args.trials, args.seed, checkpoint_params=ckpt)
+    for snr, bers in zip(args.snr_db, grid):
         for det, ber in zip(detectors, bers):
             half = data_mod.wilson_half_width(ber, args.trials)
             rows.append([_fmt(snr), det, args.lam, _fmt(args.sto),
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed", type=float, default=0.0, help="relative speed m/s")
     p.add_argument("--trials", type=int, default=100000,
                    help="symbols per Eb/N0 point; not capped: run time is linear "
-                        f"in it, memory is blocks of {data_mod.BLOCK_ROWS} rows")
+                        f"in it, memory is chunks of {data_mod.CHUNK_ROWS} rows")
     p.add_argument("--checkpoint", help="C-DNN checkpoint for detector=dnn")
 
     p = add("gen-data", cmd_gen_data, help="synthesize one node dataset")

@@ -9,13 +9,12 @@ receiver-side noise, and counts detection errors.
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import itertools
 import json
 import math
 import os
 import re
+import threading
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -33,16 +32,12 @@ DATASET_VERSION = 1
 
 CHANNEL_TAGS = ("identity", "rayleigh")
 DETECTORS = ("mf", "dnn")  # of ber_monte_carlo
-# Symbols drawn per ber_monte_carlo chunk.  Part of the noise stream: the bits
-# and noise of each chunk are drawn in turn, so another size reorders the
-# draws and changes every BER.
-NOISE_CHUNK = 20000
-# Rows of a chunk that ber_monte_carlo draws and scores at a time.  Not part
-# of the stream: the normals of a chunk come in the same order in any block.
-# At lam=6 a block is 1.25 MiB of float64, within a 2 MiB L2 cache; at
-# lam=1 it keeps the 960-wide network's GEMMs long enough that sgemm's
-# packing of the weights stays a small share of each call.
-BLOCK_ROWS = 1024
+# Symbols per ber_monte_carlo chunk, each drawn from a stream of its own and
+# worked whole.  Part of the noise stream: another size regroups the draws and
+# changes every BER.  At lam=6 a thread's two float64 chunks, its normals and
+# its received rows, take 1.25 MiB, within a 2 MiB L2 cache; 1,024 rows ran
+# about 7% faster on one thread but held 5% more peak memory on two.
+CHUNK_ROWS = 512
 MAX_DATASET_SAMPLES = 2 ** 24  # records x n1; 64 MB of float32 samples
 
 
@@ -230,59 +225,36 @@ def _helper_pool(workers: int):
     return ThreadPoolExecutor(max_workers=workers)
 
 
-# Items that _prefetched's helper takes ahead of the caller's current one.
-# With two, the helper finds its next item queued when it finishes one, and
-# does not wait for a wake-up by the caller between items.
-_PREFETCH_AHEAD = 2
-
-
-def _prefetched(items, pool):
-    """Iterate `items`, none of them None, taking the next _PREFETCH_AHEAD
-    ones on pool's thread, in order, while the caller works on the current
-    one; inline without a pool."""
-    if pool is None:
-        yield from items
-        return
-    pending = collections.deque(pool.submit(next, items, None)
-                                for _ in range(_PREFETCH_AHEAD))
-    while (item := pending.popleft().result()) is not None:
-        pending.append(pool.submit(next, items, None))
-        yield item
-
-
-def noise_stream_key(ebn0_db):
-    """The per-SNR part of the BER seed: millidecibels, as 31 bits."""
-    millidecibels = ebn0_db * 1000
-    if not math.isfinite(millidecibels):
-        raise ConfigurationError(f"Eb/N0 of {ebn0_db} dB has no noise stream")
-    return int(millidecibels) & 0x7FFFFFFF
-
-
 def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
                     checkpoint_params=None):
-    """Empirical BER of each detector, in order: clean impaired symbols plus
+    """Empirical BER of each detector at each Eb/N0 of the grid `ebn0_db`:
+    one list per point, the detectors in order.  Clean impaired symbols plus
     receiver-side AWGN.
 
-    The detectors share their bits and noise: each chunk of symbols is drawn
-    once and every detector decides on the same block, so a comparison of
-    detectors at one Eb/N0 is paired, and a detector's BER does not depend on
-    which others run beside it.  Noise level follows the binary-orthogonal
-    convention: per-sample sigma = sqrt(Eb / (2 * ebn0)) with Eb the
-    full-rate symbol energy, so ebn0_db is 10*log10(T*fs/2) dB, 26.8 dB at
-    960 samples, above the per-sample SNR of DatasetSpec.snr_db_range.
+    Noise level follows the binary-orthogonal convention: per-sample sigma =
+    sqrt(Eb / (2 * ebn0)) with Eb the full-rate symbol energy, so ebn0_db is
+    10*log10(T*fs/2) dB, 26.8 dB at 960 samples, above the per-sample SNR of
+    DatasetSpec.snr_db_range.  Every noise level is checked before anything
+    is drawn.
 
-    Each chunk is drawn and scored BLOCK_ROWS rows at a time, so memory
-    holds a few blocks, not a chunk: the float64 blocks of normals (one, or
-    three with the helper) and, for the network, the current block in
-    float32 with its hidden activations.  The matched filter scores the
-    float64 rows.  The network scores them rounded once to float32, the
-    precision it is trained in; a block whose pass leaves the float32 range
-    raises InputError (see receiver.detect_batch) rather than scoring a
-    saturated network.
+    The trials come in chunks of CHUNK_ROWS symbols, and chunk c draws its
+    bits, then its standard normals z, from a stream of its own,
+    SeedSequence([seed, 0xBE5, c]).  Every detector decides on s_bit +
+    sigma*z at every point of the grid, so the points and the detectors share
+    their draws (common random numbers): a comparison of detectors, or of
+    points, is paired, and a point's or a detector's BER does not depend on
+    which others are swept beside it.  The matched filter scores the float64
+    rows.  The network scores them rounded once to float32, the precision it
+    is trained in; a chunk whose pass leaves the float32 range raises
+    InputError (see receiver.detect_batch) rather than scoring a saturated
+    network.
 
-    With one BLAS thread and two cores (see _use_helper) a helper thread
-    makes the generator calls, the next two blocks' bits and normals, while
-    the calling thread builds and scores the current block; the helper is
+    A thread holds one chunk's normals and its received rows in float64, and
+    for the network the rows in float32 with their hidden activations.  With
+    one BLAS thread and two cores (see _use_helper) a helper thread scores
+    the odd chunks while the calling thread scores the even ones; the error
+    counts are integers, so their sum, and every BER, is the serial one.  Once
+    either thread raises, the other stops at its next chunk, and the helper is
     joined before the call returns or raises.
     """
     detectors = list(detectors)
@@ -293,51 +265,64 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     if trials < 1:
         raise ConfigurationError(f"need at least one trial, got {trials}")
     eb = float(np.sum(generate_chirp(params, "up").samples ** 2))
-    try:
-        sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
-    except (OverflowError, ZeroDivisionError):
-        sigma = math.nan
-    if not 0 < sigma < math.inf:  # NaN too
-        raise ConfigurationError(f"Eb/N0 of {ebn0_db} dB gives no finite, nonzero noise level")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, noise_stream_key(ebn0_db)]))
+    sigmas = []
+    for point in ebn0_db:
+        try:
+            sigma = math.sqrt(eb / (2.0 * 10.0 ** (point / 10.0)))
+        except (OverflowError, ZeroDivisionError):
+            sigma = math.nan
+        if not 0 < sigma < math.inf:  # NaN too
+            raise ConfigurationError(
+                f"Eb/N0 of {point} dB gives no finite, nonzero noise level")
+        sigmas.append(sigma)
+    if not sigmas:
+        return []
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
-    rows = min(BLOCK_ROWS, trials)
-    rows32 = np.empty((rows, params.n1), np.float32) if "dnn" in detectors else None
+    rows = min(CHUNK_ROWS, trials)
 
-    def draws(ring):
-        """(bits, standard normals) of each block in stream order: a chunk's
-        bits, then its normals a block at a time, into the buffers of `ring`
-        in turn.  Generator calls only."""
-        for c0 in range(0, trials, NOISE_CHUNK):
-            bits = rng.integers(0, 2, size=min(NOISE_CHUNK, trials - c0))
-            for r0 in range(0, bits.size, BLOCK_ROWS):
-                b = bits[r0:r0 + BLOCK_ROWS]
-                yield b, rng.standard_normal(out=next(ring)[:b.size])
+    stop = threading.Event()  # set once a thread raises: the other ends at its next chunk
 
-    errors = [0] * len(detectors)
-    # A helper draws blocks k+1 and k+2, each into a buffer of its own, while
-    # this thread builds and scores block k in a third.  Only one thread
-    # draws, in block order, so the stream is the serial one; leaving the
-    # with-block joins the helper.
-    with _helper_pool(1) as pool:
-        buffers = 1 + (_PREFETCH_AHEAD if pool else 0)
-        ring = itertools.cycle([np.empty((rows, params.n1)) for _ in range(buffers)])
-        for b, rx in _prefetched(draws(ring), pool):
-            # rounded once per element as s_bit + z*sigma, with no temporaries
-            np.multiply(rx, sigma, out=rx)
-            one = (b == 1)[:, None]
-            np.add(rx, s_clean[0], out=rx, where=~one)
-            np.add(rx, s_clean[1], out=rx, where=one)
-            for i, detector in enumerate(detectors):
-                if detector == "mf":
-                    dec = matched_filter_detect_batch(rx, params)
-                else:
-                    x = rows32[:b.size]
-                    with np.errstate(over="ignore"):  # inf inputs fail the pass
-                        np.copyto(x, rx)
-                    dec = detect_batch(checkpoint_params, x)
-                errors[i] += int(np.count_nonzero(dec != b))
-    return [e / trials for e in errors]
+    def errors(chunks):
+        """Error counts of `chunks`, per point and detector."""
+        counts = np.zeros((len(sigmas), len(detectors)), np.int64)
+        z_buf, rx_buf = np.empty((2, rows, params.n1))
+        x_buf = np.empty((rows, params.n1), np.float32) if "dnn" in detectors else None
+        try:
+            for c in chunks:
+                if stop.is_set():
+                    break
+                rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE5, c]))
+                b = rng.integers(0, 2, size=min(CHUNK_ROWS, trials - c * CHUNK_ROWS))
+                z = rng.standard_normal(out=z_buf[:b.size])
+                rx = rx_buf[:b.size]
+                one = (b == 1)[:, None]
+                for k, sigma in enumerate(sigmas):
+                    # rounded once per element as s_bit + z*sigma, with no temporaries
+                    np.multiply(z, sigma, out=rx)
+                    np.add(rx, s_clean[0], out=rx, where=~one)
+                    np.add(rx, s_clean[1], out=rx, where=one)
+                    for i, detector in enumerate(detectors):
+                        if detector == "mf":
+                            dec = matched_filter_detect_batch(rx, params)
+                        else:
+                            x = x_buf[:b.size]
+                            with np.errstate(over="ignore"):  # inf inputs fail the pass
+                                np.copyto(x, rx)
+                            dec = detect_batch(checkpoint_params, x)
+                        counts[k, i] += np.count_nonzero(dec != b)
+        except BaseException:
+            stop.set()
+            raise
+        return counts
+
+    chunks = range(-(-trials // CHUNK_ROWS))
+    with _helper_pool(1) as pool:  # leaving it joins the helper
+        if pool is None:
+            counts = errors(chunks)
+        else:
+            odd = pool.submit(errors, chunks[1::2])
+            counts = errors(chunks[::2]) + odd.result()
+    return (counts / trials).tolist()
 
 
 def wilson_half_width(ber, trials):

@@ -389,7 +389,7 @@ def save_params(path, p: MlpParams) -> None:
     sizes = p.layer_sizes
     container.save(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                    container.pack_fields(f"B{len(sizes)}I", len(sizes), *sizes),
-                   p.to_flat().astype("<f8").tobytes())
+                   memoryview(np.ascontiguousarray(p.to_flat(), "<f8")).cast("B"))
 
 
 def load_params(path) -> MlpParams:

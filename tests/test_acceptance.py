@@ -82,7 +82,7 @@ def test_criterion_02_mf_sanity():
     trials = 100000
     ratios = []
     for ebn0 in (6.0, 9.0, 12.0):
-        (ber,) = ber_monte_carlo(params, ["mf"], ebn0, 0.0, 0.0, trials, seed=5)
+        [(ber,)] = ber_monte_carlo(params, ["mf"], [ebn0], 0.0, 0.0, trials, seed=5)
         q = float(norm.sf(math.sqrt(10 ** (ebn0 / 10))))
         ratios.append(ber / q)
     ok = all(0.5 <= r <= 2.0 for r in ratios)

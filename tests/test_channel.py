@@ -533,6 +533,24 @@ def test_cir_round_trip(tmp_path):
     assert back.meta["model"] == "rayleigh"
 
 
+def test_save_cir_keeps_one_copy_of_the_payload(tmp_path):
+    # the interleaved float32 gains are the only copy: a bytes copy of them
+    # held twice the payload while the file was written
+    import tracemalloc
+    rng = np.random.default_rng(3)
+    taps = rng.standard_normal((13, 20000)) + 1j * rng.standard_normal((13, 20000))
+    h = ChannelRealization(taps, 0.001)
+    payload = h.n_taps * h.n_time * 8
+    tracemalloc.start()
+    try:
+        save_cir(tmp_path / "chan.uwac", h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * payload, peak / payload
+    assert np.array_equal(load_cir(tmp_path / "chan.uwac").taps, taps.astype(np.complex64))
+
+
 def test_cir_metadata_fields(tmp_path):
     # Table-I-style provenance: shallow-water scene with 31.4 Hz coverage
     h = ChannelRealization(np.ones((1, 1), dtype=complex), 0.001,

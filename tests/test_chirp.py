@@ -222,11 +222,11 @@ def test_ber_monotone_and_downsampling_degradation():
     p1 = ChirpParams(lam=1)
     p6 = ChirpParams(lam=6)
     trials = 20000
-    bers = [ber_monte_carlo(p1, ["mf"], snr, 0.0, 0.0, trials, seed=3)[0]
+    bers = [ber_monte_carlo(p1, ["mf"], [snr], 0.0, 0.0, trials, seed=3)[0][0]
             for snr in (3.0, 6.0, 9.0)]
     slack = 3 * np.sqrt(0.05 / trials)  # binomial wiggle room
     assert bers[0] + slack >= bers[1] >= bers[2] - slack
-    (ber6,) = ber_monte_carlo(p6, ["mf"], 6.0, 0.0, 0.0, trials, seed=3)
+    [(ber6,)] = ber_monte_carlo(p6, ["mf"], [6.0], 0.0, 0.0, trials, seed=3)
     assert ber6 >= bers[1] - slack
 
 

@@ -184,10 +184,10 @@ def test_ber_sweep_two_detectors(tmp_path):
     assert len(data) == 6  # 3 SNRs x 2 detectors
 
 
-# sha256 of the mf,dnn sweep below, recorded when each (SNR, detector) pair
-# still drew its own bits and noise; 25000 trials are one full chunk of
-# symbols and one partial chunk
-SWEEP_GOLDEN = "acb4e7dbc0fa14988ae8e429e471ecef2e5e8bd0020803cd1d0068b0993cb804"
+# sha256 of the mf,dnn sweep below, recorded when each chunk of 512 symbols
+# came to draw from a stream of its own, shared by both points; 25000 trials
+# end in a partial chunk
+SWEEP_GOLDEN = "ab1d93a6795e4dc472867d322683ccba40f3eefe402f5e0d45506a87dd4fd708"
 
 
 def check_ber_sweep_golden_digest(tmp_path, monkeypatch):
@@ -223,8 +223,8 @@ def readme_net(tmp_path_factory):
 
 
 # sha256 of the README's mf,dnn sweep on the README's trained receiver,
-# recorded when the sweep still scored the network in float64
-README_SWEEP_GOLDEN = "94bcc2505741a2a5e302c5ef455d0f947a8dcdde01ef3bf4fd407681ea49dd31"
+# recorded when each chunk of 512 symbols came to draw from a stream of its own
+README_SWEEP_GOLDEN = "337625bdaac079f60285d185bdc3fb4e98194f7fae107ec5382bc653f0f72eb6"
 
 
 @pytest.mark.parametrize("threads", ["serial", "helper"])
@@ -571,17 +571,21 @@ def test_values_with_a_leading_minus(tmp_path, minus, plain):
             assert [c["snr_db"] for c in cols] == ["-6", "-3", "0"]
 
 
-@pytest.mark.parametrize("grid", ["6:0.0004:6.0008", "-3:0.0002:-2.9996"])
-def test_ber_sweep_rejects_colliding_noise_streams(tmp_path, capsys, grid):
-    # the noise seed is keyed by int(1000 * snr_db): 6 and 6.0004 dB used to
-    # give the same BER
-    out = tmp_path / "ber.csv"
-    rc = run(["ber-sweep", "--seed", "1", "--trials", "100", f"--snr-db={grid}",
-              "--out", str(out)])
-    assert rc == cli.EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "noise stream" in err and "Traceback" not in err
-    assert not out.exists()
+@pytest.mark.parametrize("grid", ["0.0001:0.0001:0.0003", "6:0.0004:6.0008",
+                                  "-3:0.0002:-2.9996"])
+def test_ber_sweep_of_close_points_matches_each_point_alone(tmp_path, grid):
+    # every point scores the same chunks of draws, so points less than a
+    # millidecibel apart need no streams of their own, and a point's row is
+    # the one it gets when swept alone
+    out = tmp_path / "grid.csv"
+    base = ["ber-sweep", "--seed", "1", "--trials", "3000"]
+    assert run(base + [f"--snr-db={grid}", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 3 and len({row[0] for row in rows}) == 3
+    for row in rows:
+        alone = tmp_path / "alone.csv"
+        assert run(base + [f"--snr-db={row[0]}", "--out", str(alone)]) == 0
+        assert read_csv(alone)[2] == [row]
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -704,8 +708,6 @@ BAD_ARGV = [
     ["ber-sweep", "--detector", "mf,mf"],
     ["ber-sweep", "--detector", "dnn"],  # no --checkpoint
     ["ber-sweep", "--snr-db", "inf"],
-    # three points on one noise stream, keyed by int(1000 * snr_db)
-    ["ber-sweep", "--snr-db", "0.0001:0.0001:0.0003"],
     ["cir", "inspect"],  # no --path
     ["complexity", "--n1", "7"],  # lambda = 2 and 6 do not divide it
 ]

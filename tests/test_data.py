@@ -15,10 +15,9 @@ from chirpfed.channel import (CHANNEL_BLOCK_ROWS, RayleighModelConfig, rayleigh_
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
 from chirpfed import channel, data
-from chirpfed.data import (BLOCK_ROWS, MAX_DATASET_SAMPLES, NOISE_CHUNK, DatasetSpec,
-                           _clean_received_symbol,
-                           ber_monte_carlo, build_node_dataset, load_dataset,
-                           noise_stream_key, save_dataset)
+from chirpfed.data import (CHUNK_ROWS, MAX_DATASET_SAMPLES, DatasetSpec,
+                           _clean_received_symbol, ber_monte_carlo, build_node_dataset,
+                           load_dataset, save_dataset)
 from chirpfed.errors import ConfigurationError, InputError, ParseError
 from chirpfed.receiver import LabeledBatch, ber_eval, default_hidden, \
     detect_batch, init_params, train
@@ -507,14 +506,15 @@ def untrained_receiver():
 
 
 def test_ber_monte_carlo_detectors_share_bits_and_noise(untrained_receiver):
-    # one full chunk and one partial one; every detector scores the same draws,
-    # so its BER does not depend on the detectors beside it or their order
+    # many full chunks and one partial one; every detector scores the same
+    # draws, so its BER does not depend on the detectors beside it or their order
     p6 = ChirpParams(lam=6)
-    trials = NOISE_CHUNK + 5000
+    trials = 40 * CHUNK_ROWS + 5
 
     def bers(detectors):
-        return ber_monte_carlo(p6, detectors, 3.0, 0.0, 0.0, trials, seed=7,
-                               checkpoint_params=untrained_receiver)
+        (point,) = ber_monte_carlo(p6, detectors, [3.0], 0.0, 0.0, trials, seed=7,
+                                   checkpoint_params=untrained_receiver)
+        return point
 
     mf, dnn = bers(["mf", "dnn"])
     assert bers(("dnn", "mf")) == [dnn, mf]
@@ -525,43 +525,46 @@ def test_ber_monte_carlo_detectors_share_bits_and_noise(untrained_receiver):
 @pytest.mark.parametrize("detectors", [[], "mf", ["mf", "zf"], ["dnn"]])
 def test_ber_monte_carlo_rejects_bad_detector_lists(detectors):
     with pytest.raises(ConfigurationError):
-        ber_monte_carlo(ChirpParams(lam=6), detectors, 9.0, 0.0, 0.0, 10, seed=1)
+        ber_monte_carlo(ChirpParams(lam=6), detectors, [9.0], 0.0, 0.0, 10, seed=1)
 
 
 def test_ber_monte_carlo_needs_a_trial():
     with pytest.raises(ConfigurationError, match="at least one trial"):
-        ber_monte_carlo(ChirpParams(lam=6), ["mf"], 9.0, 0.0, 0.0, 0, seed=1)
+        ber_monte_carlo(ChirpParams(lam=6), ["mf"], [9.0], 0.0, 0.0, 0, seed=1)
 
 
-def test_ber_monte_carlo_builds_each_chunk_in_one_buffer():
-    # tracemalloc sees numpy's allocations: a full chunk of received symbols
-    # must be the only block of its size alive at once
-    chunk_bytes = NOISE_CHUNK * ChirpParams(lam=1).n1 * 8
-    tracemalloc.start()
-    try:
-        ber_monte_carlo(ChirpParams(lam=1), ["mf"], 9.0, 0, 0, NOISE_CHUNK, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * chunk_bytes, peak / chunk_bytes
+@pytest.mark.parametrize("point", [math.inf, -math.inf, math.nan, 1e300, -1e300])
+def test_ber_monte_carlo_checks_every_noise_level_before_drawing(monkeypatch, point):
+    monkeypatch.setattr(data.np.random, "default_rng", None)  # a draw would fail
+    with pytest.raises(ConfigurationError, match="no finite, nonzero noise level"):
+        ber_monte_carlo(ChirpParams(lam=6), ["mf"], [9.0, point], 0.0, 0.0, 10, seed=1)
 
 
-def whole_chunk_bers(params, detectors, ebn0_db, sto, speed, trials, seed, theta):
-    """ber_monte_carlo as one thread computed it a whole chunk at a time."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, noise_stream_key(ebn0_db)]))
+def test_ber_monte_carlo_of_an_empty_grid_draws_nothing(monkeypatch):
+    monkeypatch.setattr(data.np.random, "default_rng", None)
+    assert ber_monte_carlo(ChirpParams(lam=6), ["mf"], [], 0.0, 0.0, 10, seed=1) == []
+
+
+def whole_chunk_bers(params, detectors, grid, sto, speed, trials, seed, theta):
+    """ber_monte_carlo as one thread computes it, a chunk at a time in whole
+    arrays: chunk c draws its bits, then its normals, from its own stream, and
+    every detector scores s_bit + sigma*z at every point."""
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
     eb = float(np.sum(generate_chirp(params, "up").samples ** 2))
-    sigma = math.sqrt(eb / (2.0 * 10.0 ** (ebn0_db / 10.0)))
-    errors = [0] * len(detectors)
-    for done in range(0, trials, NOISE_CHUNK):
-        bits = rng.integers(0, 2, size=min(NOISE_CHUNK, trials - done))
-        z = rng.standard_normal((bits.size, params.n1)) * sigma
-        rx = np.where((bits == 1)[:, None], z + s_clean[1], z + s_clean[0])
-        for k, det in enumerate(detectors):
-            dec = (matched_filter_detect_batch(rx, params) if det == "mf"
-                   else detect_batch(theta, rx))
-            errors[k] += int(np.count_nonzero(dec != bits))
-    return [e / trials for e in errors]
+    sigmas = [math.sqrt(eb / (2.0 * 10.0 ** (e / 10.0))) for e in grid]
+    errors = np.zeros((len(grid), len(detectors)), int)
+    rows = data.CHUNK_ROWS  # read at call time: a test may shrink it
+    for c in range(-(-trials // rows)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE5, c]))
+        bits = rng.integers(0, 2, size=min(rows, trials - c * rows))
+        z = rng.standard_normal((bits.size, params.n1))
+        for k, sigma in enumerate(sigmas):
+            rx = np.where((bits == 1)[:, None], z * sigma + s_clean[1], z * sigma + s_clean[0])
+            for i, det in enumerate(detectors):
+                dec = (matched_filter_detect_batch(rx, params) if det == "mf"
+                       else detect_batch(theta, rx.astype(np.float32)))
+                errors[k, i] += int(np.count_nonzero(dec != bits))
+    return [[e / trials for e in row] for row in errors]
 
 
 WHOLE_CHUNK_DETECTORS = [["mf"], ["dnn"], ["mf", "dnn"]]
@@ -579,43 +582,84 @@ def test_ber_monte_carlo_matches_the_whole_chunk_loop_with_the_helper(
 
 
 def check_matches_the_whole_chunk_loop(untrained_receiver, detectors):
-    # crosses a chunk and a block boundary and ends in a partial block
-    trials = NOISE_CHUNK + BLOCK_ROWS + 123
-    assert trials % NOISE_CHUNK % BLOCK_ROWS != 0
-    args = (ChirpParams(lam=6), detectors, 4.0, 3.5, 1.5, trials, 11)
+    # an odd number of chunks, so that the calling thread takes one more than
+    # the helper, the last of them partial; three points
+    trials = 4 * CHUNK_ROWS + 123
+    args = (ChirpParams(lam=6), detectors, [4.0, 5.5, 7.0], 3.5, 1.5, trials, 11)
     assert ber_monte_carlo(*args, checkpoint_params=untrained_receiver) == \
         whole_chunk_bers(*args, untrained_receiver)
+
+
+def test_ber_monte_carlo_serial_and_helper_agree(untrained_receiver, monkeypatch):
+    # the same lists from either thread layout, over grids of one and of
+    # several points, with a partial last chunk
+    got = {}
+    for threads in (False, True):
+        monkeypatch.setattr(data, "_use_helper", lambda: threads)
+        got[threads] = [ber_monte_carlo(ChirpParams(lam=6), ["mf", "dnn"], grid, 0.0, 0.0,
+                                        7 * CHUNK_ROWS + 45, seed=9,
+                                        checkpoint_params=untrained_receiver)
+                        for grid in ([6.0], [3.0, 6.0, 9.0])]
+    assert got[False] == got[True]
+
+
+def test_ber_monte_carlo_grid_does_not_change_a_point(untrained_receiver):
+    # a point's draws come from its chunks' streams alone, so it reads the same
+    # alone as inside any grid, in any order
+    p6 = ChirpParams(lam=6)
+    grid = [3.0, 4.5, 6.0]
+
+    def sweep(points):
+        return ber_monte_carlo(p6, ["mf", "dnn"], points, 0.0, 0.0, 3 * CHUNK_ROWS + 7,
+                               seed=4, checkpoint_params=untrained_receiver)
+
+    together = sweep(grid)
+    assert [sweep([e])[0] for e in grid] == together
+    assert sweep(grid[::-1]) == together[::-1]
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+def test_ber_monte_carlo_mf_is_non_increasing_over_a_fine_grid(request, threads):
+    # the points share their draws, and with no STO or Doppler a matched
+    # filter error at one noise level is an error at every higher one; so
+    # over 1-millidecibel steps the BER never rises.  Points drawn on
+    # streams of their own rose at some step of such a grid
+    request.getfixturevalue(threads)
+    grid = [5.0 + 0.001 * k for k in range(5)]
+    bers = [ber for (ber,) in ber_monte_carlo(ChirpParams(lam=6), ["mf"], grid, 0.0, 0.0,
+                                              4000, seed=2)]
+    assert all(a >= b for a, b in zip(bers, bers[1:])), bers
+    assert bers[0] > 0
 
 
 @pytest.mark.parametrize("detectors", [["mf", "dnn"], ["dnn", "mf"]])
 @pytest.mark.parametrize("threads", ["serial", "helper"])
 def test_ber_monte_carlo_scores_the_network_in_float32(request, monkeypatch,
                                                        untrained_receiver, detectors, threads):
-    # the matched filter takes each float64 block, the network the same block
+    # the matched filter takes each float64 chunk, the network the same chunk
     # rounded once to float32, the precision it is trained in
     request.getfixturevalue(threads)
-    mf_rows, dnn_rows = [], []
+    mf_rows, dnn_rows = {}, {}
 
     def mf(rx, params):
-        mf_rows.append(rx.copy())
+        mf_rows[rx.tobytes()] = rx.copy()
         return matched_filter_detect_batch(rx, params)
 
     def dnn(p, rx):
-        dnn_rows.append(rx.copy())
+        dnn_rows[rx.tobytes()] = rx.copy()
         return detect_batch(p, rx)
 
     monkeypatch.setattr(data, "matched_filter_detect_batch", mf)
     monkeypatch.setattr(data, "detect_batch", dnn)
-    trials = NOISE_CHUNK + BLOCK_ROWS + 123
-    ber_monte_carlo(ChirpParams(lam=6), detectors, 4.0, 3.5, 1.5, trials, seed=11,
+    trials = 3 * CHUNK_ROWS + 123
+    ber_monte_carlo(ChirpParams(lam=6), detectors, [4.0, 6.0], 3.5, 1.5, trials, seed=11,
                     checkpoint_params=untrained_receiver)
-    blocks = sum(-(-min(NOISE_CHUNK, trials - c0) // BLOCK_ROWS)
-                 for c0 in range(0, trials, NOISE_CHUNK))
-    assert len(mf_rows) == len(dnn_rows) == blocks
-    assert sum(map(len, mf_rows)) == trials
-    for rx, x in zip(mf_rows, dnn_rows):
-        assert rx.dtype == np.float64 and x.dtype == np.float32
-        assert np.array_equal(x, rx.astype(np.float32))
+    assert len(mf_rows) == len(dnn_rows) == 2 * 4  # points x chunks
+    assert sum(map(len, mf_rows.values())) == 2 * trials
+    for rx in mf_rows.values():
+        assert rx.dtype == np.float64
+        x = rx.astype(np.float32)
+        assert x.tobytes() in dnn_rows and dnn_rows[x.tobytes()].dtype == np.float32
 
 
 def mf_ber_closed_form(params, ebn0_db, sto, speed):
@@ -640,10 +684,10 @@ def mf_ber_closed_form(params, ebn0_db, sto, speed):
 @pytest.mark.parametrize("threads", ["serial", "helper"])
 def test_mf_ber_holds_the_closed_form(request, threads):
     # each trial errs with probability P_e whichever bit it draws, so the
-    # error count is binomial; 6000 trials cross a block boundary
+    # error count is binomial; 6000 trials cross a chunk boundary
     request.getfixturevalue(threads)
     trials = 6000
-    assert trials > BLOCK_ROWS
+    assert trials > CHUNK_ROWS
 
     @settings(max_examples=20, deadline=None, database=None, derandomize=True)
     @given(lam=st.sampled_from([1, 2, 6]), ebn0_db=st.floats(-5.0, 15.0),
@@ -651,7 +695,7 @@ def test_mf_ber_holds_the_closed_form(request, threads):
            speed=st.just(0.0) | st.floats(-10.0, 10.0), seed=st.integers(0, 2 ** 32))
     def check(lam, ebn0_db, sto, speed, seed):
         params = ChirpParams(lam=lam)
-        (ber,) = ber_monte_carlo(params, ["mf"], ebn0_db, sto, speed, trials, seed)
+        [(ber,)] = ber_monte_carlo(params, ["mf"], [ebn0_db], sto, speed, trials, seed)
         p_e = mf_ber_closed_form(params, ebn0_db, sto, speed)
         lo, hi = binom.interval(1 - 1e-6, trials, p_e)
         assert lo <= round(ber * trials) <= hi, (ber, p_e)
@@ -659,46 +703,30 @@ def test_mf_ber_holds_the_closed_form(request, threads):
     check()
 
 
-def test_ber_monte_carlo_holds_blocks_not_chunks(untrained_receiver):
-    # two noise blocks and one block's hidden activations; the whole-chunk
-    # loop held a chunk, its two hidden layers and more (2.9 chunks)
-    p6 = ChirpParams(lam=6)
-    chunk_bytes = NOISE_CHUNK * p6.n1 * 8
-    tracemalloc.start()
-    try:
-        for ebn0_db in (3.0, 6.0):
-            ber_monte_carlo(p6, ["mf", "dnn"], ebn0_db, 0, 0, 25000, seed=2,
-                            checkpoint_params=untrained_receiver)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * chunk_bytes, peak / chunk_bytes
-
-
 @pytest.mark.parametrize("threads", ["serial", "helper"])
-@pytest.mark.parametrize("detectors, extra", [(["mf"], 0.25), (["mf", "dnn"], 2.5)],
+@pytest.mark.parametrize("detectors, extra", [(["mf"], {1: 0.25, 6: 0.25}),
+                                               (["mf", "dnn"], {1: 3.5, 6: 2.0})],
                          ids=["mf", "mf,dnn"])
 @pytest.mark.parametrize("lam", [1, 6])
-def test_ber_monte_carlo_holds_a_few_blocks(request, lam, detectors, extra, threads):
-    # the float64 blocks of normals, one or, with the helper two blocks
-    # ahead, three; for the network also the float32 rows, their hidden
-    # activations and the float32 parameters (0.9 of a block at lam=1): a few
-    # blocks, which keep under a third of a chunk
+def test_ber_monte_carlo_holds_a_few_chunks(request, lam, detectors, extra, threads):
+    # each thread's float64 chunk of normals and of received rows; for the
+    # network also the float32 rows, their hidden activations and the
+    # float32 parameters (1.8 chunks at lam=1): a few chunks per thread,
+    # however many trials and points the sweep has
     request.getfixturevalue(threads)
     params = ChirpParams(lam=lam)
     n1 = params.n1
     theta = init_params([n1, *default_hidden(n1), 1], np.random.default_rng(0))
     tracemalloc.start()
     try:
-        ber_monte_carlo(params, detectors, 3.0, 0, 0, NOISE_CHUNK + BLOCK_ROWS + 123, seed=4,
+        ber_monte_carlo(params, detectors, [3.0, 6.0], 0, 0, 20 * CHUNK_ROWS + 123, seed=4,
                         checkpoint_params=theta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block_bytes, chunk_bytes = (rows * n1 * 8 for rows in (BLOCK_ROWS, NOISE_CHUNK))
-    buffers = {"serial": 1, "helper": 3}[threads]
-    assert peak <= (buffers + extra) * block_bytes, peak / block_bytes
-    assert peak <= chunk_bytes / 3, peak / chunk_bytes
+    chunk_bytes = CHUNK_ROWS * n1 * 8
+    threads_used = {"serial": 1, "helper": 2}[threads]
+    assert peak <= threads_used * (2 + extra[lam]) * chunk_bytes, peak / chunk_bytes
 
 
 def test_ber_monte_carlo_joins_its_helper(untrained_receiver, monkeypatch, serial):
@@ -711,25 +739,51 @@ def test_ber_monte_carlo_joins_its_helper_with_the_helper(untrained_receiver, mo
 
 
 def check_joins_its_helper(untrained_receiver, monkeypatch):
+    # the network fails on the partial last chunk: with two chunks that is
+    # the helper's second call in all, and with three the calling thread's third
     p6 = ChirpParams(lam=6)
     threads = threading.active_count()
-    ber_monte_carlo(p6, ["mf", "dnn"], 6.0, 0, 0, 3 * BLOCK_ROWS, seed=3,
+    ber_monte_carlo(p6, ["mf", "dnn"], [6.0], 0, 0, 3 * CHUNK_ROWS, seed=3,
                     checkpoint_params=untrained_receiver)
     assert threading.active_count() == threads
-    boom = RuntimeError("detector failed")
-    calls = []
+    for chunks in (2, 3):
+        boom = RuntimeError("detector failed")
+        calls = []
 
-    def failing(p, rx):
-        calls.append(len(rx))
-        if len(calls) == 2:
+        def failing(p, rx):
+            calls.append(len(rx))
+            if len(rx) < CHUNK_ROWS:
+                raise boom
+            return detect_batch(p, rx)
+
+        monkeypatch.setattr(data, "detect_batch", failing)
+        with pytest.raises(RuntimeError) as info:
+            ber_monte_carlo(p6, ["mf", "dnn"], [6.0], 0, 0, (chunks - 1) * CHUNK_ROWS + 5,
+                            seed=3, checkpoint_params=untrained_receiver)
+        assert info.value is boom and len(calls) == chunks
+        assert threading.active_count() == threads
+
+
+def test_ber_monte_carlo_helper_stops_once_the_caller_raises(untrained_receiver,
+                                                             monkeypatch, helper):
+    # an interrupt of the calling thread does not wait for the helper's half
+    # of the chunks: the helper ends at its next chunk
+    caller = threading.get_ident()
+    helper_calls = []
+    boom = KeyboardInterrupt()
+
+    def interrupted(p, rx):
+        if threading.get_ident() == caller:
             raise boom
+        helper_calls.append(len(rx))
         return detect_batch(p, rx)
 
-    monkeypatch.setattr(data, "detect_batch", failing)
-    with pytest.raises(RuntimeError) as info:
-        ber_monte_carlo(p6, ["mf", "dnn"], 6.0, 0, 0, 3 * BLOCK_ROWS, seed=3,
+    monkeypatch.setattr(data, "detect_batch", interrupted)
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt) as info:
+        ber_monte_carlo(ChirpParams(lam=6), ["dnn"], [6.0], 0, 0, 200 * CHUNK_ROWS, seed=3,
                         checkpoint_params=untrained_receiver)
-    assert info.value is boom and len(calls) == 2
+    assert info.value is boom and len(helper_calls) < 100
     assert threading.active_count() == threads
 
 
@@ -743,16 +797,16 @@ def test_ber_monte_carlo_threads_do_not_interfere_with_the_helper(
 
 
 def check_threads_do_not_interfere(untrained_receiver, monkeypatch):
-    # many tiny blocks, four sweeps at once and a thread switch every
-    # microsecond: a lost hand-off or shared state would change a BER
-    monkeypatch.setattr(data, "BLOCK_ROWS", 7)
+    # many tiny chunks, four sweeps at once and a thread switch every
+    # microsecond: a lost count or shared state would change a BER
+    monkeypatch.setattr(data, "CHUNK_ROWS", 7)
     p6 = ChirpParams(lam=6)
-    cases = [(["mf", "dnn"], 3.0 + k, 3000 + k) for k in range(4)]
+    cases = [(["mf", "dnn"], [3.0 + k, 5.0 + k], 3000 + k) for k in range(4)]
     got = [None] * len(cases)
 
     def sweep(k):
-        detectors, ebn0_db, trials = cases[k]
-        got[k] = ber_monte_carlo(p6, detectors, ebn0_db, 0.0, 0.0, trials, seed=5,
+        detectors, grid, trials = cases[k]
+        got[k] = ber_monte_carlo(p6, detectors, grid, 0.0, 0.0, trials, seed=5,
                                  checkpoint_params=untrained_receiver)
 
     threads = [threading.Thread(target=sweep, args=(k,)) for k in range(len(cases))]
@@ -766,32 +820,6 @@ def check_threads_do_not_interfere(untrained_receiver, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for k, (detectors, ebn0_db, trials) in enumerate(cases):
-        assert got[k] == whole_chunk_bers(p6, detectors, ebn0_db, 0.0, 0.0, trials, 5,
-                                          untrained_receiver)
-
-
-@pytest.mark.parametrize("threads", ["serial", "helper"])
-def test_prefetched_takes_the_next_item_while_the_caller_works(request, threads):
-    request.getfixturevalue(threads)
-    log = []
-
-    def items():
-        for k in range(4):
-            log.append(("draw", k, threading.get_ident()))
-            yield k
-
-    with data._helper_pool(1) as pool:
-        for k in data._prefetched(items(), pool):
-            if pool:
-                pool.submit(int).result()  # the helper has drawn k + 1 and k + 2
-            log.append(("use", k, threading.get_ident()))
-    caller = threading.get_ident()
-    drawn_on = {ident for step, _, ident in log if step == "draw"}
-    steps = [step[0] + str(k) for step, k, _ in log]
-    if threads == "helper":
-        assert caller not in drawn_on and len(drawn_on) == 1
-        assert steps == ["d0", "d1", "d2", "u0", "d3", "u1", "u2", "u3"]
-    else:
-        assert drawn_on == {caller}
-        assert steps == ["d0", "u0", "d1", "u1", "d2", "u2", "d3", "u3"]
+    for k, (detectors, grid, trials) in enumerate(cases):
+        assert got[k] == whole_chunk_bers(p6, detectors, grid, 0.0, 0.0, trials, 5,
+                                         untrained_receiver)

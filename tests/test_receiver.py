@@ -563,6 +563,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.to_flat(), p.to_flat())  # f64 storage is exact
 
 
+def test_save_params_keeps_no_copy_of_the_parameters(tmp_path):
+    # the file is written from the parameter vector itself: a cast copy and
+    # a bytes copy of it held twice the payload while the file was written
+    import tracemalloc
+    p = random_net(np.random.default_rng(20), [400, 400, 350, 1])
+    payload = p.n_params * 8
+    tracemalloc.start()
+    try:
+        save_params(tmp_path / "net.cdnn", p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * payload, peak / payload
+    assert np.array_equal(load_params(tmp_path / "net.cdnn").to_flat(), p.to_flat())
+
+
 def test_checkpoint_errors(tmp_path):
     bad = tmp_path / "bad.cdnn"
     bad.write_bytes(b"YUCK" + bytes(10))
