@@ -5,11 +5,11 @@ single sigmoid output neuron.  The network computes in its inputs'
 precision: float32 for float32 samples, as the datasets store them, and
 float64 for any other inputs, which keeps the finite-difference checks in
 the test suite meaningful.  The parameters stay one float64 vector either
-way (master weights, as in mixed-precision training): each pass rounds them
-to the working precision, and gradients and Hessian-vector products come
-back as float64.  The Hessian-vector product is computed exactly with
-forward-over-reverse differentiation (Pearlmutter's R-operator); the distributional second
-derivative of ReLU at its kink is taken as zero.
+way (master weights, as in mixed-precision training): each parameter vector
+is rounded once to float32, when its MlpParams is made.  Gradients and
+Hessian-vector products come back as float64, the Hessian-vector product
+computed exactly by forward-over-reverse differentiation (Pearlmutter's
+R-operator); the distributional second derivative of ReLU at its kink is taken as zero.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ def _views(sizes, flat) -> list:
 @np.errstate(over="ignore")
 def _views_in(sizes, flat, dtype) -> list:
     """_views of `flat` rounded to dtype: `flat`'s own views when it already
-    is, else a copy made per call and never kept, as train changes its
-    parameter vector in place.  A value past the float32 range turns inf
-    without a warning."""
+    is, else views of one rounded copy.  A value past the float32 range
+    turns inf without a warning."""
     return _views(sizes, flat.astype(dtype, copy=False))
 
 
@@ -66,12 +65,17 @@ def _samples(a) -> np.ndarray:
 
 
 def _wrap(sizes, flat) -> "MlpParams":
-    """Parameters owning `flat`, made read-only, without copying or checking it."""
+    """Parameters owning `flat`, made read-only, without copying it.  `_layers`
+    holds its float64 and float32 layers by dtype, and `_finite` whether it is
+    all finite: made once here, for every pass."""
     p = object.__new__(MlpParams)
     flat.flags.writeable = False
     p._sizes, p._flat = tuple(int(s) for s in sizes), flat
     views = _views(p._sizes, flat)
     p.weights, p.biases = tuple(views[0::2]), tuple(views[1::2])
+    p._layers = {flat.dtype: views,
+                 np.dtype(np.float32): _views_in(p._sizes, flat, np.float32)}
+    p._finite = bool(np.isfinite(flat).all())
     return p
 
 
@@ -154,7 +158,7 @@ def _logits(p: MlpParams, x: np.ndarray):
     in x's precision.  An activation past the float range turns inf or NaN
     without a warning: diverged parameters are caught where they are made
     (see diverged)."""
-    w1, b1, w2, b2, w3, b3 = _views_in(p._sizes, p.to_flat(), x.dtype)
+    w1, b1, w2, b2, w3, b3 = p._layers[x.dtype]
     a1 = x @ w1.T
     np.maximum(np.add(a1, b1, out=a1), 0.0, out=a1)
     a2 = a1 @ w2.T
@@ -171,7 +175,7 @@ def _forward_pass(p: MlpParams, x: np.ndarray):
 def _diverged_pass(p: MlpParams, logits) -> bool:
     """Whether a parameter of p, or an array of the _logits pass `logits`,
     is not finite."""
-    return not (np.isfinite(p.to_flat()).all() and all(np.isfinite(a).all() for a in logits))
+    return not (p._finite and all(np.isfinite(a).all() for a in logits))
 
 
 def diverged(p: MlpParams, inputs) -> bool:
@@ -227,11 +231,12 @@ class Linearization:
         return _hvp(*self._cache, self._out, v).astype(np.float64, copy=False)
 
 
-def _hvp(p, x, a1, a2, m1, m2, d_out, w2, w3, out, v):
+def _hvp(p, x, a1, a2, m1, m2, d_out, out, v):
     """H v in x's precision.  Its (rows, hidden) temporaries live in three
     buffers, ra1, ra2 and one scratch array, all freed when it returns: before
     hvp's float64 cast, which would otherwise set a MAML step's peak."""
     v1, c1, v2, c2, v3, c3 = _views_in(p._sizes, v, x.dtype)
+    _, _, w2, _, w3, _ = p._layers[x.dtype]
     rows, h1, h2 = x.shape[0], *p._sizes[1:3]
     scratch = np.empty(rows * max(h1, h2), dtype=x.dtype)
     s1, s2 = scratch[:rows * h1].reshape(rows, h1), scratch[:rows * h2].reshape(rows, h2)
@@ -284,7 +289,7 @@ def linearize(p: MlpParams, batch: LabeledBatch, hvp: bool = True) -> Linearizat
     if len(batch) == 0:
         raise InputError("batch is empty")
     x, y = batch.inputs, batch.labels
-    _, _, w2, _, w3, _ = _views_in(p._sizes, p.to_flat(), x.dtype)
+    _, _, w2, _, w3, _ = p._layers[x.dtype]
     a1, a2, out = _forward_pass(p, x)
     m1, m2 = a1 > 0, a2 > 0  # the bits of z > 0, for -0.0 and NaN too
     d_out = 2.0 * (out - y) / y.size
@@ -303,9 +308,7 @@ def linearize(p: MlpParams, batch: LabeledBatch, hvp: bool = True) -> Linearizat
     np.matmul(d1.T, x, out=g_w1)
     d1.sum(axis=0, out=g_b1)
     return Linearization(g.astype(np.float64, copy=False), out, y,
-                         # copies of w2 and w3, not views that keep the whole
-                         # rounded parameter vector
-                         (p, x, a1, a2, m1, m2, d_out, w2.copy(), w3.copy()) if hvp else None)
+                         (p, x, a1, a2, m1, m2, d_out) if hvp else None)
 
 
 def grad(p: MlpParams, batch: LabeledBatch) -> np.ndarray:
@@ -347,12 +350,8 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
             f"need batch_size >= 1 and epochs >= 0, got {batch_size} and {epochs}")
     if not 0 < lr < math.inf:  # NaN too
         raise ConfigurationError(f"learning rate {lr} must be positive and finite")
-    theta = p.to_flat().copy()
-    live = _wrap(p._sizes, theta.view())  # sees the in-place updates of theta
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    tmp = np.empty_like(theta)
-    step = np.empty_like(theta)
+    m = np.zeros_like(p.to_flat())
+    v, tmp, step = np.zeros_like(m), np.empty_like(m), np.empty_like(m)
     b1, b2, eps = 0.9, 0.999, 1e-8
     t = 0
     n = len(batch)
@@ -362,7 +361,7 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
                 sel = order[start: start + batch_size]
-                g = grad(live, _Rows(batch.inputs[sel], batch.labels[sel]))
+                g = grad(p, _Rows(batch.inputs[sel], batch.labels[sel]))
                 t += 1
                 # in buffers, but rounded as b1*m + (1-b1)*g, b2*v + (1-b2)*g*g
                 # and lr*(m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps)
@@ -376,12 +375,13 @@ def train(p: MlpParams, batch: LabeledBatch, epochs: int, lr: float,
                 np.divide(v, 1 - b2 ** t, out=tmp)
                 np.sqrt(tmp, out=tmp)
                 tmp += eps
-                theta -= np.divide(step, tmp, out=step)
+                # new parameters: those that grad saw keep their values
+                p = _wrap(p._sizes, p.to_flat() - np.divide(step, tmp, out=step))
     # checked once: an activation past the float range makes the gradient, and
-    # with it theta, NaN or inf, which these updates never make finite again
-    if diverged(live, batch.inputs):
+    # with it p, NaN or inf, which these updates never make finite again
+    if diverged(p, batch.inputs):
         raise TrainingError(f"training diverged within {epochs} epochs")
-    return p.from_flat(theta)
+    return p
 
 
 def save_params(path, p: MlpParams) -> None:

@@ -545,6 +545,22 @@ def test_ber_monte_carlo_of_an_empty_grid_draws_nothing(monkeypatch):
     assert ber_monte_carlo(ChirpParams(lam=6), ["mf"], [], 0.0, 0.0, 10, seed=1) == []
 
 
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6, 8, 10, 12])
+def test_an_unimpaired_clean_symbol_is_the_channel_rows_symbol(lam):
+    # without sto and speed, 0 or -0.0, the clean symbol skips the channel:
+    # the downsampled chirp is the identity channel's row, to the byte
+    params = ChirpParams(lam=lam)
+    chirps = [generate_chirp(params, direction) for direction in ("up", "down")]
+    for bit in (0, 1):
+        for sto in (0, 0.0, -0.0):
+            for speed in (0, 0.0, -0.0):
+                want = channel.apply_channel_rows(
+                    chirps, [bit], channel.identity_channel(Ts=1.0 / params.fs), [np.inf],
+                    [sto], [speed], [0], lam=lam)[0]
+                got = _clean_received_symbol(bit, params, sto, speed)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def whole_chunk_bers(params, detectors, grid, sto, speed, trials, seed, theta):
     """ber_monte_carlo as one thread computes it, a chunk at a time in whole
     arrays: chunk c draws its bits, then its normals, from its own stream, and
@@ -710,9 +726,9 @@ def test_mf_ber_holds_the_closed_form(request, threads):
 @pytest.mark.parametrize("lam", [1, 6])
 def test_ber_monte_carlo_holds_a_few_chunks(request, lam, detectors, extra, threads):
     # each thread's float64 chunk of normals and of received rows; for the
-    # network also the float32 rows, their hidden activations and the
-    # float32 parameters (1.8 chunks at lam=1): a few chunks per thread,
-    # however many trials and points the sweep has
+    # network also the float32 rows and their hidden activations, while its
+    # float32 parameters are made with it, before the sweep: a few chunks per
+    # thread, however many trials and points the sweep has
     request.getfixturevalue(threads)
     params = ChirpParams(lam=lam)
     n1 = params.n1
@@ -740,7 +756,9 @@ def test_ber_monte_carlo_joins_its_helper_with_the_helper(untrained_receiver, mo
 
 def check_joins_its_helper(untrained_receiver, monkeypatch):
     # the network fails on the partial last chunk: with two chunks that is
-    # the helper's second call in all, and with three the calling thread's third
+    # the helper's second call in all, and with three the calling thread's third.
+    # It waits until the other thread has called on its full chunk, which
+    # would skip that chunk if it saw the failure first
     p6 = ChirpParams(lam=6)
     threads = threading.active_count()
     ber_monte_carlo(p6, ["mf", "dnn"], [6.0], 0, 0, 3 * CHUNK_ROWS, seed=3,
@@ -749,11 +767,15 @@ def check_joins_its_helper(untrained_receiver, monkeypatch):
     for chunks in (2, 3):
         boom = RuntimeError("detector failed")
         calls = []
+        full_chunks_called = threading.Event()
 
         def failing(p, rx):
             calls.append(len(rx))
             if len(rx) < CHUNK_ROWS:
+                full_chunks_called.wait(timeout=5)
                 raise boom
+            if calls.count(CHUNK_ROWS) == chunks - 1:
+                full_chunks_called.set()
             return detect_batch(p, rx)
 
         monkeypatch.setattr(data, "detect_batch", failing)

@@ -435,6 +435,31 @@ def test_detect_batch_refuses_a_pass_past_the_float32_range(monkeypatch):
     assert passes == [1]
 
 
+def test_passes_neither_round_nor_scan_the_parameters_again(monkeypatch):
+    # the float32 layers and the finiteness of the parameters are made once,
+    # with them: a later pass reads them and never goes back to the vector
+    rng = np.random.default_rng(25)
+    p = random_net(rng, [6, 5, 4, 1])
+    batch = random_batch(rng, 6, 9)
+    x32 = LabeledBatch(batch.inputs.astype(np.float32), batch.labels)
+    v = rng.standard_normal(p.n_params)
+    views_in, isfinite = receiver._views_in, np.isfinite
+
+    def not_the_parameters(a):
+        assert not np.shares_memory(a, p.to_flat())
+        return a
+
+    monkeypatch.setattr(receiver, "_views_in",
+                        lambda sizes, a, dtype: views_in(sizes, not_the_parameters(a), dtype))
+    monkeypatch.setattr(np, "isfinite", lambda a, *args: isfinite(not_the_parameters(a), *args))
+    for _ in range(2):
+        for b in (x32, batch):
+            detect_batch(p, b.inputs)
+            lin = linearize(p, b)
+            lin.hvp(v)
+            lin.hvp(v)
+
+
 def test_ber_eval_basics():
     rng = np.random.default_rng(12)
     p = params(tuple(np.zeros(s) for s in [(3, 4), (3, 3), (1, 3)]),
@@ -516,6 +541,25 @@ def test_train_rounds_adam_as_the_textbook_update():
             theta = theta - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
     out = train(p, batch, epochs=3, lr=lr, batch_size=8, rng=np.random.default_rng(19))
     assert np.array_equal(out.to_flat(), theta)
+
+
+def test_train_changes_no_parameters_in_place(monkeypatch):
+    # each Adam step makes new parameters, so those that grad saw, and their
+    # float32 layers, still hold the values they were made with
+    rng = np.random.default_rng(26)
+    p = random_net(rng, [5, 6, 4, 1])
+    batch = random_batch(rng, 5, 37)
+    seen = []
+    real_grad = receiver.grad
+    monkeypatch.setattr(receiver, "grad",
+                        lambda q, b: seen.append((q, q.to_flat().copy())) or real_grad(q, b))
+    train(p, batch, epochs=3, lr=3e-3, batch_size=8, rng=np.random.default_rng(19))
+    assert len(seen) == 15
+    for q, made in seen:
+        assert np.array_equal(q.to_flat(), made)
+        f32 = receiver._views_in(q.layer_sizes, made, np.float32)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(q._layers[np.dtype(np.float32)], f32))
 
 
 @pytest.mark.parametrize("batch_size, epochs", [(0, 1), (-3, 1), (8, -1)])
