@@ -370,9 +370,10 @@ def _impair_rows(out: np.ndarray, rows: np.ndarray, alpha_dop: np.ndarray,
                  delta: np.ndarray, lam: int) -> None:
     """Doppler scaling, then a shift by delta samples, at every lam-th sample
     of each row, into the zeroed `out`: out[i, j] = D_i(lam j + delta[i]),
-    where D_i(t) = rows[i]((1 + alpha_dop[i]) t) is the Doppler-scaled row on
-    the window 0 <= t < n and zero outside it.  Needs |alpha_dop| < 0.1 and
-    |delta| < n.
+    where D_i(t) = rows[i]((1 + alpha_dop[i]) t) on the window 0 <= t < n.
+    D_i is zero outside it, except that a fractional shift without Doppler
+    interpolates the zero-padded row, nonzero up to _KERNEL_HALF samples
+    past either edge.  Needs |alpha_dop| < 0.1 and |delta| < n.
 
     Each kept sample is one band-limited evaluation of its row at
     (1 + alpha)(lam j + delta), one kernel row; nothing is interpolated
@@ -437,11 +438,9 @@ def _impaired(w: Waveform, alpha_dop: float, delta: float) -> Waveform:
 
 
 def apply_sto(w: Waveform, delta_samples: float) -> Waveform:
-    """Shift the observation window: out[k] = w[k + delta], zero-filled.
-
-    The integer part is a plain index shift; any fractional part goes through
-    the windowed-sinc interpolator.  Length is preserved.
-    """
+    """Shift the observation window: out[k] = w[k + delta], length kept.
+    An integer shift zero-fills; a fractional one interpolates w across its
+    edges, leaving up to _KERNEL_HALF nonzero samples past them."""
     return w if delta_samples == 0 else _impaired(w, 0.0, delta_samples)
 
 

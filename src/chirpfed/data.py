@@ -22,8 +22,8 @@ import numpy as np
 from . import container
 from .channel import (ChannelRealization, RayleighModelConfig, apply_channel_rows,
                       identity_channel)
-from .chirp import (ChirpParams, downsample, generate_chirp,
-                    matched_filter_detect_batch)
+from .chirp import (ChirpParams, generate_chirp, matched_filter_detect_batch,
+                    symbol_templates)
 from .errors import ConfigurationError, ParseError
 from .receiver import LabeledBatch, detect_batch
 
@@ -190,7 +190,7 @@ def _split(k, samples, labels, snr, sto, speed, tag_idx, tag_table):
 def _clean_received_symbol(bit, params, sto, speed):
     """Noise-free impaired symbol at the downsampled rate."""
     if not (sto or speed):  # no impairment: no channel
-        return downsample(_chirps(params)[bit], params.lam).samples
+        return symbol_templates(params)[bit]
     return apply_channel_rows(_chirps(params), [bit], identity_channel(Ts=1.0 / params.fs),
                               [np.inf], [sto], [speed], [0], lam=params.lam)[0]
 
@@ -252,10 +252,11 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     A thread holds one chunk's normals and its received rows in float64, and
     for the network the rows in float32 with their hidden activations.  With
     one BLAS thread and two cores (see _use_helper) a helper thread scores
-    the odd chunks while the calling thread scores the even ones; the error
-    counts are integers, so their sum, and every BER, is the serial one.  Once
-    either thread raises, the other stops at its next chunk, and the helper is
-    joined before the call returns or raises.
+    the odd chunks while the calling thread scores the even ones.  Either
+    thread scores under numpy's default error state, whatever the caller's.
+    The error counts are integers, so their sum, and every BER, is the
+    serial one.  Once either thread raises, the other stops at its next
+    chunk, and the helper is joined before the call returns or raises.
     """
     detectors = list(detectors)
     if not detectors or not set(detectors) <= set(DETECTORS) or (
@@ -282,6 +283,7 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
 
     stop = threading.Event()  # set once a thread raises: the other ends at its next chunk
 
+    @np.errstate(divide="warn", over="warn", under="ignore", invalid="warn")
     def errors(chunks):
         """Error counts of `chunks`, per point and detector."""
         counts = np.zeros((len(sigmas), len(detectors)), np.int64)

@@ -223,23 +223,7 @@ def evaluate(theta: MlpParams, node: NodeState, alpha: float, g):
         raise TrainingError(str(exc), node_id=node.id) from exc
 
 
-def _node_pass(work, order, pool):
-    """[work(pos) for pos in order], on pool's workers if there is a pool.
-    They take positions from the front of the pool's queue, each under this
-    thread's numpy error state, which numpy keeps per thread.  A failing
-    pass raises the failure earliest in `order`, the one a serial pass would
-    raise, and cancels the positions not yet started."""
-    if pool is None:
-        return list(map(work, order))
-    err = np.geterr()
-
-    def run(pos):
-        with np.errstate(**err):
-            return work(pos)
-
-    return list(pool.map(run, order))
-
-
+@np.errstate(divide="warn", over="ignore", under="ignore", invalid="ignore")
 def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
                cfg: FmlConfig, mode: str):
     """One node's part of the pass at broadcast theta: its train loss if theta
@@ -248,7 +232,8 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
     part it does not take.  A TrainingError names the node and the round whose
     log it stops: a loss that is not finite (round t), evaluate's refusal
     (round t-1), or an update that is not finite or has diverged on the
-    node's test split (round t, see receiver.diverged)."""
+    node's test split (round t, see receiver.diverged).  Overflow on the way
+    to divergence is left to these checks."""
     maml = stepping and mode == "fml"
     lin = None
     if t or maml:  # only a node that calls hvp keeps its activations
@@ -297,7 +282,8 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     A pass maps its nodes in one order, the scheduled nodes first, as their
     MAML steps are the longest work; with one BLAS thread and two cores (see
     data._use_helper) two worker threads take nodes from its front while
-    the calling thread waits.  The node results are merged in node order,
+    the calling thread waits.  Each node's work runs under a fixed numpy
+    error state on any thread.  The node results are merged in node order,
     so the logs and parameters do not depend on the workers, and a failing
     pass raises the error of the node a serial pass would fail at first.
     """
@@ -313,17 +299,16 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     theta = nodes[0].theta
     total = sum(n.data_size for n in nodes)
     logs = []
-    # overflow on the way to divergence is caught by the local updates' checks
-    with _helper_pool(2) as pool, np.errstate(over="ignore", invalid="ignore"):
+    with _helper_pool(2) as pool:
         for t in range(cfg.rounds + 1):
             opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
             # schedule() draws positions into the node list; logs carry node ids
             positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
             order = [*positions, *(pos for pos in range(cfg.K) if pos not in positions)]
-            results = dict(zip(order, _node_pass(
+            results = dict(zip(order, (pool.map if pool else map)(
                 lambda pos: _node_work(nodes[pos], theta, t, opens, pos in positions,
                                        u.get(pos), cfg, mode),
-                order, pool)))
+                order)))
             loss, update, accs = zip(*(results[pos] for pos in range(cfg.K)))
             if t:
                 acc = adapted = 0.0  # weighted by data size, summed in node order

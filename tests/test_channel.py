@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chirpfed.channel import (MAX_CIR_ENTRIES, ChannelRealization, ImpairmentSpec,
-                              RayleighModelConfig, _kernel, _KERNEL_OFFSETS,
+                              RayleighModelConfig, _impaired, _kernel, _KERNEL_HALF,
+                              _KERNEL_OFFSETS,
                               apply_channel, apply_doppler, apply_sto,
                               bell_spectrum, hilbert, identity_channel,
                               load_cir, rayleigh_cir, save_cir,
@@ -286,6 +287,26 @@ def test_sto_fractional_tone_phase():
     expect = np.cos(2 * np.pi * f0 * (t + 0.5 / fs))
     mid = slice(64, n - 64)  # skip kernel edge effects
     assert np.allclose(out.samples[mid], expect[mid], atol=0.01)
+
+
+def test_a_fractional_sto_interpolates_across_the_window_edges():
+    # the edge rule differs by path: an integer shift, and any shift with
+    # Doppler scaling (alpha 1e-300 here), are zero outside the window; a
+    # fractional shift alone interpolates the zero-padded chirp across its
+    # edges.  Inside the window the two paths agree
+    up = generate_chirp(ChirpParams(lam=1), "up")
+    k = np.arange(len(up))
+    assert apply_sto(up, -0.5).samples[0] == pytest.approx(0.5027, abs=1e-4)
+    for delta in (-0.5, 40.5, -40.5):
+        shifted = apply_sto(up, delta).samples
+        scaled = _impaired(up, 1e-300, delta).samples
+        outside = (k + delta < 0) | (k + delta >= len(up))
+        assert not scaled[outside].any()
+        assert 0 < np.count_nonzero(shifted[outside]) <= _KERNEL_HALF
+        assert np.max(np.abs(shifted - scaled)[~outside]) <= 1e-12
+    assert np.count_nonzero(apply_sto(up, 40.5).samples[k + 40.5 >= len(up)]) == 31
+    for delta in (-40, 40):
+        assert not apply_sto(up, delta).samples[(k + delta < 0) | (k + delta >= len(up))].any()
 
 
 def test_sto_out_of_range():

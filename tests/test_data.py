@@ -14,7 +14,7 @@ from chirpfed.channel import (CHANNEL_BLOCK_ROWS, RayleighModelConfig, rayleigh_
                               tap_mean_powers)
 from chirpfed.chirp import ChirpParams, generate_chirp, downsample, \
     matched_filter_detect_batch
-from chirpfed import channel, data
+from chirpfed import channel, data, receiver
 from chirpfed.data import (CHUNK_ROWS, MAX_DATASET_SAMPLES, DatasetSpec,
                            _clean_received_symbol, ber_monte_carlo, build_node_dataset,
                            load_dataset, save_dataset)
@@ -548,7 +548,7 @@ def test_ber_monte_carlo_of_an_empty_grid_draws_nothing(monkeypatch):
 @pytest.mark.parametrize("lam", [1, 2, 3, 4, 5, 6, 8, 10, 12])
 def test_an_unimpaired_clean_symbol_is_the_channel_rows_symbol(lam):
     # without sto and speed, 0 or -0.0, the clean symbol skips the channel:
-    # the downsampled chirp is the identity channel's row, to the byte
+    # the chirp template is the identity channel's row, to the byte
     params = ChirpParams(lam=lam)
     chirps = [generate_chirp(params, direction) for direction in ("up", "down")]
     for bit in (0, 1):
@@ -845,3 +845,27 @@ def check_threads_do_not_interfere(untrained_receiver, monkeypatch):
     for k, (detectors, grid, trials) in enumerate(cases):
         assert got[k] == whole_chunk_bers(p6, detectors, grid, 0.0, 0.0, trials, 5,
                                          untrained_receiver)
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+def test_ber_monte_carlo_scores_under_numpys_default_error_state(
+        request, monkeypatch, untrained_receiver, threads):
+    # whatever the caller's state, the calling thread and the helper score
+    # their chunks under numpy's defaults
+    request.getfixturevalue(threads)
+    original = receiver._sigmoid
+    seen = []
+
+    def spy(z):
+        seen.append((threading.get_ident(), np.geterr()))
+        return original(z)
+
+    monkeypatch.setattr(receiver, "_sigmoid", spy)
+    with np.errstate(divide="raise", under="warn"):
+        ber_monte_carlo(ChirpParams(lam=6), ["dnn"], [6.0], 0.0, 0.0, 4 * CHUNK_ROWS,
+                        seed=3, checkpoint_params=untrained_receiver)
+    default = dict(divide="warn", over="warn", under="ignore", invalid="warn")
+    assert seen and all(state == default for _, state in seen)
+    scored_by = {tid for tid, _ in seen}
+    assert threading.get_ident() in scored_by
+    assert len(scored_by) == {"serial": 1, "helper": 2}[threads]

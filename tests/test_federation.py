@@ -732,133 +732,171 @@ def test_evaluate_names_the_node_whose_adapted_parameters_overflow():
 
 # ---------------------------------------------------------------- the helper
 
-@pytest.fixture
-def pool():
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=2) as executor:
-        yield executor
+NODE_WORK = federation._node_work
 
 
-def test_node_pass_returns_in_order_what_both_workers_took(pool):
-    # the worker on the first position holds it until the other has taken
-    # one, so the first position finishes after a later one
-    other_took = threading.Event()
-    order = [3, 1, 4, 0, 2]
+def tiny_run(K=5, G=0.4, rounds=2):
+    """run_rounds 'fml' on K tiny nodes; returns the logs and the final
+    parameters' bytes."""
+    theta = init_params([4, 5, 4, 1], np.random.default_rng(0))
+    nodes = [make_node(i, 140 + i, theta=theta) for i in range(K)]
+    cfg = FmlConfig(K=K, G=G, alpha=0.05, beta=0.05, rounds=rounds, seed=3)
+    logs, theta = run_rounds(cfg, nodes, "fml")
+    return logs, theta.to_flat().tobytes()
+
+
+def wrap_node_work(monkeypatch, before):
+    """Calls before(t, node id) at the start of each node's work in the pass
+    at t."""
+    def work(node, theta, t, *args):
+        before(t, node.id)
+        return NODE_WORK(node, theta, t, *args)
+
+    monkeypatch.setattr(federation, "_node_work", work)
+
+
+def pass_orders(logs, K=5):
+    """Each pass's node order: the scheduled nodes first, then the others; the
+    last pass only evaluates, in node order."""
+    return [[*log.scheduled, *(i for i in range(K) if i not in log.scheduled)]
+            for log in logs] + [list(range(K))]
+
+
+def test_threaded_pass_without_helpers_runs_in_serial_order(monkeypatch, serial):
+    caller = threading.get_ident()
+    taken = []
+    wrap_node_work(monkeypatch,
+                   lambda t, nid: taken.append((t, nid, threading.get_ident() == caller)))
+    logs, _ = tiny_run()
+    assert taken == [(t, nid, True) for t, order in enumerate(pass_orders(logs))
+                     for nid in order]
+
+
+def test_threaded_pass_merges_in_node_order_what_both_workers_took(monkeypatch):
+    # the worker on each pass's first node holds it until the other has taken
+    # one, so that node finishes after a later one; the run is the serial one
+    monkeypatch.setattr(data, "_use_helper", lambda: False)
+    want = tiny_run()
+    firsts = [order[0] for order in pass_orders(want[0])]
+    other_took = [threading.Event() for _ in firsts]
     taken_by = {}
 
-    def work(pos):
-        taken_by[pos] = threading.get_ident()
-        if pos == order[0]:
-            assert other_took.wait(timeout=30)
+    def hold(t, nid):
+        taken_by[t, nid] = threading.get_ident()
+        if nid == firsts[t]:
+            assert other_took[t].wait(timeout=30)
         else:
-            other_took.set()
-        return -pos
+            other_took[t].set()
 
-    assert federation._node_pass(work, order, pool) == [-pos for pos in order]
+    monkeypatch.setattr(data, "_use_helper", lambda: True)
+    wrap_node_work(monkeypatch, hold)
+    assert tiny_run() == want
     workers = set(taken_by.values())
     assert len(workers) == 2 and threading.get_ident() not in workers
 
 
-def test_node_pass_without_a_pool_runs_in_serial_order():
-    taken = []
-    caller = threading.get_ident()
-    results = federation._node_pass(
-        lambda pos: taken.append((pos, threading.get_ident() == caller)) or -pos,
-        [2, 4, 0, 1, 3], None)
-    assert taken == [(2, True), (4, True), (0, True), (1, True), (3, True)]
-    assert results == [-2, -4, 0, -1, -3]
-
-
-def test_node_pass_runs_the_workers_in_the_callers_error_state(pool):
-    other_took = threading.Event()
-    taken_by = {}
-
-    def work(pos):
-        taken_by[pos] = threading.get_ident()
-        if pos == 0:
-            assert other_took.wait(timeout=30)
-        else:
-            other_took.set()
-        return np.geterr()
-
-    with np.errstate(over="raise", invalid="ignore", divide="warn", under="ignore"):
-        want = np.geterr()
-        results = federation._node_pass(work, range(4), pool)
-    assert len(set(taken_by.values())) == 2
-    assert all(state == want for state in results)
-
-
-def test_node_pass_raises_the_failure_earliest_in_order(pool):
-    # one worker holds position 0 while the other fails at position 1; the
-    # first then fails too, later in time but earlier in the order
+def test_threaded_pass_raises_the_failure_earliest_in_order(monkeypatch, helper):
+    # at G=1 the first pass takes the nodes in node order: one worker holds
+    # node 0 while the other fails at node 1; the first then fails too, later
+    # in time but earlier in the order
     later_failed = threading.Event()
     events = []
 
-    def work(pos):
-        if pos == 1:
+    def fail(t, nid):
+        if nid == 1:
             events.append("failed at 1")
             later_failed.set()
             raise ValueError("node 1")
-        if pos == 0:
+        if nid == 0:
             assert later_failed.wait(timeout=30)
             events.append("failed at 0")
             raise ValueError("node 0")
-        return pos
 
+    wrap_node_work(monkeypatch, fail)
     with pytest.raises(ValueError, match="node 0"):
-        federation._node_pass(work, range(5), pool)
+        tiny_run(G=1.0)
     assert events == ["failed at 1", "failed at 0"]
 
 
-def test_node_pass_starts_no_position_queued_after_the_failure(pool):
-    # position 0 fails at once; the positions the workers take next are held
-    # until the pass has raised, and no position may start after that
+def test_threaded_pass_starts_no_node_queued_after_the_failure(monkeypatch):
+    # node 0 fails at once; the nodes the workers take next are held until
+    # run_rounds shuts its pool down, after the pass has raised, and no node
+    # may start after that
+    from concurrent.futures import ThreadPoolExecutor
     raised = threading.Event()
     started_late = []
 
-    def work(pos):
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            raised.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "_helper_pool", lambda workers: Pool(workers))
+
+    def fail(t, nid):
         if raised.is_set():
-            started_late.append(pos)
-        if pos == 0:
+            started_late.append(nid)
+        if nid == 0:
             raise ValueError("node 0")
         assert raised.wait(timeout=30)
-        return pos
 
+    wrap_node_work(monkeypatch, fail)
     with pytest.raises(ValueError, match="node 0"):
-        federation._node_pass(work, range(10), pool)
-    raised.set()
-    pool.shutdown(wait=True)
+        tiny_run(K=10, G=1.0)
     assert started_late == []
 
 
-def test_node_pass_takes_each_node_once_under_contention():
-    # four passes at once, each on its own two workers: twelve threads on the
-    # cores, switching every microsecond
+def test_threaded_pass_works_each_node_once_under_contention(monkeypatch):
+    # four runs at once, each on its own two workers: twelve threads on the
+    # cores, switching every microsecond.  Every run is the serial one, and
+    # the four together work each node four times a pass
     import sys
     from concurrent.futures import ThreadPoolExecutor
-
-    def one_pass(_):
-        counts = collections.Counter()
-
-        def work(pos):
-            counts[pos] += 1
-            return pos * pos
-
-        order = [*range(0, 3000, 7), *(p for p in range(3000) if p % 7)]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            results = federation._node_pass(work, order, pool)
-        return order, results, counts
-
+    monkeypatch.setattr(data, "_use_helper", lambda: False)
+    want = tiny_run(K=60, G=0.5)
+    monkeypatch.setattr(data, "_use_helper", lambda: True)
+    taken = []
+    wrap_node_work(monkeypatch, lambda t, nid: taken.append((t, nid)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as passes:
-            done = list(passes.map(one_pass, range(4), timeout=120))
+        with ThreadPoolExecutor(max_workers=4) as runs:
+            done = list(runs.map(lambda _: tiny_run(K=60, G=0.5), range(4), timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    for order, results, counts in done:
-        assert results == [pos * pos for pos in order]
-        assert sorted(counts) == list(range(3000)) and set(counts.values()) == {1}
+    assert done == [want] * 4
+    assert collections.Counter(taken) == {(t, nid): 4 for t in range(3) for nid in range(60)}
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+def test_threaded_pass_works_each_node_in_a_fixed_error_state(request, monkeypatch,
+                                                              threads):
+    # whatever the caller's state, the caller or both workers linearize under
+    # _node_work's own; with the workers, the first to linearize waits for
+    # the other
+    request.getfixturevalue(threads)
+    original = receiver.linearize
+    seen = []
+    both = threading.Event()
+
+    def spy(p, batch, hvp=True):
+        seen.append((threading.get_ident(), np.geterr()))
+        if len({tid for tid, _ in seen}) > 1:
+            both.set()
+        elif threads == "helper":
+            assert both.wait(timeout=30)
+        return original(p, batch, hvp)
+
+    monkeypatch.setattr(receiver, "linearize", spy)
+    with np.errstate(divide="raise", under="warn"):
+        tiny_run(K=4, G=1.0)
+    fixed = dict(divide="warn", over="ignore", under="ignore", invalid="ignore")
+    assert seen and all(state == fixed for _, state in seen)
+    linearized_by = {tid for tid, _ in seen}
+    if threads == "serial":
+        assert linearized_by == {threading.get_ident()}
+    else:
+        assert len(linearized_by) == 2 and threading.get_ident() not in linearized_by
 
 
 def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
