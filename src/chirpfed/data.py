@@ -207,7 +207,7 @@ def _blas_threads(environ=os.environ):
 
 
 def _use_helper() -> bool:
-    """Whether run_rounds and ber_monte_carlo take helper threads: only with
+    """Whether run_rounds and ber_monte_carlo take a helper thread: only with
     one BLAS thread and at least two cores in this process's affinity, so
     that their two busy threads never oversubscribe the cores."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -215,14 +215,14 @@ def _use_helper() -> bool:
     return _blas_threads() == 1 and cores >= 2
 
 
-def _helper_pool(workers: int):
-    """A pool of `workers` helper threads, or a null context without
-    helpers (see _use_helper).  Leaving it joins the threads."""
+def _helper_pool():
+    """A pool of one helper thread, or a null context without it (see
+    _use_helper).  Leaving it joins the helper."""
     if not _use_helper():
         return contextlib.nullcontext()
-    # imported here, as it loads logging: 10 ms that only the helpers need
+    # imported here, as it loads logging: 10 ms that only the helper needs
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=workers)
+    return ThreadPoolExecutor(max_workers=1)
 
 
 def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
@@ -318,7 +318,7 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
         return counts
 
     chunks = range(-(-trials // CHUNK_ROWS))
-    with _helper_pool(1) as pool:  # leaving it joins the helper
+    with _helper_pool() as pool:  # leaving it joins the helper
         if pool is None:
             counts = errors(chunks)
         else:

@@ -266,6 +266,36 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
     return loss, update, accs
 
 
+def _claimed_pass(work, order, pool):
+    """[work(pos) for pos in order], worked by the calling thread and, given
+    a pool, by its helper too.  Both threads claim (index, position) pairs
+    from one iterator over order, whose next() is atomic under the GIL, so
+    the positions are claimed in order.  A thread stops before a claim once
+    a failure is recorded, but works every position it has claimed; once
+    the helper is joined, the failure earliest in order is raised.  Every
+    position before a serial pass's first failure has then been claimed and
+    worked without failing, so that failure is the one raised."""
+    if pool is None:
+        return [work(pos) for pos in order]
+    claims = enumerate(order)
+    results, failures = [None] * len(order), []
+
+    def drain():
+        while not failures and (claim := next(claims, None)):
+            index, pos = claim
+            try:
+                results[index] = work(pos)
+            except BaseException as exc:  # raised once the helper is joined
+                failures.append((index, exc))
+
+    helper = pool.submit(drain)
+    drain()
+    helper.result()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
 def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     """Execute cfg.rounds communication rounds; returns (logs, final params).
 
@@ -279,13 +309,14 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     loss on the other nodes; the last only evaluates, leaving the nodes at
     the last broadcast theta.
 
-    A pass maps its nodes in one order, the scheduled nodes first, as their
+    A pass works its nodes in one order, the scheduled nodes first, as their
     MAML steps are the longest work; with one BLAS thread and two cores (see
-    data._use_helper) two worker threads take nodes from its front while
-    the calling thread waits.  Each node's work runs under a fixed numpy
-    error state on any thread.  The node results are merged in node order,
-    so the logs and parameters do not depend on the workers, and a failing
-    pass raises the error of the node a serial pass would fail at first.
+    data._use_helper) the calling thread and one helper claim nodes from its
+    front (see _claimed_pass).  Each node's work runs under a fixed numpy
+    error state on either thread.  The node results are merged in node
+    order, so the logs and parameters do not depend on the helper, and a
+    failing pass raises the error of the node a serial pass would fail at
+    first.
     """
     if mode not in ("fml", "fl"):
         raise ConfigurationError(f"mode must be 'fml' or 'fl', got {mode!r}")
@@ -299,16 +330,16 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     theta = nodes[0].theta
     total = sum(n.data_size for n in nodes)
     logs = []
-    with _helper_pool(2) as pool:
+    with _helper_pool() as pool:
         for t in range(cfg.rounds + 1):
             opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
             # schedule() draws positions into the node list; logs carry node ids
             positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
             order = [*positions, *(pos for pos in range(cfg.K) if pos not in positions)]
-            results = dict(zip(order, (pool.map if pool else map)(
+            results = dict(zip(order, _claimed_pass(
                 lambda pos: _node_work(nodes[pos], theta, t, opens, pos in positions,
                                        u.get(pos), cfg, mode),
-                order)))
+                order, pool)))
             loss, update, accs = zip(*(results[pos] for pos in range(cfg.K)))
             if t:
                 acc = adapted = 0.0  # weighted by data size, summed in node order

@@ -527,7 +527,7 @@ def test_run_rounds_golden_digest_with_and_without_the_helper(
     request.getfixturevalue(threads)
     before = threading.active_count()
     assert golden_run(mode, meta, **config)[1] == digest
-    assert threading.active_count() == before  # the workers were joined
+    assert threading.active_count() == before  # the helper was joined
 
 
 # sha256 of the final parameter bytes and repr(logs) of run_rounds on four
@@ -762,6 +762,21 @@ def pass_orders(logs, K=5):
             for log in logs] + [list(range(K))]
 
 
+def both_threads_take_nodes(passes=3):
+    """A before(t, node id) for wrap_node_work that holds the first node each
+    pass starts until another node of the pass starts, so that both threads
+    take nodes in every pass."""
+    first, other_took = {}, [threading.Event() for _ in range(passes)]
+
+    def hold(t, nid):
+        if first.setdefault(t, nid) == nid:
+            assert other_took[t].wait(timeout=30)
+        else:
+            other_took[t].set()
+
+    return hold
+
+
 def test_threaded_pass_without_helpers_runs_in_serial_order(monkeypatch, serial):
     caller = threading.get_ident()
     taken = []
@@ -773,7 +788,7 @@ def test_threaded_pass_without_helpers_runs_in_serial_order(monkeypatch, serial)
 
 
 def test_threaded_pass_merges_in_node_order_what_both_workers_took(monkeypatch):
-    # the worker on each pass's first node holds it until the other has taken
+    # the thread on each pass's first node holds it until the other has taken
     # one, so that node finishes after a later one; the run is the serial one
     monkeypatch.setattr(data, "_use_helper", lambda: False)
     want = tiny_run()
@@ -792,7 +807,7 @@ def test_threaded_pass_merges_in_node_order_what_both_workers_took(monkeypatch):
     wrap_node_work(monkeypatch, hold)
     assert tiny_run() == want
     workers = set(taken_by.values())
-    assert len(workers) == 2 and threading.get_ident() not in workers
+    assert len(workers) == 2 and threading.get_ident() in workers
 
 
 def test_threaded_pass_raises_the_failure_earliest_in_order(monkeypatch, helper):
@@ -819,37 +834,40 @@ def test_threaded_pass_raises_the_failure_earliest_in_order(monkeypatch, helper)
 
 
 def test_threaded_pass_starts_no_node_queued_after_the_failure(monkeypatch):
-    # node 0 fails at once; the nodes the workers take next are held until
-    # run_rounds shuts its pool down, after the pass has raised, and no node
-    # may start after that
+    # the helper fails at the first node it takes; the caller holds its own
+    # until the helper has recorded the failure and left the pass, and
+    # neither thread may start a node after the failure
     from concurrent.futures import ThreadPoolExecutor
-    raised = threading.Event()
+    caller = threading.get_ident()
+    failed, left = threading.Event(), threading.Event()
     started_late = []
 
     class Pool(ThreadPoolExecutor):
-        def shutdown(self, *args, **kwargs):
-            raised.set()
-            super().shutdown(*args, **kwargs)
+        def submit(self, *args, **kwargs):
+            helper = super().submit(*args, **kwargs)
+            helper.add_done_callback(lambda _: left.set())
+            return helper
 
-    monkeypatch.setattr(federation, "_helper_pool", lambda workers: Pool(workers))
+    monkeypatch.setattr(federation, "_helper_pool", lambda: Pool(max_workers=1))
 
     def fail(t, nid):
-        if raised.is_set():
+        if failed.is_set():
             started_late.append(nid)
-        if nid == 0:
-            raise ValueError("node 0")
-        assert raised.wait(timeout=30)
+        if threading.get_ident() != caller:
+            failed.set()
+            raise ValueError(f"node {nid}")
+        assert left.wait(timeout=30)
 
     wrap_node_work(monkeypatch, fail)
-    with pytest.raises(ValueError, match="node 0"):
+    with pytest.raises(ValueError, match="node"):
         tiny_run(K=10, G=1.0)
-    assert started_late == []
+    assert failed.is_set() and started_late == []
 
 
 def test_threaded_pass_works_each_node_once_under_contention(monkeypatch):
-    # four runs at once, each on its own two workers: twelve threads on the
-    # cores, switching every microsecond.  Every run is the serial one, and
-    # the four together work each node four times a pass
+    # four runs at once, each on its calling thread and its own helper: eight
+    # threads on the cores, switching every microsecond.  Every run is the
+    # serial one, and the four together work each node four times a pass
     import sys
     from concurrent.futures import ThreadPoolExecutor
     monkeypatch.setattr(data, "_use_helper", lambda: False)
@@ -871,9 +889,9 @@ def test_threaded_pass_works_each_node_once_under_contention(monkeypatch):
 @pytest.mark.parametrize("threads", ["serial", "helper"])
 def test_threaded_pass_works_each_node_in_a_fixed_error_state(request, monkeypatch,
                                                               threads):
-    # whatever the caller's state, the caller or both workers linearize under
-    # _node_work's own; with the workers, the first to linearize waits for
-    # the other
+    # whatever the caller's state, the caller alone, or the caller and the
+    # helper, linearize under _node_work's own; with the helper, the first
+    # thread to linearize waits for the other
     request.getfixturevalue(threads)
     original = receiver.linearize
     seen = []
@@ -896,7 +914,46 @@ def test_threaded_pass_works_each_node_in_a_fixed_error_state(request, monkeypat
     if threads == "serial":
         assert linearized_by == {threading.get_ident()}
     else:
-        assert len(linearized_by) == 2 and threading.get_ident() not in linearized_by
+        assert len(linearized_by) == 2 and threading.get_ident() in linearized_by
+
+
+def test_threaded_pass_runs_on_the_caller_and_one_helper(monkeypatch, helper):
+    # every pass is worked by the calling thread and the run's one helper,
+    # which the run starts and joins
+    caller = threading.get_ident()
+    threads = threading.active_count()
+    hold = both_threads_take_nodes()
+    taken_by, counts = [set() for _ in range(3)], []
+
+    def record(t, nid):
+        taken_by[t].add(threading.get_ident())
+        counts.append(threading.active_count())
+        hold(t, nid)
+
+    wrap_node_work(monkeypatch, record)
+    tiny_run()
+    assert all(len(ids) == 2 and caller in ids for ids in taken_by)
+    assert len(set.union(*taken_by)) == 2
+    assert max(counts) <= threads + 1
+    assert threading.active_count() == threads
+
+
+def test_threaded_pass_restores_the_callers_error_state(monkeypatch, helper):
+    # the calling thread works nodes under _node_work's own state and is back
+    # in its own after a run, and after a run whose node raises
+    def failing(p, batch):
+        raise InputError("ber_eval failed")
+
+    with np.errstate(divide="raise", under="warn"):
+        state = np.geterr()
+        wrap_node_work(monkeypatch, both_threads_take_nodes())
+        tiny_run()
+        assert np.geterr() == state
+        wrap_node_work(monkeypatch, both_threads_take_nodes())
+        monkeypatch.setattr(receiver, "ber_eval", failing)
+        with pytest.raises(TrainingError, match="^ber_eval failed"):
+            tiny_run()
+        assert np.geterr() == state
 
 
 def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
@@ -926,8 +983,9 @@ def test_run_rounds_joins_the_helper_when_a_node_raises(helper, monkeypatch):
 # it read 5,677,445 B before the MAML step and the HVP were trimmed, and
 # 4,716,121 B after.  The bound sits halfway between: 10% over the second, so
 # numpy staging a temporary differently leaves room, and 8% under the first.
-# Either worker of a pass steps such nodes, and each thread's allocator keeps
-# its own peak, so this bounds what the second worker adds to a run's peak RSS.
+# Either thread of a pass, the caller or the helper, steps such nodes, and each
+# thread's allocator keeps its own peak, so this bounds what the helper adds to
+# a run's peak RSS.
 SCHEDULED_NODE_PEAK_BOUND = 5_200_000
 
 
