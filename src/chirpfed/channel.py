@@ -25,19 +25,20 @@ MAX_CIR_ENTRIES = 2 ** 21  # n_taps x n_time; about 190 MB peak at the cap
 SOUND_SPEED = 1500.0  # m/s; the Doppler scale factor is rel_speed / SOUND_SPEED
 
 # Windowed-sinc interpolation kernel: 64 taps m = -31..32 at m - f for a
-# fraction 0 <= f < 1, Hann-windowed over |m - f| < 33.  By the angle-addition
-# formulas, sin(pi(m - f)) = -(-1)^m sin(pi f) and the window's
-# cos(pi(m - f)/33) splits into per-tap constants times cos and sin of
-# pi f/33, so a kernel row costs three transcendentals, not 128.  The sign
-# and the window's factor 1/2 sit in the per-tap constants; as sign flips and
-# scalings by 2 commute with rounding, only a subnormal kernel value (f below
-# about 1e-307) can differ from the unfolded form's, by one rounding.
+# fraction 0 <= f < 1, Hann-windowed over |m - f| < 33.  _kernel evaluates it
+# exactly: by the angle-addition formulas, sin(pi(m - f)) = -(-1)^m sin(pi f)
+# and the window's cos(pi(m - f)/33) splits into per-tap constants times cos
+# and sin of pi f/33, so a row costs three transcendentals, not 128.  The
+# sign and the window's factor 1/2 sit in the per-tap constants; as sign
+# flips and scalings by 2 commute with rounding, only a subnormal kernel
+# value (f below about 1e-307) can differ from the unfolded form's, by one
+# rounding.
 _KERNEL_HALF = 32
 _KERNEL_OFFSETS = np.arange(-_KERNEL_HALF + 1, _KERNEL_HALF + 1)
 _PI_SIGN = -(-1.0) ** _KERNEL_OFFSETS * np.pi
 _HALF_WINDOW_COS = 0.5 * np.cos(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
 _HALF_WINDOW_SIN = 0.5 * np.sin(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
-# Rows of kernel made at a time: one block holds every kept row of a
+# Kernel rows looked up at a time: one block holds every kept row of a
 # 960-sample symbol at lam >= 5; each (192, 64) float64 temporary is 96 KiB.
 _KERNEL_BLOCK = 192
 # Windows gathered at a time for fractional shifts: 512 KiB of float64.
@@ -276,6 +277,33 @@ def _kernel(frac) -> np.ndarray:
     return sinc.reshape(frac.shape + (-1,))
 
 
+# The kernel tabulated at the P + 1 fractions k/P, P = _KERNEL_PHASES, with
+# the first differences of its rows, and interpolated linearly between the
+# two nearest (Smith and Gossett, "A flexible sampling-rate conversion
+# method", ICASSP 1984): two read-only float64 arrays, (P + 1) x 64 and
+# P x 64, 0.25 MiB in all.  The error of linear interpolation is at most
+# (1/P)^2 / 8 times the kernel's largest |d^2/df^2|, about pi^2/3 at the
+# main lobe: each tap is within 6.3e-6 of _kernel's, and a row's 64 taps err
+# by at most 3.6e-5 in all, the bound for |x| <= 1.  On the band-limited
+# unit chirp the output moves by at most 1.1e-6, where the exact kernel is
+# itself off by up to 1.8e-5.
+_KERNEL_PHASES = 256
+_KERNEL_TABLE = _kernel(np.arange(_KERNEL_PHASES + 1) / _KERNEL_PHASES)
+_KERNEL_STEPS = np.diff(_KERNEL_TABLE, axis=0)
+_KERNEL_TABLE.flags.writeable = _KERNEL_STEPS.flags.writeable = False
+
+
+def _table_kernel(frac) -> np.ndarray:
+    """Kernel rows, shape frac.shape + (64,), for 0 <= frac <= 1, read from
+    the table: T[i] + w D[i] at frac P = i + w, i <= P - 1.  At each k/P the
+    row is _kernel's, and at 0 it is the unit impulse."""
+    x = np.asarray(frac, dtype=np.float64) * _KERNEL_PHASES
+    i = np.minimum(x.astype(np.intp), _KERNEL_PHASES - 1)
+    rows = _KERNEL_STEPS[i] * (x - i)[..., None]
+    rows += _KERNEL_TABLE[i]
+    return rows
+
+
 def _signal_problem(loud: bool, snr_db, alpha_dop, delta, n: int):
     """(error class, message) if the noise level overflows (`loud`), the
     Doppler scale is unphysical or the shift leaves the n-sample window."""
@@ -370,27 +398,28 @@ def _impair_rows(out: np.ndarray, rows: np.ndarray, alpha_dop: np.ndarray,
                  delta: np.ndarray, lam: int) -> None:
     """Doppler scaling, then a shift by delta samples, at every lam-th sample
     of each row, into the zeroed `out`: out[i, j] = D_i(lam j + delta[i]),
-    where D_i(t) = rows[i]((1 + alpha_dop[i]) t) on the window 0 <= t < n.
-    D_i is zero outside it, except that a fractional shift without Doppler
-    interpolates the zero-padded row, nonzero up to _KERNEL_HALF samples
-    past either edge.  Needs |alpha_dop| < 0.1 and |delta| < n.
+    where D_i(t) = rows[i]((1 + alpha_dop[i]) t) on the window 0 <= t < n
+    and zero outside it, whatever the shift and scale.  Needs
+    |alpha_dop| < 0.1 and |delta| < n.
 
     Each kept sample is one band-limited evaluation of its row at
-    (1 + alpha)(lam j + delta), one kernel row; nothing is interpolated
-    twice.  Without Doppler scaling an integer shift is an index offset, and
-    a fractional one is one kernel row for all the kept samples of its row.
+    (1 + alpha)(lam j + delta), one kernel row read from the P-phase table
+    (_table_kernel); nothing is interpolated twice.  Without Doppler scaling
+    an integer shift is an index offset, and a fractional one is one kernel
+    row for all the kept samples of its row.
     """
     m, n = rows.shape
     width = 2 * _KERNEL_HALF
     kept = np.arange(0, n, lam)
+    t = kept + delta[:, None]
+    inside = (t >= 0) & (t < n)
     d_int = np.floor(delta)
     doppler = alpha_dop != 0
     fractional = (delta != d_int) & ~doppler
     shifted = np.flatnonzero(~doppler & ~fractional)
     if shifted.size:
-        t = kept + d_int[shifted, None].astype(np.int64)
-        inside = (t >= 0) & (t < n)
-        out[shifted] = np.where(inside, rows[shifted[:, None], np.clip(t, 0, n - 1)], 0.0)
+        source = np.clip(t[shifted], 0, n - 1).astype(np.int64)
+        out[shifted] = np.where(inside[shifted], rows[shifted[:, None], source], 0.0)
     if shifted.size == m:
         return
     padded = np.zeros((m, n + 2 * width))
@@ -406,24 +435,23 @@ def _impair_rows(out: np.ndarray, rows: np.ndarray, alpha_dop: np.ndarray,
     for lo in range(0, fractional.size, group):
         sel = fractional[lo:lo + group]
         start = np.clip(kept + (d_int[sel, None].astype(np.int64) + lead), 0, n + width)
-        kernel = _kernel(delta[sel] - d_int[sel])
-        out[sel] = np.matmul(windows[sel[:, None], start], kernel[:, :, None])[:, :, 0]
+        kernel = _table_kernel(delta[sel] - d_int[sel])
+        products = np.matmul(windows[sel[:, None], start], kernel[:, :, None])[:, :, 0]
+        out[sel] = np.where(inside[sel], products, 0.0)
 
-    # one kernel row per kept sample of every Doppler-scaled row, made a block
-    # of rows at a time: the (rows, 64) temporaries stay in cache
+    # one kernel row per kept sample of every Doppler-scaled row, looked up a
+    # block of rows at a time: the (rows, 64) temporaries stay in cache
     doppler = np.flatnonzero(doppler)
-    t = kept + delta[doppler, None]
-    inside = (t >= 0) & (t < n)
-    row, col = np.nonzero(inside)
+    row, col = np.nonzero(inside[doppler])
     row = doppler[row]
-    positions = (1.0 + alpha_dop[row]) * t[inside]
+    positions = (1.0 + alpha_dop[row]) * t[row, col]
     base = np.floor(positions)
     start = np.clip(base.astype(np.int64) + lead, 0, n + width)
     frac = positions - base
     for lo in range(0, frac.size, _KERNEL_BLOCK):
         part = slice(lo, lo + _KERNEL_BLOCK)
         out[row[part], col[part]] = np.einsum(
-            "ij,ij->i", windows[row[part], start[part]], _kernel(frac[part]))
+            "ij,ij->i", windows[row[part], start[part]], _table_kernel(frac[part]))
 
 
 def _impaired(w: Waveform, alpha_dop: float, delta: float) -> Waveform:
@@ -438,9 +466,9 @@ def _impaired(w: Waveform, alpha_dop: float, delta: float) -> Waveform:
 
 
 def apply_sto(w: Waveform, delta_samples: float) -> Waveform:
-    """Shift the observation window: out[k] = w[k + delta], length kept.
-    An integer shift zero-fills; a fractional one interpolates w across its
-    edges, leaving up to _KERNEL_HALF nonzero samples past them."""
+    """Shift the observation window: out[k] = w[k + delta], length kept,
+    and zero where k + delta falls outside 0 <= k + delta < len(w).  A
+    fractional shift interpolates w band-limited."""
     return w if delta_samples == 0 else _impaired(w, 0.0, delta_samples)
 
 

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chirpfed import channel
 from chirpfed.channel import (MAX_CIR_ENTRIES, ChannelRealization, ImpairmentSpec,
                               RayleighModelConfig, _impaired, _kernel, _KERNEL_HALF,
-                              _KERNEL_OFFSETS,
+                              _KERNEL_OFFSETS, _KERNEL_PHASES, _table_kernel,
                               apply_channel, apply_doppler, apply_sto,
                               bell_spectrum, hilbert, identity_channel,
                               load_cir, rayleigh_cir, save_cir,
@@ -264,6 +265,64 @@ def test_kernel_rows_match_one_row_at_a_time():
         assert np.array_equal(row, _kernel(f))
 
 
+def test_kernel_table_rows_stay_within_the_stated_bound():
+    # channel.py's bound: each tap within 6.3e-6 of _kernel's, and a row's
+    # 64 taps within 3.6e-5 in all; 200,000 fractions, 20,000 at a time
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        fracs = rng.random(20_000)
+        err = np.abs(_table_kernel(fracs) - _kernel(fracs))
+        assert err.max() <= 6.3e-6
+        assert err.sum(axis=1).max() <= 3.6e-5
+
+
+def test_kernel_table_row_at_fraction_zero_is_the_unit_impulse():
+    impulse = np.zeros(_KERNEL_OFFSETS.size)
+    impulse[_KERNEL_OFFSETS == 0] = 1.0
+    assert np.array_equal(_table_kernel(0.0), impulse)
+    assert np.array_equal(_table_kernel(1.0), np.roll(impulse, 1))
+    # so a position that lands on a sample keeps it: Doppler scaling by
+    # 1e-300 leaves every position an integer
+    w = Waveform(np.random.default_rng(8).standard_normal(200), 6000.0)
+    assert np.array_equal(_impaired(w, 1e-300, 3.0).samples, apply_sto(w, 3).samples)
+
+
+def test_kernel_table_rows_at_the_nodes_are_the_kernels_bit_for_bit():
+    nodes = np.arange(_KERNEL_PHASES + 1) / _KERNEL_PHASES
+    rows, exact = _table_kernel(nodes), _kernel(nodes)
+    assert rows[1:-1].tobytes() == exact[1:-1].tobytes()
+    # the rows at 0 and 1 are unit impulses, whose zeros may differ in sign
+    assert np.array_equal(rows, exact)
+
+
+def test_kernel_table_adds_at_most_its_bound_to_the_doppler_error_on_the_chirp(monkeypatch):
+    # channel.py's bound on the band-limited unit chirp: the table moves the
+    # output by at most 1.1e-6 and the exact kernel errs by up to 1.8e-5
+    p = ChirpParams(lam=1)
+    up = generate_chirp(p, "up")
+    n = len(up)
+    rng = np.random.default_rng(5)
+    draws = [(rng.uniform(-0.0999, 0.0999), rng.uniform(0.0, 40.0)) for _ in range(20)]
+
+    def errors():
+        out = []
+        for alpha, delta in draws:
+            pos = (1 + alpha) * (np.arange(n) + delta)
+            t = pos / p.fs
+            exact = np.cos(p.phi0 + 2 * np.pi * (p.f1 * t + p.mu * t * t / 2))
+            interior = (pos >= 100) & (pos <= n - 100)
+            out.append((_impaired(up, alpha, delta).samples - exact)[interior])
+        return np.concatenate(out)
+
+    table = errors()
+    monkeypatch.setattr(channel, "_table_kernel", _kernel)
+    kernel = errors()
+    assert table.size >= 2000
+    assert np.max(np.abs(kernel)) <= 1.8e-5
+    # so each sample's error stays within the exact kernel's plus 1.1e-6
+    assert np.max(np.abs(table - kernel)) <= 1.1e-6
+
+
 # ----------------------------------------------------------------------- STO
 
 def test_sto_zero_is_identity():
@@ -289,24 +348,20 @@ def test_sto_fractional_tone_phase():
     assert np.allclose(out.samples[mid], expect[mid], atol=0.01)
 
 
-def test_a_fractional_sto_interpolates_across_the_window_edges():
-    # the edge rule differs by path: an integer shift, and any shift with
-    # Doppler scaling (alpha 1e-300 here), are zero outside the window; a
-    # fractional shift alone interpolates the zero-padded chirp across its
-    # edges.  Inside the window the two paths agree
+def test_every_shift_is_zero_outside_the_window_and_the_paths_agree_inside():
+    # one edge rule: an integer shift (the index path), a fractional one, and
+    # any shift under Doppler scaling (alpha 1e-300 here) are zero where
+    # k + delta leaves the window 0 <= k + delta < n; inside it the
+    # fractional and Doppler paths agree
     up = generate_chirp(ChirpParams(lam=1), "up")
     k = np.arange(len(up))
-    assert apply_sto(up, -0.5).samples[0] == pytest.approx(0.5027, abs=1e-4)
-    for delta in (-0.5, 40.5, -40.5):
+    for delta in (-0.5, 40.5, -40.5, -1e-300, -40.0, 40.0):
         shifted = apply_sto(up, delta).samples
         scaled = _impaired(up, 1e-300, delta).samples
         outside = (k + delta < 0) | (k + delta >= len(up))
-        assert not scaled[outside].any()
-        assert 0 < np.count_nonzero(shifted[outside]) <= _KERNEL_HALF
+        assert outside.any()
+        assert not shifted[outside].any() and not scaled[outside].any()
         assert np.max(np.abs(shifted - scaled)[~outside]) <= 1e-12
-    assert np.count_nonzero(apply_sto(up, 40.5).samples[k + 40.5 >= len(up)]) == 31
-    for delta in (-40, 40):
-        assert not apply_sto(up, delta).samples[(k + delta < 0) | (k + delta >= len(up))].any()
 
 
 def test_sto_out_of_range():

@@ -223,8 +223,9 @@ def readme_net(tmp_path_factory):
 
 
 # sha256 of the README's mf,dnn sweep on the README's trained receiver,
-# recorded when each chunk of 512 symbols came to draw from a stream of its own
-README_SWEEP_GOLDEN = "337625bdaac079f60285d185bdc3fb4e98194f7fae107ec5382bc653f0f72eb6"
+# recorded when that receiver's fractional-STO training set came to read the
+# kernel rows from the 256-phase table and to be zero outside the window
+README_SWEEP_GOLDEN = "b1fee412415317af8d4762271b9e9e9d83796dae28ae615dfff8e4d0f13ed458"
 
 
 @pytest.mark.parametrize("threads", ["serial", "helper"])
@@ -339,9 +340,10 @@ def test_train_single_refuses_a_held_out_pass_that_is_not_finite(tmp_path, capsy
     assert not ckpt.exists()
 
 
-# sha256 of the checkpoint below, recorded when the receiver came to compute
-# on the dataset's float32 samples in float32
-TRAIN_SINGLE_GOLDEN = "f99ac44913dd1c11b993974302a3ec2fb5dc668cfe0f6e98c38c684d9fcd99d2"
+# sha256 of the checkpoint below, recorded when its fractional-STO dataset
+# came to read the kernel rows from the 256-phase table and to be zero
+# outside the window
+TRAIN_SINGLE_GOLDEN = "2b1d3d0f9894b613ec5f0cafd7ddf5ad5711a30507d29bb987bad2c22abc5484"
 
 
 def test_train_single_checkpoint_golden_digest(tmp_path):

@@ -363,23 +363,21 @@ def test_save_dataset_keeps_one_copy_of_the_samples(tmp_path):
 
 
 # sha256 over the records of build_node_dataset (25 symbols, lam = 6, seed 7)
-# under the three impairment profiles of the synthesis benchmark.  The sto
-# digest was computed with the full-rate interpolation that the decimating
-# channel replaced.  The doppler and rayleigh digests were recorded when a
-# Doppler-scaled fractional shift came to be one interpolation per kept
-# sample instead of two (and a static CIR one FFT product); the rayleigh
-# draws are the block-fading ones, one CN(0, p_k) gain per tap.  The samples
-# and labels are hashed widened to float64, as build_node_dataset returned
-# them before it came to keep them in float32
+# under the three impairment profiles of the synthesis benchmark, recorded
+# when the kernel rows came to be read from the 256-phase table and a
+# fractional shift came to be zero outside the window, as every shift is;
+# the rayleigh draws are the block-fading ones, one CN(0, p_k) gain per tap.
+# The samples and labels are hashed widened to float64, as
+# build_node_dataset returned them before it came to keep them in float32
 GOLDEN_PROFILES = {
     "sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0)),
-            "877f86bd94ae02d034c0f0e6494031b12e24cbc73c057c56f156bb8b9d179eb4"),
+            "ce53446afc8358c27b1405dfc312f7acf095d4dca7b723880ea6f5f0047949e7"),
     "doppler": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
                      speed_range=(0.0, 10.0)),
-                "91911e3770417faef6f8aa54538844efe953136de8edbacf4f939d050cd9fbcb"),
+                "2b6cb4ab342c36d446d324d3ba09d54ccbef971c96b5586bd28cc07b71e29659"),
     "rayleigh": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
                       speed_range=(0.0, 10.0), channel_tag="rayleigh"),
-                 "f31e1d21da86bcefa89a2c34fe77480dbc872c172ec0de99a32a784d0ba2bde4"),
+                 "76d783abc9090a149b4c48a49986eed35a7c01b216e61e7305a72a07d14b0be8"),
 }
 
 
@@ -400,28 +398,30 @@ def test_node_dataset_golden_digest(profile):
 # and lam = 6 unless given) on the synthesis paths that GOLDEN_PROFILES
 # misses: taps that vary within the symbol, lam = 1 and 2, an integer and a
 # negative STO, Doppler without STO, no noise, and 129 symbols, two blocks
-# of 64 rows and one more.  Recorded from the per-symbol builder
+# of 64 rows and one more.  Recorded from the per-symbol builder; all but
+# integer_sto re-recorded when the kernel rows came to be read from the
+# 256-phase table and a fractional shift zero outside the window
 _IMPAIRED = dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0), speed_range=(0.0, 10.0))
 GOLDEN_EDGE_CASES = {
     "fast_fading": (dict(_IMPAIRED, channel_tag="rayleigh",
                          rayleigh=RayleighModelConfig(Ts=1.0 / 6000.0, fd=100.0)),
-                    "75015118bbd31ae83594b7fcf2d337b1b3cea88eaf7756723b5d4b1e99750f5d"),
+                    "acb82a94666d989ab07dec54b58334605e8ce7b0ce9bcc8d3ca16dbe4488a090"),
     "lam1": (dict(_IMPAIRED, lam=1),
-             "ff1400398ff0eb9a8fd2dcf02e0902a066eab5af9fab7668c061595d0fa04ea4"),
+             "d20c3443e8d48eebe153215de07b63756b1a5029a4b5285a9cf993c41bea8682"),
     "lam2": (dict(_IMPAIRED, lam=2, channel_tag="rayleigh"),
-             "ac54a27371cc61be8f214b72e75a9c211499cc60e8118b4eba123637f6b44d1e"),
+             "5c12d2f873f220691b8b914be816370eca22df380879754789c3c1e6a08b1408"),
     "integer_sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(5.0, 5.0)),
                     "0707ac6d898c2e4ae5121b67364c2f1289c935977c4515f5ddfadcfb10ac10c9"),
     "negative_sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(-40.0, -10.0)),
-                     "a0891e9be12242c821d6a322a000fd6231ccd8b721f880ae8ea7830f7c7abf73"),
+                     "d31b8aea18145b69898eb363e15b0cf20959749242b155bdeb32b1efb49dbd6f"),
     "negative_sto_speed": (dict(_IMPAIRED, sto_range=(-40.0, -10.0)),
-                           "56591614d867f192cfd5c9ddaf1d54c29af02035dd3bb87a649a1e706217fa77"),
+                           "c81c228316b5492bad80ccdc2f3ce319318f48b8cdf8cd8426d495031f1c1373"),
     "speed_only": (dict(snr_db_range=(6.0, 12.0), speed_range=(0.0, 10.0)),
-                   "bbf83ff3b639f7ca78e122983a3f83ed0172fe8ac822d2ea6ebc57cddfd048d7"),
+                   "ebe88ba5f1bbcfced4e0db6c76e0fd460f6830faff35b3a7a0ea5b4d1326a629"),
     "noiseless": (dict(_IMPAIRED, snr_db_range=(np.inf, np.inf)),
-                  "87a034329fc96638f306bb62bc0e454b7208b9737bfe8cd82b43af9ad4bfd5c1"),
+                  "00d19cc10339c029f6015ba97075fdd20ef32a556c5736ec4dcaafdf5603e4d8"),
     "two_blocks_plus_one": (dict(_IMPAIRED, channel_tag="rayleigh", n_symbols=129),
-                            "7d9716564e6794e171169f6310d1da5bfcff0405b30c5455aaa2d07f416e133a"),
+                            "32f9dec950a84eff25445e54b33f44ada6454b5159167c92e07fbc20f4f45138"),
 }
 
 
@@ -490,7 +490,7 @@ def test_a_numpy_memory_error_reaches_the_caller_unchanged(monkeypatch):
     def fail(frac):
         raise _ArrayMemoryError((2 ** 40, 64), np.dtype(np.float64))
 
-    monkeypatch.setattr(channel, "_kernel", fail)
+    monkeypatch.setattr(channel, "_table_kernel", fail)
     with pytest.raises(MemoryError) as exc:
         build_node_dataset(small_spec(n_symbols=4, sto_range=(0.5, 0.5)))
     assert type(exc.value) is _ArrayMemoryError

@@ -531,12 +531,13 @@ def test_run_rounds_golden_digest_with_and_without_the_helper(
 
 
 # sha256 of the final parameter bytes and repr(logs) of run_rounds on four
-# build_nodes nodes, recorded when the receiver came to compute on their
-# float32 inputs in float32
+# build_nodes nodes, recorded when their fractional-STO datasets came to
+# read the kernel rows from the 256-phase table and to be zero outside the
+# window
 GOLDEN_BUILT_RUNS = {
-    ("fml", "exact"): "0414c9e991d6a4b6274780b68e21148923eddcc378a563ee5cbbc60e7fe4cd81",
-    ("fml", "first_order"): "ea050820fc6981b3db9784518eea1a347d451505ec3002d2b5cc4678489f1fc9",
-    ("fl", "exact"): "22b0b115a77d7013e5ff9d4bdaa3517bbe66b46f6364553129801cef34989753",
+    ("fml", "exact"): "8c76f086b5c8a2cee6b546bb2c1d956b7235fdc31068bf225b5fc75264e7c9b1",
+    ("fml", "first_order"): "de0214caf63ba4411fb5061808e143c6481277d5713a7b17bcef1d693c04c632",
+    ("fl", "exact"): "1ec9ffde78db534ede6b1ffd5e0e785454919b9769184a62b1b3faf3ece00a46",
 }
 
 
@@ -1073,8 +1074,9 @@ def test_build_nodes_ids_and_parameters():
 
 
 # sha256 of each node's train then test inputs and labels, recorded when the
-# nodes came to keep the datasets' float32 samples, scaled by a float32 std
-GOLDEN_NODES = "42d3212ad31f8c71adae09fd4d0475441c892c7030311a35d5c075e7047aafa9"
+# fractional-STO datasets came to read the kernel rows from the 256-phase
+# table and to be zero outside the window
+GOLDEN_NODES = "e4b92da16ccf2100431b46ebb56540abf26d243250b166d1cbd1e60fdb6cbfae"
 
 
 def test_build_nodes_golden_digest():
