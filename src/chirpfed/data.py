@@ -216,13 +216,45 @@ def _use_helper() -> bool:
 
 
 def _helper_pool():
-    """A pool of one helper thread, or a null context without it (see
-    _use_helper).  Leaving it joins the helper."""
+    """A pool of one helper thread for _claimed_pass, or a null context
+    without it (see _use_helper).  Leaving it joins the helper."""
     if not _use_helper():
         return contextlib.nullcontext()
     # imported here, as it loads logging: 10 ms that only the helper needs
     from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=1)
+
+
+def _claimed_pass(work, order, pool):
+    """[work(pos) for pos in order], worked by the calling thread and, given
+    a pool, by its helper too: run_rounds' node passes and ber_monte_carlo's
+    chunks.  Both threads claim (index, position) pairs from one iterator
+    over order, whose next() is atomic under the GIL, so the positions are
+    claimed in order and neither thread idles while one is left.  A thread
+    stops before a claim once a failure is recorded, but works every
+    position it has claimed; once the helper is joined, the failure earliest
+    in order is raised.  Every position before a serial pass's first failure
+    has then been claimed and worked without failing, so that failure is the
+    one raised."""
+    if pool is None:
+        return [work(pos) for pos in order]
+    claims = enumerate(order)
+    results, failures = [None] * len(order), []
+
+    def drain():
+        while not failures and (claim := next(claims, None)):
+            index, pos = claim
+            try:
+                results[index] = work(pos)
+            except BaseException as exc:  # raised once the helper is joined
+                failures.append((index, exc))
+
+    helper = pool.submit(drain)
+    drain()
+    helper.result()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
@@ -251,12 +283,12 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
 
     A thread holds one chunk's normals and its received rows in float64, and
     for the network the rows in float32 with their hidden activations.  With
-    one BLAS thread and two cores (see _use_helper) a helper thread scores
-    the odd chunks while the calling thread scores the even ones.  Either
-    thread scores under numpy's default error state, whatever the caller's.
-    The error counts are integers, so their sum, and every BER, is the
-    serial one.  Once either thread raises, the other stops at its next
-    chunk, and the helper is joined before the call returns or raises.
+    one BLAS thread and two cores (see _use_helper) the calling thread and a
+    helper claim the chunks in order (see _claimed_pass).  Either thread
+    scores under numpy's default error state, whatever the caller's.  The
+    error counts are integers, so their sum, and every BER, is the serial
+    one, and a failing sweep raises the error of the chunk a serial sweep
+    fails at first.
     """
     detectors = list(detectors)
     if not detectors or not set(detectors) <= set(DETECTORS) or (
@@ -280,50 +312,38 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
         return []
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
     rows = min(CHUNK_ROWS, trials)
-
-    stop = threading.Event()  # set once a thread raises: the other ends at its next chunk
+    buffers = threading.local()  # each thread's, made at its first chunk
 
     @np.errstate(divide="warn", over="warn", under="ignore", invalid="warn")
-    def errors(chunks):
-        """Error counts of `chunks`, per point and detector."""
+    def errors(c):
+        """Error counts of chunk c, per point and detector."""
+        if not hasattr(buffers, "z"):
+            buffers.z, buffers.rx = np.empty((2, rows, params.n1))
+            buffers.x = np.empty((rows, params.n1), np.float32) if "dnn" in detectors else None
         counts = np.zeros((len(sigmas), len(detectors)), np.int64)
-        z_buf, rx_buf = np.empty((2, rows, params.n1))
-        x_buf = np.empty((rows, params.n1), np.float32) if "dnn" in detectors else None
-        try:
-            for c in chunks:
-                if stop.is_set():
-                    break
-                rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE5, c]))
-                b = rng.integers(0, 2, size=min(CHUNK_ROWS, trials - c * CHUNK_ROWS))
-                z = rng.standard_normal(out=z_buf[:b.size])
-                rx = rx_buf[:b.size]
-                one = (b == 1)[:, None]
-                for k, sigma in enumerate(sigmas):
-                    # rounded once per element as s_bit + z*sigma, with no temporaries
-                    np.multiply(z, sigma, out=rx)
-                    np.add(rx, s_clean[0], out=rx, where=~one)
-                    np.add(rx, s_clean[1], out=rx, where=one)
-                    for i, detector in enumerate(detectors):
-                        if detector == "mf":
-                            dec = matched_filter_detect_batch(rx, params)
-                        else:
-                            x = x_buf[:b.size]
-                            with np.errstate(over="ignore"):  # inf inputs fail the pass
-                                np.copyto(x, rx)
-                            dec = detect_batch(checkpoint_params, x)
-                        counts[k, i] += np.count_nonzero(dec != b)
-        except BaseException:
-            stop.set()
-            raise
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE5, c]))
+        b = rng.integers(0, 2, size=min(CHUNK_ROWS, trials - c * CHUNK_ROWS))
+        z = rng.standard_normal(out=buffers.z[:b.size])
+        rx = buffers.rx[:b.size]
+        one = (b == 1)[:, None]
+        for k, sigma in enumerate(sigmas):
+            # rounded once per element as s_bit + z*sigma, with no temporaries
+            np.multiply(z, sigma, out=rx)
+            np.add(rx, s_clean[0], out=rx, where=~one)
+            np.add(rx, s_clean[1], out=rx, where=one)
+            for i, detector in enumerate(detectors):
+                if detector == "mf":
+                    dec = matched_filter_detect_batch(rx, params)
+                else:
+                    x = buffers.x[:b.size]
+                    with np.errstate(over="ignore"):  # inf inputs fail the pass
+                        np.copyto(x, rx)
+                    dec = detect_batch(checkpoint_params, x)
+                counts[k, i] += np.count_nonzero(dec != b)
         return counts
 
-    chunks = range(-(-trials // CHUNK_ROWS))
     with _helper_pool() as pool:  # leaving it joins the helper
-        if pool is None:
-            counts = errors(chunks)
-        else:
-            odd = pool.submit(errors, chunks[1::2])
-            counts = errors(chunks[::2]) + odd.result()
+        counts = sum(_claimed_pass(errors, range(-(-trials // CHUNK_ROWS)), pool))
     return (counts / trials).tolist()
 
 

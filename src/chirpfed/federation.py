@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import receiver
-from .data import MAX_DATASET_SAMPLES, _helper_pool, build_node_dataset
+from .data import MAX_DATASET_SAMPLES, _claimed_pass, _helper_pool, build_node_dataset
 from .errors import ConfigurationError, EmptyRoundError, InputError, TrainingError
 from .receiver import LabeledBatch, MlpParams
 
@@ -266,36 +266,6 @@ def _node_work(node, theta: MlpParams, t: int, opens: bool, stepping: bool, u,
     return loss, update, accs
 
 
-def _claimed_pass(work, order, pool):
-    """[work(pos) for pos in order], worked by the calling thread and, given
-    a pool, by its helper too.  Both threads claim (index, position) pairs
-    from one iterator over order, whose next() is atomic under the GIL, so
-    the positions are claimed in order.  A thread stops before a claim once
-    a failure is recorded, but works every position it has claimed; once
-    the helper is joined, the failure earliest in order is raised.  Every
-    position before a serial pass's first failure has then been claimed and
-    worked without failing, so that failure is the one raised."""
-    if pool is None:
-        return [work(pos) for pos in order]
-    claims = enumerate(order)
-    results, failures = [None] * len(order), []
-
-    def drain():
-        while not failures and (claim := next(claims, None)):
-            index, pos = claim
-            try:
-                results[index] = work(pos)
-            except BaseException as exc:  # raised once the helper is joined
-                failures.append((index, exc))
-
-    helper = pool.submit(drain)
-    drain()
-    helper.result()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return results
-
-
 def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     """Execute cfg.rounds communication rounds; returns (logs, final params).
 
@@ -312,11 +282,11 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     A pass works its nodes in one order, the scheduled nodes first, as their
     MAML steps are the longest work; with one BLAS thread and two cores (see
     data._use_helper) the calling thread and one helper claim nodes from its
-    front (see _claimed_pass).  Each node's work runs under a fixed numpy
-    error state on either thread.  The node results are merged in node
-    order, so the logs and parameters do not depend on the helper, and a
-    failing pass raises the error of the node a serial pass would fail at
-    first.
+    front (see data._claimed_pass); the run keeps that one helper for all its
+    passes.  Each node's work runs under a fixed numpy error state on either
+    thread.  The node results are merged in node order, so the logs and
+    parameters do not depend on the helper, and a failing pass raises the
+    error of the node a serial pass would fail at first.
     """
     if mode not in ("fml", "fl"):
         raise ConfigurationError(f"mode must be 'fml' or 'fl', got {mode!r}")

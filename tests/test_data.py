@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -598,8 +599,8 @@ def test_ber_monte_carlo_matches_the_whole_chunk_loop_with_the_helper(
 
 
 def check_matches_the_whole_chunk_loop(untrained_receiver, detectors):
-    # an odd number of chunks, so that the calling thread takes one more than
-    # the helper, the last of them partial; three points
+    # five chunks, the last of them partial, whichever thread takes each;
+    # three points
     trials = 4 * CHUNK_ROWS + 123
     args = (ChirpParams(lam=6), detectors, [4.0, 5.5, 7.0], 3.5, 1.5, trials, 11)
     assert ber_monte_carlo(*args, checkpoint_params=untrained_receiver) == \
@@ -745,6 +746,113 @@ def test_ber_monte_carlo_holds_a_few_chunks(request, lam, detectors, extra, thre
     assert peak <= threads_used * (2 + extra[lam]) * chunk_bytes, peak / chunk_bytes
 
 
+def both_threads_take_chunks(score):
+    """A detector `score`, wrapped so that the first chunk it scores waits
+    until it is called on another chunk: with the helper, and one point and
+    detector, both threads take chunks."""
+    calls, other_took = itertools.count(), threading.Event()
+
+    def held(*args):
+        if next(calls) == 0:
+            assert other_took.wait(timeout=30)
+        else:
+            other_took.set()
+        return score(*args)
+
+    return held
+
+
+DEFAULT_RNG = np.random.default_rng
+
+
+def on_chunk_start(monkeypatch, before):
+    """Calls before(c) as a sweep starts chunk c, at the draw of its stream
+    SeedSequence([seed, 0xBE5, c]); a sweep without sto and speed draws from
+    no other stream."""
+    def default_rng(seq):
+        before(seq.entropy[2])
+        return DEFAULT_RNG(seq)
+
+    monkeypatch.setattr(data.np.random, "default_rng", default_rng)
+
+
+def test_ber_monte_carlo_a_held_chunk_does_not_hold_up_the_sweep(monkeypatch, helper):
+    # the first chunk scored waits until every other chunk has been scored,
+    # which only the other thread can do: no chunk is kept for the held thread
+    chunks = 6
+    args = (ChirpParams(lam=6), ["mf"], [5.0], 0.0, 0.0, (chunks - 1) * CHUNK_ROWS + 77, 13)
+    calls, scored, others_scored = itertools.count(), itertools.count(1), threading.Event()
+
+    def mf(rx, params):
+        held = next(calls) == 0
+        if held:
+            assert others_scored.wait(timeout=30)
+        dec = matched_filter_detect_batch(rx, params)
+        if not held and next(scored) == chunks - 1:
+            others_scored.set()
+        return dec
+
+    monkeypatch.setattr(data, "matched_filter_detect_batch", mf)
+    assert ber_monte_carlo(*args) == whole_chunk_bers(*args, None)
+
+
+@pytest.mark.parametrize("threads", ["serial", "helper"])
+def test_ber_monte_carlo_raises_the_failure_a_serial_sweep_raises(request, monkeypatch,
+                                                                  threads):
+    # chunks 1 and 2 fail; with the helper, chunk 1 fails only once chunk 2
+    # has, later in time but earlier in the order
+    request.getfixturevalue(threads)
+    later_failed = threading.Event()
+    failed = []
+
+    def fail(c):
+        if c == 2:
+            failed.append(c)
+            later_failed.set()
+            raise ValueError("chunk 2")
+        if c == 1:
+            if threads == "helper":
+                assert later_failed.wait(timeout=30)
+            failed.append(c)
+            raise ValueError("chunk 1")
+
+    on_chunk_start(monkeypatch, fail)
+    with pytest.raises(ValueError, match="^chunk 1$"):
+        ber_monte_carlo(ChirpParams(lam=6), ["mf"], [6.0], 0.0, 0.0, 6 * CHUNK_ROWS, seed=3)
+    assert failed == {"serial": [1], "helper": [2, 1]}[threads]
+
+
+def test_ber_monte_carlo_starts_no_chunk_after_a_failure(monkeypatch):
+    # the helper fails at the first chunk it takes; the caller holds its own
+    # until the helper has recorded the failure and left the sweep, and
+    # neither thread may start a chunk after the failure
+    from concurrent.futures import ThreadPoolExecutor
+    caller = threading.get_ident()
+    failed, left = threading.Event(), threading.Event()
+    started_late = []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            helper = super().submit(*args, **kwargs)
+            helper.add_done_callback(lambda _: left.set())
+            return helper
+
+    monkeypatch.setattr(data, "_helper_pool", lambda: Pool(max_workers=1))
+
+    def fail(c):
+        if failed.is_set():
+            started_late.append(c)
+        if threading.get_ident() != caller:
+            failed.set()
+            raise ValueError(f"chunk {c}")
+        assert left.wait(timeout=30)
+
+    on_chunk_start(monkeypatch, fail)
+    with pytest.raises(ValueError, match="chunk"):
+        ber_monte_carlo(ChirpParams(lam=6), ["mf"], [6.0], 0.0, 0.0, 10 * CHUNK_ROWS, seed=3)
+    assert failed.is_set() and started_late == []
+
+
 def test_ber_monte_carlo_joins_its_helper(untrained_receiver, monkeypatch, serial):
     check_joins_its_helper(untrained_receiver, monkeypatch)
 
@@ -755,10 +863,10 @@ def test_ber_monte_carlo_joins_its_helper_with_the_helper(untrained_receiver, mo
 
 
 def check_joins_its_helper(untrained_receiver, monkeypatch):
-    # the network fails on the partial last chunk: with two chunks that is
-    # the helper's second call in all, and with three the calling thread's third.
-    # It waits until the other thread has called on its full chunk, which
-    # would skip that chunk if it saw the failure first
+    # the network fails on the partial last chunk, once it has been called on
+    # every full chunk.  Each full chunk comes before it in the order, so it
+    # is claimed and scored before the failure is recorded, on whichever
+    # thread claimed it
     p6 = ChirpParams(lam=6)
     threads = threading.active_count()
     ber_monte_carlo(p6, ["mf", "dnn"], [6.0], 0, 0, 3 * CHUNK_ROWS, seed=3,
@@ -851,8 +959,11 @@ def check_threads_do_not_interfere(untrained_receiver, monkeypatch):
 def test_ber_monte_carlo_scores_under_numpys_default_error_state(
         request, monkeypatch, untrained_receiver, threads):
     # whatever the caller's state, the calling thread and the helper score
-    # their chunks under numpy's defaults
+    # their chunks under numpy's defaults; with the helper, the first chunk
+    # scored waits until the other thread scores one
     request.getfixturevalue(threads)
+    if threads == "helper":
+        monkeypatch.setattr(data, "detect_batch", both_threads_take_chunks(detect_batch))
     original = receiver._sigmoid
     seen = []
 
