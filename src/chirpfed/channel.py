@@ -9,7 +9,6 @@ offset (fractional samples), and Doppler time scaling.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,12 +42,10 @@ _HALF_WINDOW_SIN = 0.5 * np.sin(np.pi * _KERNEL_OFFSETS / (_KERNEL_HALF + 1))
 _KERNEL_BLOCK = 192
 # Windows gathered at a time for fractional shifts: 512 KiB of float64.
 _WINDOW_BLOCK = 1024
-# Rows that apply_channel_rows works on at a time.  Part of no stream: each
-# row draws its noise from its own seed.  At 960 samples a block's complex
-# (rows, 2n) FFT temporaries are 1.9 MiB each.
+# Rows that apply_channel_rows works on at a time.  Part of no stream, but a
+# static Rayleigh row's last float64 bits follow the row count of its
+# product.  At 960 samples a block's float64 products are 0.5 MiB each.
 CHANNEL_BLOCK_ROWS = 64
-
-_ANALYTIC_SPECTRA = weakref.WeakKeyDictionary()  # Waveform -> _analytic_spectrum
 
 
 @dataclass(frozen=True)
@@ -240,19 +237,6 @@ def hilbert(x) -> np.ndarray:
     return np.fft.ifft(spec)
 
 
-def _analytic_spectrum(x: Waveform) -> np.ndarray:
-    """FFT of the analytic signal of x zero-padded to twice its length.  Kept
-    while x lives if its samples are read-only and own their memory, as
-    generate_chirp's do."""
-    spectrum = _ANALYTIC_SPECTRA.get(x)
-    if spectrum is None:
-        spectrum = np.fft.fft(hilbert(x.samples), 2 * len(x))
-        if not x.samples.flags.writeable and x.samples.base is None:
-            spectrum.flags.writeable = False
-            _ANALYTIC_SPECTRA[x] = spectrum
-    return spectrum
-
-
 def _kernel(frac) -> np.ndarray:
     """Interpolation kernel rows, shape frac.shape + (64,), for 0 <= frac <= 1."""
     frac = np.asarray(frac, dtype=np.float64)
@@ -299,8 +283,8 @@ def _table_kernel(frac) -> np.ndarray:
     row is _kernel's, and at 0 it is the unit impulse."""
     x = np.asarray(frac, dtype=np.float64) * _KERNEL_PHASES
     i = np.minimum(x.astype(np.intp), _KERNEL_PHASES - 1)
-    rows = _KERNEL_STEPS[i] * (x - i)[..., None]
-    rows += _KERNEL_TABLE[i]
+    rows = np.take(_KERNEL_STEPS, i, axis=0) * (x - i)[..., None]
+    rows += np.take(_KERNEL_TABLE, i, axis=0)
     return rows
 
 
@@ -364,34 +348,42 @@ def _static_gains(amplitudes: np.ndarray, seeds) -> np.ndarray:
     return (g * amplitudes).astype(np.complex64)
 
 
+def _delay_line(sig: np.ndarray, step: int, taps: int) -> np.ndarray:
+    """(taps, n) view of the 1-D signal sig through taps `step` samples apart:
+    line[k, t] = sig[t - k step], zero before the signal starts.  One
+    zero-padded copy of sig backs every row."""
+    n = sig.size
+    padded = np.zeros((taps - 1) * step + n, sig.dtype)
+    padded[(taps - 1) * step:] = sig
+    return sliding_window_view(padded, n)[::-step]
+
+
 def _static_products(x, which, gains: np.ndarray, step: int) -> np.ndarray:
     """Rows x[which[r]] through the static complex gains gains[r] of taps
-    `step` samples apart, as one batched FFT product with the waveforms'
-    analytic spectra; at length 2n the linear convolution does not wrap
-    around into the n samples kept."""
-    n = len(x[0])
-    spectra = np.stack([_analytic_spectrum(w) for w in x])
-    prod = np.zeros((len(gains), 2 * n), dtype=np.complex128)
-    prod[:, : gains.shape[1] * step: step] = gains
-    prod = np.fft.fft(prod, axis=1)
-    np.multiply(spectra[which], prod, out=prod)
-    return np.fft.ifft(prod, axis=1)[:, :n].real
+    `step` samples apart: Re(G @ line) for each waveform's analytic delay
+    line and the gains G of its rows, as the one pair of real products
+    G.real @ line.real - G.imag @ line.imag."""
+    out, taps = np.empty((len(gains), len(x[0]))), gains.shape[1]
+    for i in np.unique(which):
+        rows = np.flatnonzero(which == i)
+        sig, g = hilbert(x[i].samples), gains[rows].astype(np.complex128)
+        out[rows] = (g.real @ _delay_line(sig.real, step, taps)
+                     - g.imag @ _delay_line(sig.imag, step, taps))
+    return out
 
 
 def _convolve(x: Waveform, step: int, taps: np.ndarray, analytic: bool) -> np.ndarray:
-    """x through the tapped delay line: static complex gains are one FFT
-    product, any other CIR is taken one tap at a time."""
-    n = len(x)
+    """x through the tapped delay line, the real part kept: static gains are
+    one product with the delay line of the signal, the analytic one for
+    complex gains (as _static_products takes them), and gains that vary in
+    time one sum over the taps, cut to n."""
     if analytic and taps.shape[1] == 1:
         return _static_products((x,), [0], taps.T, step)[0]
     sig = hilbert(x.samples) if analytic else x.samples
-    acc = np.zeros(n, dtype=sig.dtype)
-    for k in range(len(taps)):
-        d = k * step
-        # a static CIR applies its one gain throughout; a longer one is cut to n
-        g = taps[k, 0] if taps.shape[1] == 1 else taps[k, d:n]
-        acc[d:] += g * sig[: n - d]
-    return acc.real
+    line = _delay_line(sig, step, len(taps))
+    if taps.shape[1] == 1:
+        return taps[:, 0] @ line
+    return np.einsum("kt,kt->t", taps[:, :len(x)], line).real
 
 
 def _impair_rows(out: np.ndarray, rows: np.ndarray, alpha_dop: np.ndarray,
@@ -489,10 +481,12 @@ def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, seeds,
     which row i draws its own CIR h_i with seed cir_seeds[i] (see
     _rayleigh_layout).  Rows are worked CHANNEL_BLOCK_ROWS at a time in
     array passes: a shared channel takes each waveform once; the static
-    gains of a block are one (rows, taps) draw and one batched FFT product;
-    gains that vary within the symbol come from rayleigh_cir and take the
-    tap loop row by row.  Row i draws its noise
-    from default_rng(seeds[i]), so the block size changes no bytes.
+    gains of a block are one (rows, taps) draw and, per waveform, one pair
+    of matrix products with its delay line; gains that vary within the
+    symbol come from rayleigh_cir and take the delay line row by row.  Row
+    i draws its noise from default_rng(seeds[i]), so the block size changes
+    no stream; only the last float64 bits of a static Rayleigh row may
+    follow the count of rows that share its product.
 
     Each row is checked as apply_channel checks it before its block's signal
     work, and the error of the first bad row is raised; with `row_name`, its
@@ -574,10 +568,9 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
     returned at every lam-th sample (rate fs/lam).
 
     Complex gains act on the analytic signal and the real part is kept; real
-    gains act on x itself, the real part of its analytic signal.  Static
-    complex gains are one FFT product; real ones, and gains that vary in
-    time, are taken one tap at a time.  Noise power is the received signal
-    power scaled by 10^(-snr/10).  The result equals
+    gains act on x itself, the real part of its analytic signal, both
+    through one delay line of the signal (see _convolve).  Noise power is
+    the received signal power scaled by 10^(-snr/10).  The result equals
     downsample(apply_channel(x, h, imp, seed), lam), but the interpolation
     is evaluated only where a sample is kept.  The one-row case of
     apply_channel_rows.

@@ -285,10 +285,10 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     for the network the rows in float32 with their hidden activations.  With
     one BLAS thread and two cores (see _use_helper) the calling thread and a
     helper claim the chunks in order (see _claimed_pass).  Either thread
-    scores under numpy's default error state, whatever the caller's.  The
-    error counts are integers, so their sum, and every BER, is the serial
-    one, and a failing sweep raises the error of the chunk a serial sweep
-    fails at first.
+    scores under numpy's default error state, whatever the caller's, into a
+    running total of its own.  The error counts are integers, so their sum,
+    and every BER, is the serial one, and a failing sweep raises the error
+    of the chunk a serial sweep fails at first.
     """
     detectors = list(detectors)
     if not detectors or not set(detectors) <= set(DETECTORS) or (
@@ -313,14 +313,17 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     s_clean = [_clean_received_symbol(b, params, sto, speed) for b in (0, 1)]
     rows = min(CHUNK_ROWS, trials)
     buffers = threading.local()  # each thread's, made at its first chunk
+    totals = []  # each thread's error counts, registered at its first chunk
 
     @np.errstate(divide="warn", over="warn", under="ignore", invalid="warn")
     def errors(c):
-        """Error counts of chunk c, per point and detector."""
+        """Adds chunk c's error counts, per point and detector, to this thread's."""
         if not hasattr(buffers, "z"):
             buffers.z, buffers.rx = np.empty((2, rows, params.n1))
             buffers.x = np.empty((rows, params.n1), np.float32) if "dnn" in detectors else None
-        counts = np.zeros((len(sigmas), len(detectors)), np.int64)
+            buffers.counts = np.zeros((len(sigmas), len(detectors)), np.int64)
+            totals.append(buffers.counts)
+        counts = buffers.counts
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBE5, c]))
         b = rng.integers(0, 2, size=min(CHUNK_ROWS, trials - c * CHUNK_ROWS))
         z = rng.standard_normal(out=buffers.z[:b.size])
@@ -340,11 +343,10 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
                         np.copyto(x, rx)
                     dec = detect_batch(checkpoint_params, x)
                 counts[k, i] += np.count_nonzero(dec != b)
-        return counts
 
     with _helper_pool() as pool:  # leaving it joins the helper
-        counts = sum(_claimed_pass(errors, range(-(-trials // CHUNK_ROWS)), pool))
-    return (counts / trials).tolist()
+        _claimed_pass(errors, range(-(-trials // CHUNK_ROWS)), pool)
+    return (sum(totals) / trials).tolist()
 
 
 def wilson_half_width(ber, trials):

@@ -66,8 +66,7 @@ def _samples(a) -> np.ndarray:
 
 def _wrap(sizes, flat) -> "MlpParams":
     """Parameters owning `flat`, made read-only, without copying it.  `_layers`
-    holds its float64 and float32 layers by dtype, and `_finite` whether it is
-    all finite: made once here, for every pass."""
+    holds its float64 and float32 layers by dtype, made once here for every pass."""
     p = object.__new__(MlpParams)
     flat.flags.writeable = False
     p._sizes, p._flat = tuple(int(s) for s in sizes), flat
@@ -75,7 +74,6 @@ def _wrap(sizes, flat) -> "MlpParams":
     p.weights, p.biases = tuple(views[0::2]), tuple(views[1::2])
     p._layers = {flat.dtype: views,
                  np.dtype(np.float32): _views_in(p._sizes, flat, np.float32)}
-    p._finite = bool(np.isfinite(flat).all())
     return p
 
 
@@ -98,6 +96,12 @@ class MlpParams:
     def to_flat(self) -> np.ndarray:
         """The parameter vector itself: read-only, not a copy."""
         return self._flat
+
+    @functools.cached_property
+    def _finite(self) -> bool:
+        """Whether every parameter is finite, scanned when first read: never for
+        the Adam steps whose flag no pass reads."""
+        return bool(np.isfinite(self._flat).all())
 
     def from_flat(self, flat: np.ndarray) -> "MlpParams":
         """New parameters with the same shapes, values copied from `flat`."""

@@ -5,6 +5,9 @@ federated MAML update (`maml_update`, `aggregate`) on strongly convex
 quadratic node objectives with analytically known constants, so the
 closed-form round bound of `chirpfed.bound` can be checked against counted
 rounds.
+
+`tap_by_tap` is the tapped delay line taken one tap at a time, the oracle
+that `channel._convolve`'s one delay-line product is checked against.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chirpfed.bound import SmoothnessConstants
+from chirpfed.channel import hilbert
 from chirpfed.errors import ConfigurationError
 from chirpfed.federation import aggregate, maml_update
 
@@ -117,3 +121,19 @@ def empirical_rounds_to_gap(task: QuadraticFederationSpec, epsilon: float):
         if task.meta_objective(theta) - g_star <= epsilon:
             return t, False
     return task.max_rounds, True
+
+
+def tap_by_tap(x, step: int, taps: np.ndarray, analytic: bool) -> np.ndarray:
+    """The waveform x through the taps (n_taps, n_time) `step` samples apart,
+    cut as channel._taps_on cuts them, one tap at a time: tap k adds its gain
+    at t times the signal (the analytic one if `analytic`) at t - k * step,
+    and the real part is kept."""
+    n = len(x)
+    sig = hilbert(x.samples) if analytic else x.samples
+    acc = np.zeros(n, dtype=sig.dtype)
+    for k in range(len(taps)):
+        d = k * step
+        # a static CIR applies its one gain throughout; a longer one is cut to n
+        g = taps[k, 0] if taps.shape[1] == 1 else taps[k, d:n]
+        acc[d:] += g * sig[: n - d]
+    return acc.real

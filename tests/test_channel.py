@@ -13,6 +13,7 @@ from chirpfed.channel import (MAX_CIR_ENTRIES, ChannelRealization, ImpairmentSpe
                               tap_mean_powers)
 from chirpfed.chirp import ChirpParams, Waveform, downsample, generate_chirp
 from chirpfed.errors import ConfigurationError, InputError, ParseError
+from oracles import tap_by_tap
 
 
 # ------------------------------------------------------------ configuration
@@ -518,7 +519,7 @@ def tap_loop(x, h):
 ])
 @pytest.mark.parametrize("gains", ["complex", "real"])
 @pytest.mark.parametrize("signal", ["chirp", "noise"])
-def test_static_cir_fft_product_matches_the_tap_loop(n_taps, step, gains, signal):
+def test_static_cir_delay_line_product_matches_the_tap_loop(n_taps, step, gains, signal):
     fs = 96000.0
     rng = np.random.default_rng(n_taps * step)
     taps = rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)
@@ -538,6 +539,60 @@ def test_static_cir_spectrum_follows_writable_samples():
     x.samples[:] = generate_chirp(ChirpParams(), "up").samples
     out = apply_channel(x, h, ImpairmentSpec(), seed=0).samples
     assert np.max(np.abs(out - tap_loop(x, h))) <= 1e-12
+
+
+def rayleigh_block(which, cir_seeds):
+    """(x, rows, gains, step): noiseless, unimpaired rows x[which[i]] of one
+    block through the static Rayleigh CIRs of cir_seeds at fs = 96 kHz, with
+    their gains and the tap spacing in samples."""
+    fs = 96000.0
+    x = (generate_chirp(ChirpParams(), "down"), generate_chirp(ChirpParams(), "up"))
+    cfg = RayleighModelConfig(Ts=16 / fs, fd=5.0)
+    _, step, amplitudes = channel._rayleigh_layout(cfg, len(x[0]), fs)
+    m = len(which)
+    rows = channel.apply_channel_rows(x, which, cfg, [np.inf] * m, [0.0] * m, [0.0] * m,
+                                      range(m), cir_seeds=cir_seeds)
+    return x, rows, channel._static_gains(amplitudes, cir_seeds), step
+
+
+@pytest.mark.parametrize("which", [[1, 0, 0, 1, 1, 0, 1], [1, 1, 1, 1]],
+                         ids=["both_bits", "one_bit"])
+def test_rayleigh_block_delay_line_products_match_the_tap_loop(monkeypatch, which):
+    # one pair of products per waveform of the block: a waveform that no row
+    # takes is skipped, and its analytic signal is never made
+    made = []
+    monkeypatch.setattr(channel, "hilbert", lambda s: made.append(s) or hilbert(s))
+    x, rows, gains, step = rayleigh_block(which, range(30, 30 + len(which)))
+    assert len(made) == len(set(which))
+    for row, bit, g in zip(rows, which, gains):
+        h = ChannelRealization(g[:, None], step / x[0].fs)
+        assert np.max(np.abs(row - tap_loop(x[bit], h))) <= 1e-12
+
+
+def test_static_delay_line_products_take_complex64_gains_as_the_tap_loop():
+    # the gains of _static_gains are complex64; the products take them
+    # widened, with no float32 rounding of the signal
+    which = np.array([1, 0, 1])
+    x, _, gains, step = rayleigh_block(which, [41, 42, 43])
+    assert gains.dtype == np.complex64
+    for row, bit, g in zip(channel._static_products(x, which, gains, step), which, gains):
+        h = ChannelRealization(g[:, None], step / x[0].fs)
+        assert np.max(np.abs(row - tap_loop(x[bit], h))) <= 1e-12
+
+
+@pytest.mark.parametrize("extra", [0, 37], ids=["n_time_n", "n_time_past_n"])
+@pytest.mark.parametrize("gains", ["complex", "real"])
+def test_time_varying_delay_line_matches_the_tap_by_tap_oracle(extra, gains):
+    # gains that vary in time: one sum over the taps of the delay line, the
+    # gains cut to n when the CIR is longer than the signal
+    fs = 96000.0
+    x = generate_chirp(ChirpParams(), "up")
+    rng = np.random.default_rng(extra)
+    shape = (60, len(x) + extra)
+    taps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = ChannelRealization(taps if gains == "complex" else taps.real, 16 / fs)
+    layout = channel._taps_on(h, len(x), fs)
+    assert np.max(np.abs(channel._convolve(x, *layout) - tap_by_tap(x, *layout))) <= 1e-12
 
 
 def _equivalence_channel(kind, seed):

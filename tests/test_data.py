@@ -241,6 +241,21 @@ def test_fast_fading_rayleigh_symbol_is_rayleigh_cir(fd, monkeypatch):
     assert row.tobytes() == rayleigh_row(spec, 0, None, ref).tobytes()
 
 
+def test_rayleigh_delay_line_keeps_a_long_symbol_build_small():
+    # 64 static Rayleigh symbols of 9,600 samples (T = 0.1 s) in one block:
+    # each waveform's delay lines are views of one zero-padded copy of its
+    # analytic signal, and no temporary is wider than n
+    spec = DatasetSpec(n_symbols=64, chirp=ChirpParams(T=0.1, lam=6), seed=7,
+                       snr_db_range=(6.0, 12.0), channel_tag="rayleigh")
+    tracemalloc.start()
+    try:
+        build_node_dataset(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
+
+
 # ------------------------------------------------------------- domain shift
 
 def test_domain_shift_degrades_trained_receiver():
@@ -746,6 +761,24 @@ def test_ber_monte_carlo_holds_a_few_chunks(request, lam, detectors, extra, thre
     assert peak <= threads_used * (2 + extra[lam]) * chunk_bytes, peak / chunk_bytes
 
 
+def test_ber_monte_carlo_keeps_running_totals_of_its_error_counts(monkeypatch):
+    # each thread adds its chunks' counts into one running total, so a
+    # sweep's memory does not grow with its chunk count
+    monkeypatch.setattr(data, "CHUNK_ROWS", 8)
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            ber_monte_carlo(ChirpParams(lam=6), ["mf"], [0.0, 2.0, 4.0, 6.0, 8.0], 0.0, 0.0,
+                            8 * chunks, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(1000)
+    assert peak(8000) - small < 0.2e6
+
+
 def both_threads_take_chunks(score):
     """A detector `score`, wrapped so that the first chunk it scores waits
     until it is called on another chunk: with the helper, and one point and
@@ -897,14 +930,38 @@ def check_joins_its_helper(untrained_receiver, monkeypatch):
 def test_ber_monte_carlo_helper_stops_once_the_caller_raises(untrained_receiver,
                                                              monkeypatch, helper):
     # an interrupt of the calling thread does not wait for the helper's half
-    # of the chunks: the helper ends at its next chunk
+    # of the chunks: the helper ends at its next chunk.  The caller raises
+    # once the helper has taken a chunk, and the helper holds that chunk
+    # until the caller, having raised, waits to join it; chunks are left,
+    # but the helper may claim none of them.  A caller that claimed a chunk
+    # after raising would let the helper go on and wait for it to leave
+    from concurrent.futures import ThreadPoolExecutor
     caller = threading.get_ident()
-    helper_calls = []
+    helper_calls, raised = [], []
     boom = KeyboardInterrupt()
+    took, joining, left = threading.Event(), threading.Event(), threading.Event()
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            helper = super().submit(*args, **kwargs)
+            helper.add_done_callback(lambda _: left.set())
+            result = helper.result
+            helper.result = lambda *a, **k: joining.set() or result(*a, **k)
+            return helper
+
+    monkeypatch.setattr(data, "_helper_pool", lambda: Pool(max_workers=1))
 
     def interrupted(p, rx):
         if threading.get_ident() == caller:
+            assert took.wait(timeout=30)
+            if raised:
+                joining.set()
+                assert left.wait(timeout=30)
+            raised.append(boom)
             raise boom
+        if not helper_calls:
+            took.set()
+            assert joining.wait(timeout=30)
         helper_calls.append(len(rx))
         return detect_batch(p, rx)
 
@@ -914,6 +971,7 @@ def test_ber_monte_carlo_helper_stops_once_the_caller_raises(untrained_receiver,
         ber_monte_carlo(ChirpParams(lam=6), ["dnn"], [6.0], 0, 0, 200 * CHUNK_ROWS, seed=3,
                         checkpoint_params=untrained_receiver)
     assert info.value is boom and len(helper_calls) < 100
+    assert len(raised) == len(helper_calls) == 1
     assert threading.active_count() == threads
 
 

@@ -436,10 +436,12 @@ def test_detect_batch_refuses_a_pass_past_the_float32_range(monkeypatch):
 
 
 def test_passes_neither_round_nor_scan_the_parameters_again(monkeypatch):
-    # the float32 layers and the finiteness of the parameters are made once,
-    # with them: a later pass reads them and never goes back to the vector
+    # the float32 layers are made once, with the parameters, and their
+    # finiteness once, when first read: a later pass reads them and never
+    # goes back to the vector
     rng = np.random.default_rng(25)
     p = random_net(rng, [6, 5, 4, 1])
+    assert p._finite
     batch = random_batch(rng, 6, 9)
     x32 = LabeledBatch(batch.inputs.astype(np.float32), batch.labels)
     v = rng.standard_normal(p.n_params)
@@ -560,6 +562,19 @@ def test_train_changes_no_parameters_in_place(monkeypatch):
         f32 = receiver._views_in(q.layer_sizes, made, np.float32)
         assert all(np.array_equal(a, b)
                    for a, b in zip(q._layers[np.dtype(np.float32)], f32))
+
+
+def test_train_scans_only_the_parameters_it_returns(monkeypatch):
+    # the finiteness of parameters is computed when first read, and only the
+    # check after the last Adam step reads it
+    rng = np.random.default_rng(27)
+    p = random_net(rng, [5, 6, 4, 1])
+    batch = random_batch(rng, 5, 37)
+    scanned, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a, *args: (
+        scanned.append(a) if a.size == p.n_params else None) or isfinite(a, *args))
+    out = train(p, batch, epochs=3, lr=3e-3, batch_size=8, rng=np.random.default_rng(19))
+    assert len(scanned) == 1 and scanned[0] is out.to_flat()
 
 
 @pytest.mark.parametrize("batch_size, epochs", [(0, 1), (-3, 1), (8, -1)])
