@@ -313,6 +313,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _int_list(text: str) -> list[int]:
+    """A --t0 value: '1,5,10' -> [1, 5, 10]."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose error messages quote a shielded value (see
     _shield_minus_values) as it was typed."""
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=0.0)
     p.add_argument("--n-nodes", type=int, default=10)
-    p.add_argument("--t0", type=lambda s: [int(x) for x in s.split(",")],
+    p.add_argument("--t0", type=_int_list,
                    default=[1, 5, 10], help="comma-separated local-epoch list")
     p.add_argument("--gap0", type=float, default=1.0,
                    help="initial optimality-gap bound")
@@ -398,8 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("run-fed", cmd_run_fed, help="federated (meta) learning rounds")
     p.add_argument("--mode", choices=["fml", "fl"], default="fml")
     p.add_argument("--group", action="append", default=[],
-                   help="node group, e.g. count=3,sto=0:60,snr=6:12; snr is the "
-                        f"per-sample SNR in dB, not Eb/N0: {SNR_CONVENTION}")
+                   help="node group, e.g. count=3,sto=0:60,snr=6:12, one node if "
+                        "none is given; snr is the per-sample SNR in dB, not "
+                        f"Eb/N0: {SNR_CONVENTION}")
     p.add_argument("--g", type=float, default=0.3, help="scheduling ratio G")
     p.add_argument("--t0", type=int, default=1,
                    help="local MAML steps per scheduled node and round; not "

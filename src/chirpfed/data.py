@@ -9,7 +9,6 @@ receiver-side noise, and counts detection errors.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -207,37 +206,25 @@ def _blas_threads(environ=os.environ):
 
 
 def _use_helper() -> bool:
-    """Whether run_rounds and ber_monte_carlo take a helper thread: only with
-    one BLAS thread and at least two cores in this process's affinity, so
-    that their two busy threads never oversubscribe the cores."""
+    """Whether _claimed_pass takes a helper thread: only with one BLAS thread
+    and at least two cores in this process's affinity, so that its two busy
+    threads never oversubscribe the cores."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     return _blas_threads() == 1 and cores >= 2
 
 
-def _helper_pool():
-    """A pool of one helper thread for _claimed_pass, or a null context
-    without it (see _use_helper).  Leaving it joins the helper."""
-    if not _use_helper():
-        return contextlib.nullcontext()
-    # imported here, as it loads logging: 10 ms that only the helper needs
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1)
-
-
-def _claimed_pass(work, order, pool):
-    """[work(pos) for pos in order], worked by the calling thread and, given
-    a pool, by its helper too: run_rounds' node passes and ber_monte_carlo's
-    chunks.  Both threads claim (index, position) pairs from one iterator
-    over order, whose next() is atomic under the GIL, so the positions are
-    claimed in order and neither thread idles while one is left.  A thread
-    stops before a claim once a failure is recorded, but works every
-    position it has claimed; once the helper is joined, the failure earliest
-    in order is raised.  Every position before a serial pass's first failure
-    has then been claimed and worked without failing, so that failure is the
-    one raised."""
-    if pool is None:
-        return [work(pos) for pos in order]
+def _claimed_pass(work, order):
+    """[work(pos) for pos in order], worked by the calling thread and, if
+    _use_helper(), by one helper thread that the pass starts and joins:
+    run_rounds' node passes and ber_monte_carlo's chunks.  Both threads
+    claim (index, position) pairs from one iterator over order, whose next()
+    is atomic under the GIL, so the positions are claimed in order and
+    neither thread idles while one is left.  A thread stops before a claim
+    once a failure is recorded, but works every position it has claimed;
+    once the helper is joined, the failure earliest in order is raised.
+    Every position before a serial pass's first failure has then been
+    claimed and worked without failing, so that failure is the one raised."""
     claims = enumerate(order)
     results, failures = [None] * len(order), []
 
@@ -246,12 +233,17 @@ def _claimed_pass(work, order, pool):
             index, pos = claim
             try:
                 results[index] = work(pos)
-            except BaseException as exc:  # raised once the helper is joined
+            except BaseException as exc:  # raised after the join: a Thread drops it
                 failures.append((index, exc))
 
-    helper = pool.submit(drain)
-    drain()
-    helper.result()
+    helper = threading.Thread(target=drain) if _use_helper() else None
+    if helper:
+        helper.start()
+    try:
+        drain()
+    finally:
+        if helper:
+            helper.join()
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return results
@@ -284,11 +276,11 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
     A thread holds one chunk's normals and its received rows in float64, and
     for the network the rows in float32 with their hidden activations.  With
     one BLAS thread and two cores (see _use_helper) the calling thread and a
-    helper claim the chunks in order (see _claimed_pass).  Either thread
-    scores under numpy's default error state, whatever the caller's, into a
-    running total of its own.  The error counts are integers, so their sum,
-    and every BER, is the serial one, and a failing sweep raises the error
-    of the chunk a serial sweep fails at first.
+    helper of the sweep's own claim the chunks in order (see _claimed_pass).
+    Either thread scores under numpy's default error state, whatever the
+    caller's, into a running total of its own.  The error counts are
+    integers, so their sum, and every BER, is the serial one, and a failing
+    sweep raises the error of the chunk a serial sweep fails at first.
     """
     detectors = list(detectors)
     if not detectors or not set(detectors) <= set(DETECTORS) or (
@@ -344,8 +336,7 @@ def ber_monte_carlo(params, detectors, ebn0_db, sto, speed, trials, seed,
                     dec = detect_batch(checkpoint_params, x)
                 counts[k, i] += np.count_nonzero(dec != b)
 
-    with _helper_pool() as pool:  # leaving it joins the helper
-        _claimed_pass(errors, range(-(-trials // CHUNK_ROWS)), pool)
+    _claimed_pass(errors, range(-(-trials // CHUNK_ROWS)))
     return (sum(totals) / trials).tolist()
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import receiver
-from .data import MAX_DATASET_SAMPLES, _claimed_pass, _helper_pool, build_node_dataset
+from .data import MAX_DATASET_SAMPLES, _claimed_pass, build_node_dataset
 from .errors import ConfigurationError, EmptyRoundError, InputError, TrainingError
 from .receiver import LabeledBatch, MlpParams
 
@@ -43,7 +43,8 @@ class FmlConfig:
         if self.T0 < 1 or self.rounds < 0 or self.K < 1:
             raise ConfigurationError("K >= 1, T0 >= 1 and rounds >= 0 required")
         if self.N < 1:
-            raise ConfigurationError(f"N = round(G*K) = {self.N} must be >= 1")
+            raise ConfigurationError(f"N = round(G*K) = round({self.G}*{self.K}) = "
+                                     f"{self.N} must be >= 1")
         if self.mode not in ("exact", "first_order"):
             raise ConfigurationError(f"unknown meta-gradient mode {self.mode!r}")
 
@@ -270,23 +271,23 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     """Execute cfg.rounds communication rounds; returns (logs, final params).
 
     mode 'fml' runs MAML local steps, 'fl' runs FedAvg with local rate alpha.
-    Each broadcast theta gets one pass over the nodes that linearizes each
-    train split once, for the loss of the round theta opens, the gradient
-    that evaluate takes for the round that made it, and a scheduled node's
-    first MAML step.  A round's accuracies are the nodes' evaluate pairs
-    weighted by data size.  A round's schedule is drawn just before its
-    pass, and only the N scheduled nodes step.  The first pass takes a plain
-    loss on the other nodes; the last only evaluates, leaving the nodes at
-    the last broadcast theta.
+    The run starts from nodes[0].theta, and each broadcast theta gets one
+    pass over the nodes that linearizes each train split once, for the loss
+    of the round theta opens, the gradient that evaluate takes for the round
+    that made it, and a scheduled node's first MAML step.  A round's
+    accuracies are the nodes' evaluate pairs weighted by data size.  A
+    round's schedule is drawn just before its pass, and only the N scheduled
+    nodes step.  The first pass takes a plain loss on the other nodes; the
+    last only evaluates, leaving the nodes at the last broadcast theta.
 
     A pass works its nodes in one order, the scheduled nodes first, as their
     MAML steps are the longest work; with one BLAS thread and two cores (see
-    data._use_helper) the calling thread and one helper claim nodes from its
-    front (see data._claimed_pass); the run keeps that one helper for all its
-    passes.  Each node's work runs under a fixed numpy error state on either
-    thread.  The node results are merged in node order, so the logs and
-    parameters do not depend on the helper, and a failing pass raises the
-    error of the node a serial pass would fail at first.
+    data._use_helper) the calling thread and one helper, which the pass
+    starts and joins, claim nodes from its front (see data._claimed_pass).
+    Each node's work runs under a fixed numpy error state on either thread.
+    The node results are merged in node order, so the logs and parameters
+    do not depend on the helper, and a failing pass raises the error of the
+    node a serial pass would fail at first.
     """
     if mode not in ("fml", "fl"):
         raise ConfigurationError(f"mode must be 'fml' or 'fl', got {mode!r}")
@@ -300,29 +301,27 @@ def run_rounds(cfg: FmlConfig, nodes, mode: str = "fml"):
     theta = nodes[0].theta
     total = sum(n.data_size for n in nodes)
     logs = []
-    with _helper_pool() as pool:
-        for t in range(cfg.rounds + 1):
-            opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
-            # schedule() draws positions into the node list; logs carry node ids
-            positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
-            order = [*positions, *(pos for pos in range(cfg.K) if pos not in positions)]
-            results = dict(zip(order, _claimed_pass(
-                lambda pos: _node_work(nodes[pos], theta, t, opens, pos in positions,
-                                       u.get(pos), cfg, mode),
-                order, pool)))
-            loss, update, accs = zip(*(results[pos] for pos in range(cfg.K)))
-            if t:
-                acc = adapted = 0.0  # weighted by data size, summed in node order
-                for node, (a, b) in zip(nodes, accs):
-                    w = node.data_size / total
-                    acc, adapted = acc + w * a, adapted + w * b
-                logs.append(RoundLog(*opened, acc, adapted))
-            if opens:
-                opened = (t, tuple(nodes[pos].id for pos in positions),
-                          tuple(nodes[pos].id for pos in positions if u[pos]),
-                          float(np.mean(loss)))
-                try:
-                    theta = theta.from_flat(aggregate([update[pos] for pos in positions]))
-                except EmptyRoundError:
-                    pass  # keep previous global parameters
+    for t in range(cfg.rounds + 1):
+        opens = t < cfg.rounds  # theta opens round t and evaluates round t-1
+        # schedule() draws positions into the node list; logs carry node ids
+        positions, u = schedule(cfg.K, cfg.N, cfg.p_decode, rng) if opens else ((), {})
+        order = [*positions, *(pos for pos in range(cfg.K) if pos not in positions)]
+        results = dict(zip(order, _claimed_pass(
+            lambda pos: _node_work(nodes[pos], theta, t, opens, pos in positions,
+                                   u.get(pos), cfg, mode), order)))
+        loss, update, accs = zip(*(results[pos] for pos in range(cfg.K)))
+        if t:
+            acc = adapted = 0.0  # weighted by data size, summed in node order
+            for node, (a, b) in zip(nodes, accs):
+                w = node.data_size / total
+                acc, adapted = acc + w * a, adapted + w * b
+            logs.append(RoundLog(*opened, acc, adapted))
+        if opens:
+            opened = (t, tuple(nodes[pos].id for pos in positions),
+                      tuple(nodes[pos].id for pos in positions if u[pos]),
+                      float(np.mean(loss)))
+            try:
+                theta = theta.from_flat(aggregate([update[pos] for pos in positions]))
+            except EmptyRoundError:
+                pass  # keep previous global parameters
     return logs, theta

@@ -438,6 +438,14 @@ def test_readme_run_fed_csvs_are_the_same_with_the_helper(tmp_path):
         assert outs["helper", mode].read_bytes() == outs["serial", mode].read_bytes()
 
 
+def test_bare_run_fed_names_g_and_k_of_its_empty_schedule():
+    # with no --group there is one node, which the default G = 0.3 leaves
+    # unscheduled
+    rc, err = run_to_stderr(["run-fed", "--seed", "0"])
+    assert rc == cli.EXIT_USAGE
+    assert err.splitlines() == ["chirpfed: N = round(G*K) = round(0.3*1) = 0 must be >= 1"]
+
+
 def test_run_fed_default_hyperparameters():
     parser = cli.build_parser()
     args = parser.parse_args(["run-fed", "--seed", "0"])
@@ -604,6 +612,9 @@ TYPED_VALUE_ARGV = [
     (["ber-sweep", "--snr-db", "-1:1:1:1"], "bad grid '-1:1:1:1'"),
     (["ber-sweep", "--trials", "-1e3"], "invalid int value: '-1e3'"),
     (["run-fed", "--mode", "-1e1"], "invalid choice: '-1e1'"),
+    *((["bound", "--mu", "1", "--big-h", "2", "--t0", t0],
+       f"argument --t0: {t0!r} is not a comma list of integers")
+      for t0 in ("-1e1", "", "1,,2")),
 ]
 
 
@@ -1099,8 +1110,7 @@ def test_noise_free_snr_range_stays_valid(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    # and the helper thread's modules, which data imports when it first
-    # starts one
+    # and concurrent.futures with the logging it loads, which no command uses
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

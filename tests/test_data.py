@@ -855,22 +855,13 @@ def test_ber_monte_carlo_raises_the_failure_a_serial_sweep_raises(request, monke
     assert failed == {"serial": [1], "helper": [2, 1]}[threads]
 
 
-def test_ber_monte_carlo_starts_no_chunk_after_a_failure(monkeypatch):
+def test_ber_monte_carlo_starts_no_chunk_after_a_failure(monkeypatch, helper_events):
     # the helper fails at the first chunk it takes; the caller holds its own
     # until the helper has recorded the failure and left the sweep, and
     # neither thread may start a chunk after the failure
-    from concurrent.futures import ThreadPoolExecutor
     caller = threading.get_ident()
-    failed, left = threading.Event(), threading.Event()
+    failed = threading.Event()
     started_late = []
-
-    class Pool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            helper = super().submit(*args, **kwargs)
-            helper.add_done_callback(lambda _: left.set())
-            return helper
-
-    monkeypatch.setattr(data, "_helper_pool", lambda: Pool(max_workers=1))
 
     def fail(c):
         if failed.is_set():
@@ -878,12 +869,14 @@ def test_ber_monte_carlo_starts_no_chunk_after_a_failure(monkeypatch):
         if threading.get_ident() != caller:
             failed.set()
             raise ValueError(f"chunk {c}")
-        assert left.wait(timeout=30)
+        assert helper_events.left.wait(timeout=30)
 
+    threads = threading.active_count()
     on_chunk_start(monkeypatch, fail)
     with pytest.raises(ValueError, match="chunk"):
         ber_monte_carlo(ChirpParams(lam=6), ["mf"], [6.0], 0.0, 0.0, 10 * CHUNK_ROWS, seed=3)
     assert failed.is_set() and started_late == []
+    assert len(helper_events.started) == 1 and threading.active_count() == threads
 
 
 def test_ber_monte_carlo_joins_its_helper(untrained_receiver, monkeypatch, serial):
@@ -928,28 +921,17 @@ def check_joins_its_helper(untrained_receiver, monkeypatch):
 
 
 def test_ber_monte_carlo_helper_stops_once_the_caller_raises(untrained_receiver,
-                                                             monkeypatch, helper):
+                                                             monkeypatch, helper_events):
     # an interrupt of the calling thread does not wait for the helper's half
     # of the chunks: the helper ends at its next chunk.  The caller raises
     # once the helper has taken a chunk, and the helper holds that chunk
     # until the caller, having raised, waits to join it; chunks are left,
     # but the helper may claim none of them.  A caller that claimed a chunk
     # after raising would let the helper go on and wait for it to leave
-    from concurrent.futures import ThreadPoolExecutor
     caller = threading.get_ident()
     helper_calls, raised = [], []
     boom = KeyboardInterrupt()
-    took, joining, left = threading.Event(), threading.Event(), threading.Event()
-
-    class Pool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            helper = super().submit(*args, **kwargs)
-            helper.add_done_callback(lambda _: left.set())
-            result = helper.result
-            helper.result = lambda *a, **k: joining.set() or result(*a, **k)
-            return helper
-
-    monkeypatch.setattr(data, "_helper_pool", lambda: Pool(max_workers=1))
+    took, joining, left = threading.Event(), helper_events.joining, helper_events.left
 
     def interrupted(p, rx):
         if threading.get_ident() == caller:
@@ -971,7 +953,7 @@ def test_ber_monte_carlo_helper_stops_once_the_caller_raises(untrained_receiver,
         ber_monte_carlo(ChirpParams(lam=6), ["dnn"], [6.0], 0, 0, 200 * CHUNK_ROWS, seed=3,
                         checkpoint_params=untrained_receiver)
     assert info.value is boom and len(helper_calls) < 100
-    assert len(raised) == len(helper_calls) == 1
+    assert len(raised) == len(helper_calls) == len(helper_events.started) == 1
     assert threading.active_count() == threads
 
 

@@ -66,7 +66,7 @@ def test_config_validation():
             FmlConfig(alpha=alpha, beta=beta)
     with pytest.raises(ConfigurationError):
         FmlConfig(p_decode=1.5)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"round\(0\.001\*100\) = 0 must"):
         FmlConfig(K=100, G=0.001)  # N rounds to 0
     with pytest.raises(ConfigurationError):
         FmlConfig(mode="third_order")
@@ -834,22 +834,13 @@ def test_threaded_pass_raises_the_failure_earliest_in_order(monkeypatch, helper)
     assert events == ["failed at 1", "failed at 0"]
 
 
-def test_threaded_pass_starts_no_node_queued_after_the_failure(monkeypatch):
+def test_threaded_pass_starts_no_node_queued_after_the_failure(monkeypatch, helper_events):
     # the helper fails at the first node it takes; the caller holds its own
     # until the helper has recorded the failure and left the pass, and
     # neither thread may start a node after the failure
-    from concurrent.futures import ThreadPoolExecutor
     caller = threading.get_ident()
-    failed, left = threading.Event(), threading.Event()
+    failed = threading.Event()
     started_late = []
-
-    class Pool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            helper = super().submit(*args, **kwargs)
-            helper.add_done_callback(lambda _: left.set())
-            return helper
-
-    monkeypatch.setattr(federation, "_helper_pool", lambda: Pool(max_workers=1))
 
     def fail(t, nid):
         if failed.is_set():
@@ -857,18 +848,21 @@ def test_threaded_pass_starts_no_node_queued_after_the_failure(monkeypatch):
         if threading.get_ident() != caller:
             failed.set()
             raise ValueError(f"node {nid}")
-        assert left.wait(timeout=30)
+        assert helper_events.left.wait(timeout=30)
 
+    threads = threading.active_count()
     wrap_node_work(monkeypatch, fail)
     with pytest.raises(ValueError, match="node"):
         tiny_run(K=10, G=1.0)
     assert failed.is_set() and started_late == []
+    assert len(helper_events.started) == 1 and threading.active_count() == threads
 
 
 def test_threaded_pass_works_each_node_once_under_contention(monkeypatch):
-    # four runs at once, each on its calling thread and its own helper: eight
-    # threads on the cores, switching every microsecond.  Every run is the
-    # serial one, and the four together work each node four times a pass
+    # four runs at once, each pass on its calling thread and a helper of its
+    # own: eight threads on the cores, switching every microsecond.  Every
+    # run is the serial one, and the four together work each node four times
+    # a pass
     import sys
     from concurrent.futures import ThreadPoolExecutor
     monkeypatch.setattr(data, "_use_helper", lambda: False)
@@ -890,20 +884,18 @@ def test_threaded_pass_works_each_node_once_under_contention(monkeypatch):
 @pytest.mark.parametrize("threads", ["serial", "helper"])
 def test_threaded_pass_works_each_node_in_a_fixed_error_state(request, monkeypatch,
                                                               threads):
-    # whatever the caller's state, the caller alone, or the caller and the
-    # helper, linearize under _node_work's own; with the helper, the first
-    # thread to linearize waits for the other
+    # whatever the caller's state, the caller alone, or the caller and each
+    # pass's helper, linearize under _node_work's own; with the helper, the
+    # first node of each pass waits until the other thread takes one
     request.getfixturevalue(threads)
+    if threads == "helper":
+        started = request.getfixturevalue("helper_events").started
+        wrap_node_work(monkeypatch, both_threads_take_nodes())
     original = receiver.linearize
     seen = []
-    both = threading.Event()
 
     def spy(p, batch, hvp=True):
-        seen.append((threading.get_ident(), np.geterr()))
-        if len({tid for tid, _ in seen}) > 1:
-            both.set()
-        elif threads == "helper":
-            assert both.wait(timeout=30)
+        seen.append((threading.current_thread(), np.geterr()))
         return original(p, batch, hvp)
 
     monkeypatch.setattr(receiver, "linearize", spy)
@@ -911,30 +903,32 @@ def test_threaded_pass_works_each_node_in_a_fixed_error_state(request, monkeypat
         tiny_run(K=4, G=1.0)
     fixed = dict(divide="warn", over="ignore", under="ignore", invalid="ignore")
     assert seen and all(state == fixed for _, state in seen)
-    linearized_by = {tid for tid, _ in seen}
+    linearized_by = {thread for thread, _ in seen}
     if threads == "serial":
-        assert linearized_by == {threading.get_ident()}
-    else:
-        assert len(linearized_by) == 2 and threading.get_ident() in linearized_by
+        assert linearized_by == {threading.current_thread()}
+    else:  # the caller, and the one helper of each of the 3 passes
+        assert len(started) == 3
+        assert linearized_by == {threading.current_thread(), *started}
 
 
-def test_threaded_pass_runs_on_the_caller_and_one_helper(monkeypatch, helper):
-    # every pass is worked by the calling thread and the run's one helper,
-    # which the run starts and joins
-    caller = threading.get_ident()
+def test_threaded_pass_runs_on_the_caller_and_one_helper(monkeypatch, helper_events):
+    # every pass is worked by the calling thread and one helper, which the
+    # pass starts and joins
+    caller = threading.current_thread()
     threads = threading.active_count()
     hold = both_threads_take_nodes()
     taken_by, counts = [set() for _ in range(3)], []
 
     def record(t, nid):
-        taken_by[t].add(threading.get_ident())
+        taken_by[t].add(threading.current_thread())
         counts.append(threading.active_count())
         hold(t, nid)
 
     wrap_node_work(monkeypatch, record)
     tiny_run()
-    assert all(len(ids) == 2 and caller in ids for ids in taken_by)
-    assert len(set.union(*taken_by)) == 2
+    helpers = helper_events.started
+    assert len(helpers) == 3 and not any(h.is_alive() for h in helpers)
+    assert taken_by == [{caller, h} for h in helpers]
     assert max(counts) <= threads + 1
     assert threading.active_count() == threads
 
