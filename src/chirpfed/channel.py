@@ -85,26 +85,18 @@ class RayleighModelConfig:
         return int(np.floor(self.max_excess_delay / self.Ts)) + 1
 
 
-def _error(problem, row=None):
-    """The exception of an (error class, message) problem, naming `row` if
-    the problem is one row's of many."""
-    cls, message = problem
-    return cls(message if row is None else f"{row}: {message}")
-
-
-def _impairment_problem(snr_db, sto_samples, rel_speed):
-    """(error class, message) if these impairments are invalid."""
+def _check_impairments(snr_db, sto_samples, rel_speed) -> None:
+    """Raise ConfigurationError if these impairments are invalid."""
     if not abs(rel_speed) < SOUND_SPEED:  # NaN too
-        return ConfigurationError, f"|rel_speed| must stay below {SOUND_SPEED} m/s"
+        raise ConfigurationError(f"|rel_speed| must stay below {SOUND_SPEED} m/s")
     if np.isnan(sto_samples):
-        return ConfigurationError, "sto_samples must not be NaN"
+        raise ConfigurationError("sto_samples must not be NaN")
     try:  # the noise-to-signal power ratio of apply_channel
         scale = math.pow(10.0, -snr_db / 10.0)
     except OverflowError:
         scale = math.inf
     if not scale < math.inf:  # NaN too; -inf dB would read as noiseless
-        return ConfigurationError, f"snr_db={snr_db} gives no finite noise level"
-    return None
+        raise ConfigurationError(f"snr_db={snr_db} gives no finite noise level")
 
 
 @dataclass(frozen=True)
@@ -116,9 +108,7 @@ class ImpairmentSpec:
     rel_speed: float = 0.0
 
     def __post_init__(self):
-        problem = _impairment_problem(self.snr_db, self.sto_samples, self.rel_speed)
-        if problem is not None:
-            raise _error(problem)
+        _check_impairments(self.snr_db, self.sto_samples, self.rel_speed)
 
     @property
     def alpha_dop(self) -> float:
@@ -288,28 +278,24 @@ def _table_kernel(frac) -> np.ndarray:
     return rows
 
 
-def _signal_problem(loud: bool, snr_db, alpha_dop, delta, n: int):
-    """(error class, message) if the noise level overflows (`loud`), the
-    Doppler scale is unphysical or the shift leaves the n-sample window."""
-    if loud:
-        return ConfigurationError, f"the noise level at snr_db={snr_db} overflows"
+def _check_signal(alpha_dop, delta, n: int) -> None:
+    """Raise if the Doppler scale is unphysical or the shift leaves the
+    n-sample window."""
     if not abs(alpha_dop) < 0.1:  # NaN too
-        return ConfigurationError, f"|alpha_dop|={abs(alpha_dop)} outside physical regime"
+        raise ConfigurationError(f"|alpha_dop|={abs(alpha_dop)} outside physical regime")
     if not abs(delta) < n:
-        return InputError, f"|delta|={abs(delta)} exceeds waveform length {n}"
-    return None
+        raise InputError(f"|delta|={abs(delta)} exceeds waveform length {n}")
 
 
-def _channel_problem(h: ChannelRealization, n: int, fs: float):
-    """(error class, message) if h does not apply to n samples at rate fs."""
+def _check_channel(h: ChannelRealization, n: int, fs: float) -> None:
+    """Raise if h does not apply to n samples at rate fs."""
     step = h.Ts * fs
     if abs(step - round(step)) > 1e-6:
-        return ConfigurationError, (f"tap spacing Ts={h.Ts} is not an integer number "
-                                    f"of samples at fs={fs}")
+        raise ConfigurationError(f"tap spacing Ts={h.Ts} is not an integer number "
+                                 f"of samples at fs={fs}")
     if 1 < h.n_time < n:
-        return InputError, (f"CIR has {h.n_time} time steps for {n} samples; "
-                            f"it needs 1 (static) or at least {n}")
-    return None
+        raise InputError(f"CIR has {h.n_time} time steps for {n} samples; "
+                         f"it needs 1 (static) or at least {n}")
 
 
 def _taps_on(h: ChannelRealization, n: int, fs: float):
@@ -448,9 +434,7 @@ def _impair_rows(out: np.ndarray, rows: np.ndarray, alpha_dop: np.ndarray,
 
 def _impaired(w: Waveform, alpha_dop: float, delta: float) -> Waveform:
     """w Doppler-scaled by alpha_dop, then shifted by delta samples."""
-    problem = _signal_problem(False, None, alpha_dop, delta, len(w))
-    if problem is not None:
-        raise _error(problem)
+    _check_signal(alpha_dop, delta, len(w))
     out = np.zeros((1, len(w)))
     _impair_rows(out, w.samples[None], np.array([alpha_dop], dtype=float),
                  np.array([delta], dtype=float), 1)
@@ -488,77 +472,71 @@ def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, seeds,
     no stream; only the last float64 bits of a static Rayleigh row may
     follow the count of rows that share its product.
 
-    Each row is checked as apply_channel checks it before its block's signal
-    work, and the error of the first bad row is raised; with `row_name`, its
-    message starts "<row_name> <i>: ".
+    Each row's own inputs are checked as apply_channel checks them, in row
+    order and before any row is built: its impairments, the shared channel,
+    then its Doppler scale and shift.  Only the rows before the first bad
+    one are built, and the noise level, the one check that needs a built
+    row, is tested on them as they are.  The first error found is raised;
+    with `row_name`, its message starts "<row_name> <i>: ".
     """
     n, fs = len(x[0]), x[0].fs
     if not (isinstance(lam, (int, np.integer)) and lam >= 1) or n % lam:
         raise ConfigurationError(f"lam={lam} must be a positive integer dividing {n}")
     which = np.asarray(which, dtype=np.intp)
-    m = which.size
     if out is None:
-        out = np.empty((m, n // lam))
+        out = np.empty((which.size, n // lam))
     shared = isinstance(channel, ChannelRealization)
-    fading = False  # whether each row's gains vary in time
-    if shared:
-        channel_problem = _channel_problem(channel, n, fs)
-        if channel_problem is None:
-            layout = _taps_on(channel, n, fs)
-            received = np.stack([_convolve(w, *layout) for w in x])
-    else:
-        channel_problem = None
+    bad, end = None, which.size  # the rows before `end` are built
+    for i in range(end):
+        try:
+            _check_impairments(snr_db[i], sto_samples[i], rel_speed[i])
+            if shared:
+                _check_channel(channel, n, fs)
+            _check_signal(rel_speed[i] / SOUND_SPEED, sto_samples[i], n)
+        except (ConfigurationError, InputError) as error:
+            bad, end = error, i
+            break
+    if shared and end:
+        layout = _taps_on(channel, n, fs)
+        received = np.stack([_convolve(w, *layout) for w in x])
+    elif not shared:
         cfg, step, amplitudes = _rayleigh_layout(channel, n, fs)
-        fading = amplitudes is None
-    for lo in range(0, m, CHANNEL_BLOCK_ROWS):
-        k = min(CHANNEL_BLOCK_ROWS, m - lo)
+    for lo in range(0, end, CHANNEL_BLOCK_ROWS):
+        hi = min(lo + CHANNEL_BLOCK_ROWS, end)
         # the values as given, as an ImpairmentSpec holds and prints them
-        snr, sto, speed = (list(v[lo:lo + k]) for v in (snr_db, sto_samples, rel_speed))
-        alpha = [v / SOUND_SPEED for v in speed]
-        rx = np.empty((k, n))
-        bad = None
-        for r in range(k):
-            # apply_channel's order: the impairments, then the channel
-            bad = _impairment_problem(snr[r], sto[r], speed[r]) or channel_problem
-            if bad is not None:
-                k = r  # the rows before it are checked below
-                break
-            if fading:
-                h = rayleigh_cir(cfg, n / fs, fs, cir_seeds[lo + r])
-                rx[r] = _convolve(x[which[lo + r]], *_taps_on(h, n, fs))
-        if shared and k:
-            rx[:k] = received[which[lo:lo + k]]
-        elif k and not fading:
-            gains = _static_gains(amplitudes, cir_seeds[lo:lo + k])
-            rx[:k] = _static_products(x, which[lo:lo + k], gains, step)
-        # then, in apply_channel's order, the noise level, the Doppler scale
-        # and the shift of each row that the checks above passed
-        noisy = np.flatnonzero(np.isfinite(snr[:k]))
+        snr, sto, speed = (list(v[lo:hi]) for v in (snr_db, sto_samples, rel_speed))
+        if shared:
+            rx = received[which[lo:hi]]
+        elif amplitudes is None:  # gains that vary in time, one CIR a row
+            rx = np.stack([_convolve(x[which[i]], *_taps_on(
+                rayleigh_cir(cfg, n / fs, fs, cir_seeds[i]), n, fs)) for i in range(lo, hi)])
+        else:
+            gains = _static_gains(amplitudes, cir_seeds[lo:hi])
+            rx = _static_products(x, which[lo:hi], gains, step)
+        noisy = np.flatnonzero(np.isfinite(snr))
         with np.errstate(over="ignore"):  # an overflow is an infinite noise level
             scale = np.array([10.0 ** (-snr[r] / 10.0) for r in noisy])
             power = rx[noisy]
             power *= power
             sigma = np.sqrt(power.mean(axis=1) * scale)
-        loud = np.zeros(k, dtype=bool)
-        loud[noisy] = ~(sigma < np.inf)
-        for r in range(k):
-            problem = _signal_problem(loud[r], snr[r], alpha[r], sto[r], n)
-            if problem is not None:
-                bad, k = problem, r
-                break
-        if bad is not None:
-            raise _error(bad, row_name and f"{row_name} {lo + k}")
+        loud = noisy[~(sigma < np.inf)]
+        if loud.size:
+            r = loud[0]
+            bad, end = ConfigurationError(f"the noise level at snr_db={snr[r]} overflows"), lo + r
+            break
         # row i's noise from its own stream, drawn as standard_normal(n)
         noise = np.empty((noisy.size, n))
         for j, r in enumerate(noisy):
             np.random.default_rng(seeds[lo + r]).standard_normal(out=noise[j])
         noise *= sigma[:, None]
         rx[noisy] += noise
-        impaired = np.zeros((k, n // lam))
-        _impair_rows(impaired, rx, np.array(alpha, dtype=float),
+        impaired = np.zeros((hi - lo, n // lam))
+        _impair_rows(impaired, rx, np.array([v / SOUND_SPEED for v in speed], dtype=float),
                      np.array(sto, dtype=float), lam)
         with np.errstate(over="ignore"):  # past the range of out's dtype: inf
-            out[lo:lo + k] = impaired
+            out[lo:hi] = impaired
+    if bad is not None:
+        raise type(bad)(f"{row_name} {end}: {bad}") if row_name else bad
     return out
 
 

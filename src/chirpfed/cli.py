@@ -74,11 +74,16 @@ def _emit(out, args, rows, header):
 def _parse_grid(spec: str):
     """'0:2:16' -> start:step:stop inclusive; '12' -> [12.0]."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise argparse.ArgumentTypeError(f"bad grid {spec!r}, want start:step:stop")
-    start, step, stop = map(float, parts)
+    try:
+        values = [float(part) for part in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is not a number or a start:step:stop grid") from None
+    if len(values) == 1:
+        return values
+    start, step, stop = values
     if not all(map(math.isfinite, (start, step, stop))):
         raise argparse.ArgumentTypeError(f"grid {spec!r} is not finite")
     if step <= 0:
@@ -436,14 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _is_minus_value(arg: str) -> bool:
-    """'-1e1', '-inf', '-6:3:0': a number or grid with a leading minus sign
-    that argparse would read as an option.  It already takes plain negative
-    numbers such as -10 or -1.5 as values, so they stay as they are."""
+    """'-1e1', '-inf', '-6:3:0', '-1:a:3': a value that starts with a
+    negative number, which argparse would read as an option, so that its
+    type can reject it with the value quoted.  Argparse already takes plain
+    negative numbers such as -10 or -1.5 as values, so they stay as they are."""
     if not arg.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", arg):
         return False
     try:
-        for part in arg.split(":"):
-            float(part)
+        float(arg.split(":")[0])
     except ValueError:
         return False
     return True

@@ -71,7 +71,7 @@ def build_nodes(specs, theta: MlpParams) -> list[NodeState]:
     """One node per DatasetSpec, with ids 0..K-1 and parameters theta; both
     splits are scaled to give the train inputs unit variance, and stay
     float32 as the datasets store them.  The specs' total samples are capped
-    before any node is synthesized."""
+    before any node is synthesized, and a dataset error names its node."""
     checked, total = [], 0
     for spec in specs:
         total += spec.n_symbols * spec.chirp.n1
@@ -81,7 +81,10 @@ def build_nodes(specs, theta: MlpParams) -> list[NodeState]:
         checked.append(spec)
     nodes = []
     for nid, spec in enumerate(checked):
-        train, test = build_node_dataset(spec)
+        try:
+            train, test = build_node_dataset(spec)
+        except (ConfigurationError, InputError) as exc:
+            raise type(exc)(f"node {nid}: {exc}") from exc
         # the std of float32 samples is a float32, so the scaled ones stay float32
         scale = 1.0 / np.std(train.batch.inputs)
         nodes.append(NodeState(

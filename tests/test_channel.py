@@ -69,6 +69,22 @@ def test_apply_channel_rejects_a_noise_level_past_the_float_range():
     assert np.all(np.isfinite(out.samples))
 
 
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(rel_speed=200.0), ConfigurationError,
+     "|alpha_dop|=0.13333333333333333 outside physical regime"),
+    (dict(sto_samples=2000.0), InputError, "|delta|=2000.0 exceeds waveform length 960"),
+])
+def test_a_rows_own_checks_come_before_its_noise_level(kwargs, error, message):
+    # a row both too loud and out of the Doppler or shift range fails its
+    # own check, which runs before the row is built
+    w = generate_chirp(ChirpParams(), "up")
+    loud = Waveform(2.0 * w.samples, w.fs)
+    with pytest.raises(error) as exc:
+        apply_channel(loud, identity_channel(Ts=1 / w.fs),
+                      ImpairmentSpec(snr_db=-3082.0, **kwargs), seed=0)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_channel_realization_validation():
     with pytest.raises(ConfigurationError):
         ChannelRealization(np.ones(3), 0.001)  # not 2-D

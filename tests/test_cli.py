@@ -610,6 +610,9 @@ def test_ber_sweep_rejects_non_finite_snr(tmp_path, capsys, value):
 TYPED_VALUE_ARGV = [
     (["ber-sweep", "--detector", "-1e3"], "--detector '-1e3' is not a comma list"),
     (["ber-sweep", "--snr-db", "-1:1:1:1"], "bad grid '-1:1:1:1'"),
+    (["ber-sweep", "--snr-db", "abc"], "'abc' is not a number or a start:step:stop grid"),
+    (["ber-sweep", "--snr-db", "1:a:3"], "'1:a:3' is not a number or a start:step:stop grid"),
+    (["ber-sweep", "--snr-db", "-1:a:3"], "'-1:a:3' is not a number or a start:step:stop grid"),
     (["ber-sweep", "--trials", "-1e3"], "invalid int value: '-1e3'"),
     (["run-fed", "--mode", "-1e1"], "invalid choice: '-1e1'"),
     *((["bound", "--mu", "1", "--big-h", "2", "--t0", t0],

@@ -485,10 +485,12 @@ def test_the_first_bad_record_in_a_later_block_is_named(ranges, seed, error, mes
 
 
 # A fast-fading CIR past MAX_CIR_ENTRIES fails in the first record's draw,
-# after that record's own checks, with the per-symbol builder's messages
+# after every record's own checks
 @pytest.mark.parametrize("ranges, message", [
     ({}, "6001 taps x 960 time steps exceed 2097152 entries"),
     (dict(speed_range=(2000.0, 2000.0)), "record 0: |rel_speed| must stay below 1500.0 m/s"),
+    (dict(speed_range=(200.0, 200.0)),
+     "record 0: |alpha_dop|=0.13333333333333333 outside physical regime"),
 ])
 def test_an_oversized_fast_fading_cir_fails_as_before(ranges, message):
     cfg = RayleighModelConfig(max_excess_delay=1.0, fd=200.0, Ts=1.0 / 6000.0)
@@ -496,6 +498,20 @@ def test_an_oversized_fast_fading_cir_fails_as_before(ranges, message):
     with pytest.raises(ConfigurationError) as exc:
         build_node_dataset(spec)
     assert type(exc.value) is ConfigurationError and str(exc.value) == message
+
+
+def test_no_record_after_the_first_bad_one_is_built(monkeypatch):
+    # record 70 is the first out of the Doppler range; its own checks run
+    # before any record is built, so only records 0..69 draw a CIR
+    spec = small_spec(n_symbols=200, seed=1258, snr_db_range=(6.0, 12.0),
+                      speed_range=(0.0, 152.0), channel_tag="rayleigh",
+                      rayleigh=RayleighModelConfig(Ts=1.0 / 6000.0, fd=100.0))
+    drawn = []
+    monkeypatch.setattr(channel, "rayleigh_cir",
+                        lambda *args: drawn.append(args) or rayleigh_cir(*args))
+    with pytest.raises(ConfigurationError, match="^record 70: [|]alpha_dop[|]="):
+        build_node_dataset(spec)
+    assert len(drawn) == 70
 
 
 def test_a_numpy_memory_error_reaches_the_caller_unchanged(monkeypatch):

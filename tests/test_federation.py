@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1109,6 +1110,28 @@ def test_other_inputs_become_float64(dtype):
     p = init_params([2, 3, 2, 1], np.random.default_rng(0))
     assert receiver.forward_batch(p, x).dtype == np.float64
     assert grad(p, batch).dtype == np.float64
+
+
+def test_build_nodes_names_the_node_of_a_dataset_error():
+    good, other = two_group_specs()
+    bad = replace(other, sto_range=(0.0, 2000.0))
+    with pytest.raises(InputError) as exc:
+        build_nodes([good, other, bad], fresh_theta())
+    assert type(exc.value) is InputError
+    assert str(exc.value) == ("node 2: record 0: |delta|=1513.5461832534875 "
+                              "exceeds waveform length 960")
+
+
+def test_build_nodes_passes_a_numpy_memory_error_on_unchanged(monkeypatch):
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    def fail(spec):
+        raise _ArrayMemoryError((2 ** 40, 64), np.dtype(np.float64))
+
+    monkeypatch.setattr(federation, "build_node_dataset", fail)
+    with pytest.raises(MemoryError) as exc:
+        build_nodes(two_group_specs(), fresh_theta())
+    assert type(exc.value) is _ArrayMemoryError
 
 
 def test_build_nodes_checks_the_total_before_synthesis(monkeypatch):
