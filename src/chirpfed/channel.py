@@ -323,13 +323,11 @@ def _rayleigh_layout(cfg: RayleighModelConfig, n: int, fs: float):
     return cfg, step, np.sqrt(tap_mean_powers(cfg)[:-(-n // step)])
 
 
-def _static_gains(amplitudes: np.ndarray, seeds) -> np.ndarray:
-    """(rows, taps) complex64 static gains CN(0, amplitudes**2), row r drawn
-    from default_rng(seeds[r]) tap by tap, real part then imaginary part,
-    and rounded as rayleigh_cir rounds its gains."""
-    z = np.empty((len(seeds), len(amplitudes), 2))
-    for row, seed in zip(z, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+def _static_gains(amplitudes: np.ndarray, rows: int, rng) -> np.ndarray:
+    """(rows, taps) complex64 static gains CN(0, amplitudes**2), drawn from
+    rng in one call, row by row and tap by tap, real part then imaginary
+    part, and rounded as rayleigh_cir rounds its gains."""
+    z = rng.standard_normal((rows, len(amplitudes), 2))
     g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2)
     return (g * amplitudes).astype(np.complex64)
 
@@ -348,13 +346,20 @@ def _static_products(x, which, gains: np.ndarray, step: int) -> np.ndarray:
     """Rows x[which[r]] through the static complex gains gains[r] of taps
     `step` samples apart: Re(G @ line) for each waveform's analytic delay
     line and the gains G of its rows, as the one pair of real products
-    G.real @ line.real - G.imag @ line.imag."""
+    G.real @ line.real - G.imag @ line.imag.  Each line is copied into one
+    contiguous buffer before its product, to the same bits: matmul would
+    copy the overlapping view itself, more slowly, and a new array per line
+    costs fresh pages on every call."""
     out, taps = np.empty((len(gains), len(x[0]))), gains.shape[1]
+    line = np.empty((taps, len(x[0])))
     for i in np.unique(which):
         rows = np.flatnonzero(which == i)
         sig, g = hilbert(x[i].samples), gains[rows].astype(np.complex128)
-        out[rows] = (g.real @ _delay_line(sig.real, step, taps)
-                     - g.imag @ _delay_line(sig.imag, step, taps))
+        np.copyto(line, _delay_line(sig.real, step, taps))
+        product = g.real @ line
+        np.copyto(line, _delay_line(sig.imag, step, taps))
+        product -= g.imag @ line
+        out[rows] = product
     return out
 
 
@@ -454,23 +459,29 @@ def apply_doppler(w: Waveform, alpha_dop: float) -> Waveform:
     return w if alpha_dop == 0 else _impaired(w, alpha_dop, 0.0)
 
 
-def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, seeds,
-                       lam: int = 1, out=None, row_name=None, cir_seeds=None) -> np.ndarray:
+def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, noise_rng,
+                       lam: int = 1, out=None, row_name=None, gain_rng=None) -> np.ndarray:
     """Row i is apply_channel(x[which[i]], h_i, ImpairmentSpec(snr_db[i],
-    sto_samples[i], rel_speed[i]), seeds[i], lam).samples, rounded once to
-    the dtype of `out`.  Returns `out`, by default a new float64 array.
+    sto_samples[i], rel_speed[i]), seed, lam).samples, with its noise drawn
+    from the Generator noise_rng in place of default_rng(seed), rounded once
+    to the dtype of `out`.  Returns `out`, by default a new float64 array.
 
     `x` holds waveforms of one length n and rate fs.  `channel` is one
     ChannelRealization h_i for every row, or a RayleighModelConfig from
-    which row i draws its own CIR h_i with seed cir_seeds[i] (see
+    which each row draws its own CIR h_i from the Generator gain_rng (see
     _rayleigh_layout).  Rows are worked CHANNEL_BLOCK_ROWS at a time in
     array passes: a shared channel takes each waveform once; the static
-    gains of a block are one (rows, taps) draw and, per waveform, one pair
-    of matrix products with its delay line; gains that vary within the
-    symbol come from rayleigh_cir and take the delay line row by row.  Row
-    i draws its noise from default_rng(seeds[i]), so the block size changes
-    no stream; only the last float64 bits of a static Rayleigh row may
-    follow the count of rows that share its product.
+    gains of a block are one (rows, taps) draw from gain_rng and, per
+    waveform, one pair of matrix products with its delay line; gains that
+    vary within the symbol come from rayleigh_cir, each row's seed drawn
+    from gain_rng in row order, and take the delay line row by row.  The
+    noisy rows of a block fill one noise matrix from the Generator
+    noise_rng, row by row, each as standard_normal(n).  Each stream is read
+    in row order, one block after another, so the block size changes no
+    draw; only the last float64 bits of a static Rayleigh row may follow
+    the count of rows that share its product.  A stream that no row reads
+    may be None: noise_rng when no row is noisy, gain_rng for a shared
+    channel.
 
     Each row's own inputs are checked as apply_channel checks them, in row
     order and before any row is built: its impairments, the shared channel,
@@ -508,10 +519,11 @@ def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, seeds,
         if shared:
             rx = received[which[lo:hi]]
         elif amplitudes is None:  # gains that vary in time, one CIR a row
-            rx = np.stack([_convolve(x[which[i]], *_taps_on(
-                rayleigh_cir(cfg, n / fs, fs, cir_seeds[i]), n, fs)) for i in range(lo, hi)])
+            seeds = gain_rng.integers(0, 2 ** 63 - 1, size=hi - lo).tolist()
+            rx = np.stack([_convolve(x[i], *_taps_on(rayleigh_cir(cfg, n / fs, fs, seed), n, fs))
+                           for i, seed in zip(which[lo:hi], seeds)])
         else:
-            gains = _static_gains(amplitudes, cir_seeds[lo:hi])
+            gains = _static_gains(amplitudes, hi - lo, gain_rng)
             rx = _static_products(x, which[lo:hi], gains, step)
         noisy = np.flatnonzero(np.isfinite(snr))
         with np.errstate(over="ignore"):  # an overflow is an infinite noise level
@@ -524,12 +536,10 @@ def apply_channel_rows(x, which, channel, snr_db, sto_samples, rel_speed, seeds,
             r = loud[0]
             bad, end = ConfigurationError(f"the noise level at snr_db={snr[r]} overflows"), lo + r
             break
-        # row i's noise from its own stream, drawn as standard_normal(n)
-        noise = np.empty((noisy.size, n))
-        for j, r in enumerate(noisy):
-            np.random.default_rng(seeds[lo + r]).standard_normal(out=noise[j])
-        noise *= sigma[:, None]
-        rx[noisy] += noise
+        if noisy.size:
+            noise = noise_rng.standard_normal((noisy.size, n))
+            noise *= sigma[:, None]
+            rx[noisy] += noise
         impaired = np.zeros((hi - lo, n // lam))
         _impair_rows(impaired, rx, np.array([v / SOUND_SPEED for v in speed], dtype=float),
                      np.array(sto, dtype=float), lam)
@@ -554,7 +564,7 @@ def apply_channel(x: Waveform, h: ChannelRealization, imp: ImpairmentSpec,
     apply_channel_rows.
     """
     out = apply_channel_rows((x,), [0], h, [imp.snr_db], [imp.sto_samples],
-                             [imp.rel_speed], [seed], lam)
+                             [imp.rel_speed], np.random.default_rng(seed), lam)
     return Waveform(out[0], x.fs / lam)
 
 

@@ -119,19 +119,13 @@ class SymbolSet:
         return len(self.batch)
 
 
-def _draw(rng, lo, hi):
-    if lo == hi:
-        return lo
-    return rng.uniform(lo, hi)
-
-
 def synthesize_symbol(bit: int, spec: DatasetSpec, snr_db: float, sto: float,
                       speed: float, channel: ChannelRealization,
                       noise_seed: int) -> np.ndarray:
     """One received, downsampled symbol as a float64 vector of length N1:
     the one-row case of the node builder's apply_channel_rows."""
-    return apply_channel_rows(_chirps(spec.chirp), [bit], channel, [snr_db], [sto],
-                              [speed], [noise_seed], lam=spec.chirp.lam)[0]
+    return apply_channel_rows(_chirps(spec.chirp), [bit], channel, [snr_db], [sto], [speed],
+                              np.random.default_rng(noise_seed), lam=spec.chirp.lam)[0]
 
 
 def _chirps(params: ChirpParams):
@@ -143,38 +137,34 @@ def build_node_dataset(spec: DatasetSpec):
     """Deterministically synthesize the node dataset; returns (train, test)
     SymbolSet pairs with disjoint records.
 
-    Every draw of the node comes first, symbol by symbol in one stream: the
-    bit, the SNR, STO and speed, the noise seed, then the CIR seed.  The
-    symbols are then built a block of rows at a time by apply_channel_rows,
-    each rounded once into the float32 records, and an error names the first
-    bad record."""
+    The node's stream, SeedSequence([seed, 0xDA7A]), first draws every
+    record's bit, then the SNRs, STOs and speeds, each as one array (a point
+    range draws nothing), and then spawns the node's noise stream and its
+    gain stream.  The symbols are built a block of rows at a time by
+    apply_channel_rows, which reads both streams in row order, each row
+    rounded once into the float32 records, and an error names the first bad
+    record."""
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
     n = spec.n_symbols
-    bits, snr, sto, speed, noise_seeds, cir_seeds = [], [], [], [], [], []
-    for _ in range(n):
-        bits.append(int(rng.random() < 0.5))
-        snr.append(_draw(rng, *spec.snr_db_range))
-        sto.append(_draw(rng, *spec.sto_range))
-        speed.append(_draw(rng, *spec.speed_range))
-        noise_seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
-        if spec.channel_tag == "rayleigh":
-            cir_seeds.append(int(rng.integers(0, 2 ** 63 - 1)))
+    bits = rng.integers(0, 2, n)
+    snr, sto, speed = (np.full(n, lo) if lo == hi else rng.uniform(lo, hi, n)
+                       for lo, hi in (spec.snr_db_range, spec.sto_range, spec.speed_range))
+    noise_rng, gain_rng = rng.spawn(2)
     channel = (identity_channel(Ts=1.0 / spec.chirp.fs) if spec.channel_tag == "identity"
                else spec.rayleigh)
     # samples are kept as the dataset container stores them, in f32, so
     # save/load round-trips are bit-identical and the receiver computes in f32
     samples = np.empty((n, spec.chirp.n1), dtype=np.float32)
-    apply_channel_rows(_chirps(spec.chirp), bits, channel, snr, sto, speed, noise_seeds,
-                       lam=spec.chirp.lam, out=samples, row_name="record",
-                       cir_seeds=cir_seeds)
+    apply_channel_rows(_chirps(spec.chirp), bits, channel, snr.tolist(), sto.tolist(),
+                       speed.tolist(), noise_rng, lam=spec.chirp.lam, out=samples,
+                       row_name="record", gain_rng=gain_rng)
     finite = np.isfinite(samples).all(axis=1)  # a sample past the f32 range is inf
     if not finite.all():
         raise ConfigurationError(
             f"record {int(np.argmin(finite))}: sample outside the float32 range")
     tag_idx = np.full(n, CHANNEL_TAGS.index(spec.channel_tag), dtype=np.uint16)
-    return _split(spec.n_train, samples, np.array(bits, dtype=np.float32),
-                  *(np.array(v, dtype=np.float32) for v in (snr, sto, speed)),
-                  tag_idx, CHANNEL_TAGS)
+    return _split(spec.n_train, samples, bits.astype(np.float32),
+                  *(v.astype(np.float32) for v in (snr, sto, speed)), tag_idx, CHANNEL_TAGS)
 
 
 def _split(k, samples, labels, snr, sto, speed, tag_idx, tag_table):
@@ -191,7 +181,7 @@ def _clean_received_symbol(bit, params, sto, speed):
     if not (sto or speed):  # no impairment: no channel
         return symbol_templates(params)[bit]
     return apply_channel_rows(_chirps(params), [bit], identity_channel(Ts=1.0 / params.fs),
-                              [np.inf], [sto], [speed], [0], lam=params.lam)[0]
+                              [np.inf], [sto], [speed], None, lam=params.lam)[0]
 
 
 def _blas_threads(environ=os.environ):

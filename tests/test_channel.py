@@ -557,18 +557,20 @@ def test_static_cir_spectrum_follows_writable_samples():
     assert np.max(np.abs(out - tap_loop(x, h))) <= 1e-12
 
 
-def rayleigh_block(which, cir_seeds):
+def rayleigh_block(which, gain_seed):
     """(x, rows, gains, step): noiseless, unimpaired rows x[which[i]] of one
-    block through the static Rayleigh CIRs of cir_seeds at fs = 96 kHz, with
-    their gains and the tap spacing in samples."""
+    block through static Rayleigh CIRs at fs = 96 kHz, drawn from the gain
+    stream default_rng(gain_seed), with their gains and the tap spacing in
+    samples."""
     fs = 96000.0
     x = (generate_chirp(ChirpParams(), "down"), generate_chirp(ChirpParams(), "up"))
     cfg = RayleighModelConfig(Ts=16 / fs, fd=5.0)
     _, step, amplitudes = channel._rayleigh_layout(cfg, len(x[0]), fs)
     m = len(which)
     rows = channel.apply_channel_rows(x, which, cfg, [np.inf] * m, [0.0] * m, [0.0] * m,
-                                      range(m), cir_seeds=cir_seeds)
-    return x, rows, channel._static_gains(amplitudes, cir_seeds), step
+                                      None, gain_rng=np.random.default_rng(gain_seed))
+    gains = channel._static_gains(amplitudes, m, np.random.default_rng(gain_seed))
+    return x, rows, gains, step
 
 
 @pytest.mark.parametrize("which", [[1, 0, 0, 1, 1, 0, 1], [1, 1, 1, 1]],
@@ -578,7 +580,7 @@ def test_rayleigh_block_delay_line_products_match_the_tap_loop(monkeypatch, whic
     # takes is skipped, and its analytic signal is never made
     made = []
     monkeypatch.setattr(channel, "hilbert", lambda s: made.append(s) or hilbert(s))
-    x, rows, gains, step = rayleigh_block(which, range(30, 30 + len(which)))
+    x, rows, gains, step = rayleigh_block(which, 30)
     assert len(made) == len(set(which))
     for row, bit, g in zip(rows, which, gains):
         h = ChannelRealization(g[:, None], step / x[0].fs)
@@ -589,7 +591,7 @@ def test_static_delay_line_products_take_complex64_gains_as_the_tap_loop():
     # the gains of _static_gains are complex64; the products take them
     # widened, with no float32 rounding of the signal
     which = np.array([1, 0, 1])
-    x, _, gains, step = rayleigh_block(which, [41, 42, 43])
+    x, _, gains, step = rayleigh_block(which, 41)
     assert gains.dtype == np.complex64
     for row, bit, g in zip(channel._static_products(x, which, gains, step), which, gains):
         h = ChannelRealization(g[:, None], step / x[0].fs)

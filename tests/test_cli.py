@@ -223,9 +223,9 @@ def readme_net(tmp_path_factory):
 
 
 # sha256 of the README's mf,dnn sweep on the README's trained receiver,
-# recorded when that receiver's fractional-STO training set came to read the
-# kernel rows from the 256-phase table and to be zero outside the window
-README_SWEEP_GOLDEN = "b1fee412415317af8d4762271b9e9e9d83796dae28ae615dfff8e4d0f13ed458"
+# recorded when that receiver's training set came to draw from one stream for
+# its metadata and one for its noise
+README_SWEEP_GOLDEN = "d14e319f454132a4190f4c43b191ac5345265fda31c30c7066c52cf63d86670a"
 
 
 @pytest.mark.parametrize("threads", ["serial", "helper"])
@@ -340,10 +340,9 @@ def test_train_single_refuses_a_held_out_pass_that_is_not_finite(tmp_path, capsy
     assert not ckpt.exists()
 
 
-# sha256 of the checkpoint below, recorded when its fractional-STO dataset
-# came to read the kernel rows from the 256-phase table and to be zero
-# outside the window
-TRAIN_SINGLE_GOLDEN = "2b1d3d0f9894b613ec5f0cafd7ddf5ad5711a30507d29bb987bad2c22abc5484"
+# sha256 of the checkpoint below, recorded when its dataset came to draw
+# from one stream for its metadata and one for its noise
+TRAIN_SINGLE_GOLDEN = "2b76b6000c9b91666e03543343a95a4fb59b7b929f0290e6ba2ca7863b9ee1b6"
 
 
 def test_train_single_checkpoint_golden_digest(tmp_path):

@@ -169,13 +169,14 @@ def rayleigh_layout(spec):
     return channel._rayleigh_layout(spec.rayleigh, spec.chirp.symbol_samples, spec.chirp.fs)
 
 
-def rayleigh_row(spec, bit, cir_seed, h=None):
-    """The noiseless, unimpaired row of bit through spec's rayleigh CIR of
-    cir_seed, or through the CIR h."""
+def rayleigh_row(spec, bit, gain_seed, h=None):
+    """The noiseless, unimpaired row of bit through spec's rayleigh CIR drawn
+    from the gain stream default_rng(gain_seed), or through the CIR h."""
     x = data._chirps(spec.chirp)
+    gain_rng = None if gain_seed is None else np.random.default_rng(gain_seed)
     return channel.apply_channel_rows(x, [bit], spec.rayleigh if h is None else h,
-                                      [np.inf], [0.0], [0.0], [0], lam=spec.chirp.lam,
-                                      cir_seeds=[cir_seed])[0]
+                                      [np.inf], [0.0], [0.0], None, lam=spec.chirp.lam,
+                                      gain_rng=gain_rng)[0]
 
 
 def test_dataset_rayleigh_taps_follow_the_tap_law():
@@ -185,7 +186,7 @@ def test_dataset_rayleigh_taps_follow_the_tap_law():
     from scipy import stats
     spec = small_spec(channel_tag="rayleigh")
     cfg, _, amplitudes = rayleigh_layout(spec)
-    g = channel._static_gains(amplitudes, range(2000))
+    g = channel._static_gains(amplitudes, 2000, np.random.default_rng(0))
     p = tap_mean_powers(cfg)[:g.shape[1]]
     power = np.mean(np.abs(g) ** 2, axis=0) / p
     assert np.max(np.abs(power - 1.0)) < 0.12  # 5.4 sigma per delay
@@ -201,7 +202,7 @@ def test_dataset_rayleigh_taps_are_static_and_stop_at_the_symbol():
     # and only the 60 taps of delay k * 16 < 960 samples
     spec = small_spec(channel_tag="rayleigh")
     cfg, step, amplitudes = rayleigh_layout(spec)
-    g = channel._static_gains(amplitudes, [3])
+    g = channel._static_gains(amplitudes, 1, np.random.default_rng(3))
     assert amplitudes is not None and g.shape == (1, 60)
     assert np.array_equal(g.astype(np.complex64), g)
     # a row takes them as apply_channel takes one static CIR of these gains
@@ -217,7 +218,8 @@ def test_one_tap_rayleigh_row_is_apply_channel():
         max_excess_delay=1e-4, Ts=1.0 / 6000.0, fd=5.0))
     cfg, _, amplitudes = rayleigh_layout(spec)
     assert len(amplitudes) == 1
-    h = channel.ChannelRealization(channel._static_gains(amplitudes, [9]).T, cfg.Ts)
+    h = channel.ChannelRealization(
+        channel._static_gains(amplitudes, 1, np.random.default_rng(9)).T, cfg.Ts)
     for bit in (0, 1):
         assert rayleigh_row(spec, bit, 9).tobytes() == rayleigh_row(spec, bit, None, h).tobytes()
 
@@ -225,7 +227,8 @@ def test_one_tap_rayleigh_row_is_apply_channel():
 @pytest.mark.parametrize("fd", [100.0, 250.0])
 def test_fast_fading_rayleigh_symbol_is_rayleigh_cir(fd, monkeypatch):
     # from the first FFT bin of the symbol, 1/T = 100 Hz, up, the taps vary
-    # within the symbol and come from rayleigh_cir unchanged
+    # within the symbol and come from rayleigh_cir unchanged, its seed the
+    # first draw of the gain stream
     spec = small_spec(channel_tag="rayleigh", rayleigh=RayleighModelConfig(
         Ts=1.0 / 6000.0, fd=fd))
     drawn = []
@@ -233,8 +236,9 @@ def test_fast_fading_rayleigh_symbol_is_rayleigh_cir(fd, monkeypatch):
                         lambda *args: drawn.append(rayleigh_cir(*args)) or drawn[-1])
     row = rayleigh_row(spec, 0, 5)
     h, = drawn
+    seed = int(np.random.default_rng(5).integers(0, 2 ** 63 - 1))
     ref = rayleigh_cir(RayleighModelConfig(Ts=16 / spec.chirp.fs, fd=fd),
-                       spec.chirp.T, spec.chirp.fs, seed=5)
+                       spec.chirp.T, spec.chirp.fs, seed=seed)
     assert h.Ts == ref.Ts and h.taps.tobytes() == ref.taps.tobytes()
     assert h.n_time == 960 and np.any(h.taps[:, 1:] != h.taps[:, :1])
     assert rayleigh_layout(spec)[2] is None
@@ -380,20 +384,20 @@ def test_save_dataset_keeps_one_copy_of_the_samples(tmp_path):
 
 # sha256 over the records of build_node_dataset (25 symbols, lam = 6, seed 7)
 # under the three impairment profiles of the synthesis benchmark, recorded
-# when the kernel rows came to be read from the 256-phase table and a
-# fractional shift came to be zero outside the window, as every shift is;
-# the rayleigh draws are the block-fading ones, one CN(0, p_k) gain per tap.
+# when each node came to draw from one stream for its metadata, one for its
+# noise and one for its gains; the rayleigh draws are the block-fading ones,
+# one CN(0, p_k) gain per tap.
 # The samples and labels are hashed widened to float64, as
 # build_node_dataset returned them before it came to keep them in float32
 GOLDEN_PROFILES = {
     "sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0)),
-            "ce53446afc8358c27b1405dfc312f7acf095d4dca7b723880ea6f5f0047949e7"),
+            "efd3d16a9f82a9647cef604fe6d1531bb5078c4a12fc47ff62dbed9790dc1e71"),
     "doppler": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
                      speed_range=(0.0, 10.0)),
-                "2b6cb4ab342c36d446d324d3ba09d54ccbef971c96b5586bd28cc07b71e29659"),
+                "a12f6bbb58fb4b4e7a99dcf2fee750cb321a24a6dbc970113a350e07bdd66ba8"),
     "rayleigh": (dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
                       speed_range=(0.0, 10.0), channel_tag="rayleigh"),
-                 "76d783abc9090a149b4c48a49986eed35a7c01b216e61e7305a72a07d14b0be8"),
+                 "02983039a61692f1657e96c2f62ebc5fbccafbcc84e28d14639d5adf0be56ff4"),
 }
 
 
@@ -414,30 +418,29 @@ def test_node_dataset_golden_digest(profile):
 # and lam = 6 unless given) on the synthesis paths that GOLDEN_PROFILES
 # misses: taps that vary within the symbol, lam = 1 and 2, an integer and a
 # negative STO, Doppler without STO, no noise, and 129 symbols, two blocks
-# of 64 rows and one more.  Recorded from the per-symbol builder; all but
-# integer_sto re-recorded when the kernel rows came to be read from the
-# 256-phase table and a fractional shift zero outside the window
+# of 64 rows and one more.  Recorded when each node came to draw from one
+# stream for its metadata, one for its noise and one for its gains
 _IMPAIRED = dict(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0), speed_range=(0.0, 10.0))
 GOLDEN_EDGE_CASES = {
     "fast_fading": (dict(_IMPAIRED, channel_tag="rayleigh",
                          rayleigh=RayleighModelConfig(Ts=1.0 / 6000.0, fd=100.0)),
-                    "acb82a94666d989ab07dec54b58334605e8ce7b0ce9bcc8d3ca16dbe4488a090"),
+                    "bb3590a7f8ad9740dd428d3187c6e104dc685391c78c9c21654a4c61d25e9061"),
     "lam1": (dict(_IMPAIRED, lam=1),
-             "d20c3443e8d48eebe153215de07b63756b1a5029a4b5285a9cf993c41bea8682"),
+             "24f61b7b37c707efbaaaa114497c0b8d4f2010dc404d9017315b31b38b0f264f"),
     "lam2": (dict(_IMPAIRED, lam=2, channel_tag="rayleigh"),
-             "5c12d2f873f220691b8b914be816370eca22df380879754789c3c1e6a08b1408"),
+             "017f3125def05c41ffa0f7ccb6540a0e00e135443150b6455b06af1f7f0c4407"),
     "integer_sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(5.0, 5.0)),
-                    "0707ac6d898c2e4ae5121b67364c2f1289c935977c4515f5ddfadcfb10ac10c9"),
+                    "8e40dfe4dbed88a9c155be65c5ebdb275dee9aa2acf29f37f2c671025a3259de"),
     "negative_sto": (dict(snr_db_range=(6.0, 12.0), sto_range=(-40.0, -10.0)),
-                     "d31b8aea18145b69898eb363e15b0cf20959749242b155bdeb32b1efb49dbd6f"),
+                     "5a58d46a616d5e3bd2f668159e9448327c9e81a69a99b0e4fdbbee7559d4c030"),
     "negative_sto_speed": (dict(_IMPAIRED, sto_range=(-40.0, -10.0)),
-                           "c81c228316b5492bad80ccdc2f3ce319318f48b8cdf8cd8426d495031f1c1373"),
+                           "c833979b139a41f25746c1ad9dc8e6d25421ff51ee3699262058c4db4001b84d"),
     "speed_only": (dict(snr_db_range=(6.0, 12.0), speed_range=(0.0, 10.0)),
-                   "ebe88ba5f1bbcfced4e0db6c76e0fd460f6830faff35b3a7a0ea5b4d1326a629"),
+                   "d824e909305b9cdcdbbcc8cd39acb824d1ed4c49ed01f31d55c91bf45dec2cf3"),
     "noiseless": (dict(_IMPAIRED, snr_db_range=(np.inf, np.inf)),
-                  "00d19cc10339c029f6015ba97075fdd20ef32a556c5736ec4dcaafdf5603e4d8"),
+                  "7482fc03885e5b47326b3c290288e1be1cc6f24c28f563f9c46896df5c0086da"),
     "two_blocks_plus_one": (dict(_IMPAIRED, channel_tag="rayleigh", n_symbols=129),
-                            "32f9dec950a84eff25445e54b33f44ada6454b5159167c92e07fbc20f4f45138"),
+                            "cf8f4dbc885e2911e88e6f0f867b0858702550be8dd1c6e0399057970d2b798d"),
 }
 
 
@@ -458,19 +461,20 @@ def test_node_dataset_golden_digest_on_edge_cases(case):
 
 # The first bad record of 200 sits in the second block of 64 rows.  The
 # messages are those of the per-symbol builder: a record's own check fails
-# first, and a sample past the float32 range (record 45 of the last case)
-# is reported only when no record fails its own checks
+# first, and a sample past the float32 range (record 25 of the last case)
+# is reported only when no record fails its own checks.  The seeds were
+# chosen for this when the node came to draw from one stream per node
 BAD_SECOND_BLOCK = [
-    (dict(speed_range=(0.0, 160.0)), 107, ConfigurationError,
-     "record 70: |alpha_dop|=0.10343158482343752 outside physical regime"),
-    (dict(sto_range=(0.0, 1000.0)), 5, InputError,
-     "record 89: |delta|=991.1184775799254 exceeds waveform length 960"),
-    (dict(snr_db_range=(-3100.0, 12.0)), 6, ConfigurationError,
-     "record 91: snr_db=-3094.945455824228 gives no finite noise level"),
-    (dict(snr_db_range=(-800.0, 12.0)), 30, ConfigurationError,
-     "record 73: sample outside the float32 range"),
-    (dict(snr_db_range=(-800.0, 12.0), speed_range=(0.0, 152.0)), 5, ConfigurationError,
-     "record 89: |alpha_dop|=0.10043333906143245 outside physical regime"),
+    (dict(speed_range=(0.0, 160.0)), 9, ConfigurationError,
+     "record 71: |alpha_dop|=0.10578769798315346 outside physical regime"),
+    (dict(sto_range=(0.0, 1000.0)), 6, InputError,
+     "record 88: |delta|=992.824540930354 exceeds waveform length 960"),
+    (dict(snr_db_range=(-3100.0, 12.0)), 3, ConfigurationError,
+     "record 80: snr_db=-3098.8534949348787 gives no finite noise level"),
+    (dict(snr_db_range=(-800.0, 12.0)), 0, ConfigurationError,
+     "record 79: sample outside the float32 range"),
+    (dict(snr_db_range=(-800.0, 12.0), speed_range=(0.0, 152.0)), 4, ConfigurationError,
+     "record 102: |alpha_dop|=0.1010970403412944 outside physical regime"),
 ]
 
 
@@ -501,17 +505,86 @@ def test_an_oversized_fast_fading_cir_fails_as_before(ranges, message):
 
 
 def test_no_record_after_the_first_bad_one_is_built(monkeypatch):
-    # record 70 is the first out of the Doppler range; its own checks run
-    # before any record is built, so only records 0..69 draw a CIR
-    spec = small_spec(n_symbols=200, seed=1258, snr_db_range=(6.0, 12.0),
+    # record 74 is the first out of the Doppler range; its own checks run
+    # before any record is built, so only records 0..73 draw a CIR
+    spec = small_spec(n_symbols=200, seed=0, snr_db_range=(6.0, 12.0),
                       speed_range=(0.0, 152.0), channel_tag="rayleigh",
                       rayleigh=RayleighModelConfig(Ts=1.0 / 6000.0, fd=100.0))
     drawn = []
     monkeypatch.setattr(channel, "rayleigh_cir",
                         lambda *args: drawn.append(args) or rayleigh_cir(*args))
-    with pytest.raises(ConfigurationError, match="^record 70: [|]alpha_dop[|]="):
+    with pytest.raises(ConfigurationError, match="^record 74: [|]alpha_dop[|]="):
         build_node_dataset(spec)
-    assert len(drawn) == 70
+    assert len(drawn) == 74
+
+
+def fast_fading_spec(**kw):
+    return small_spec(snr_db_range=(6.0, 12.0), sto_range=(0.0, 60.0),
+                      speed_range=(0.0, 10.0), channel_tag="rayleigh",
+                      rayleigh=RayleighModelConfig(Ts=1.0 / 6000.0, fd=100.0), **kw)
+
+
+def records(parts):
+    """The float32 samples of (train, test), in record order."""
+    return np.concatenate([part.batch.inputs for part in parts])
+
+
+def test_a_fast_fading_node_draws_its_cir_seeds_from_its_gain_stream(monkeypatch):
+    # one rayleigh_cir a built record, over two blocks and part of a third,
+    # its seeds the gain stream's draws in record order; the node's noise
+    # and gain streams are the two that its own stream spawns
+    spec = fast_fading_spec(n_symbols=2 * CHANNEL_BLOCK_ROWS + 3, seed=5)
+    drawn = []
+    monkeypatch.setattr(channel, "rayleigh_cir",
+                        lambda *args: drawn.append(args[3]) or rayleigh_cir(*args))
+    first = records(build_node_dataset(spec))
+    seeds, drawn = drawn, []
+    assert records(build_node_dataset(spec)).tobytes() == first.tobytes()
+    assert drawn == seeds and len(seeds) == spec.n_symbols
+    node = np.random.default_rng(np.random.SeedSequence([spec.seed, 0xDA7A]))
+    node.integers(0, 2, spec.n_symbols)
+    node.uniform(size=(3, spec.n_symbols))  # the SNRs, STOs and speeds
+    _, gain_rng = node.spawn(2)
+    assert seeds == gain_rng.integers(0, 2 ** 63 - 1, size=spec.n_symbols).tolist()
+
+
+@pytest.mark.parametrize("block_rows", [7, 200])
+@pytest.mark.parametrize("profile", ["sto", "doppler", "fast_fading"])
+def test_the_block_size_changes_no_record(monkeypatch, block_rows, profile):
+    # every stream is read in record order, one block after another, so
+    # 7-row and 200-row blocks give the 64-row blocks' bytes
+    spec = (fast_fading_spec(n_symbols=150, seed=8) if profile == "fast_fading" else
+            small_spec(n_symbols=150, seed=8, **GOLDEN_PROFILES[profile][0]))
+    want = build_node_dataset(spec)
+    monkeypatch.setattr(channel, "CHANNEL_BLOCK_ROWS", block_rows)
+    got = build_node_dataset(spec)
+    for a, b in zip(want, got):
+        for x, y in ((a.batch.inputs, b.batch.inputs), (a.batch.labels, b.batch.labels),
+                     (a.snr_db, b.snr_db), (a.sto_samples, b.sto_samples),
+                     (a.rel_speed, b.rel_speed)):
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("block_rows", [7, 200])
+def test_the_block_size_changes_no_static_rayleigh_gain(monkeypatch, block_rows):
+    # the same gains in 7-row and 200-row blocks as in 64-row ones; a row's
+    # last float64 bits may follow the row count of its block's product, so
+    # its float32 record may move by one unit in the last place
+    spec = small_spec(n_symbols=150, seed=8, **GOLDEN_PROFILES["rayleigh"][0])
+    static_gains = channel._static_gains
+
+    def build():
+        gains = []
+        monkeypatch.setattr(channel, "_static_gains",
+                            lambda *args: gains.append(static_gains(*args)) or gains[-1])
+        return records(build_node_dataset(spec)), np.concatenate(gains)
+
+    want, want_gains = build()
+    monkeypatch.setattr(channel, "CHANNEL_BLOCK_ROWS", block_rows)
+    got, got_gains = build()
+    assert len(want_gains) == spec.n_symbols
+    assert got_gains.tobytes() == want_gains.tobytes()
+    assert np.all(np.abs(got - want) <= np.spacing(np.maximum(np.abs(got), np.abs(want))))
 
 
 def test_a_numpy_memory_error_reaches_the_caller_unchanged(monkeypatch):
@@ -588,9 +661,17 @@ def test_an_unimpaired_clean_symbol_is_the_channel_rows_symbol(lam):
             for speed in (0, 0.0, -0.0):
                 want = channel.apply_channel_rows(
                     chirps, [bit], channel.identity_channel(Ts=1.0 / params.fs), [np.inf],
-                    [sto], [speed], [0], lam=lam)[0]
+                    [sto], [speed], None, lam=lam)[0]
                 got = _clean_received_symbol(bit, params, sto, speed)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_an_impaired_clean_symbol_makes_no_generator(monkeypatch):
+    # no row of a clean symbol is noisy, so the channel reads no noise stream
+    want = _clean_received_symbol(1, ChirpParams(lam=6), 3.5, 1.5)
+    monkeypatch.setattr(data.np.random, "default_rng", None)
+    got = _clean_received_symbol(1, ChirpParams(lam=6), 3.5, 1.5)
+    assert got.tobytes() == want.tobytes()
 
 
 def whole_chunk_bers(params, detectors, grid, sto, speed, trials, seed, theta):

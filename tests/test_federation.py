@@ -532,13 +532,12 @@ def test_run_rounds_golden_digest_with_and_without_the_helper(
 
 
 # sha256 of the final parameter bytes and repr(logs) of run_rounds on four
-# build_nodes nodes, recorded when their fractional-STO datasets came to
-# read the kernel rows from the 256-phase table and to be zero outside the
-# window
+# build_nodes nodes, recorded when each node's dataset came to draw from one
+# stream for its metadata, one for its noise and one for its gains
 GOLDEN_BUILT_RUNS = {
-    ("fml", "exact"): "8c76f086b5c8a2cee6b546bb2c1d956b7235fdc31068bf225b5fc75264e7c9b1",
-    ("fml", "first_order"): "de0214caf63ba4411fb5061808e143c6481277d5713a7b17bcef1d693c04c632",
-    ("fl", "exact"): "1ec9ffde78db534ede6b1ffd5e0e785454919b9769184a62b1b3faf3ece00a46",
+    ("fml", "exact"): "41b2dba6338807c626acec16b32048e9658d5379b34bf137fec653cedf2ff80e",
+    ("fml", "first_order"): "bce2fa0544e5c0481f0d11df41129f510c595c0f64738b142c143d35d0f3a7a8",
+    ("fl", "exact"): "7a1c84b82ae5680732b1d75aa658c08a7ff331a46c541009552861b486ae8e97",
 }
 
 
@@ -1068,10 +1067,10 @@ def test_build_nodes_ids_and_parameters():
     assert all(node.theta is theta for node in nodes)
 
 
-# sha256 of each node's train then test inputs and labels, recorded when the
-# fractional-STO datasets came to read the kernel rows from the 256-phase
-# table and to be zero outside the window
-GOLDEN_NODES = "e4b92da16ccf2100431b46ebb56540abf26d243250b166d1cbd1e60fdb6cbfae"
+# sha256 of each node's train then test inputs and labels, recorded when each
+# node's dataset came to draw from one stream for its metadata, one for its
+# noise and one for its gains
+GOLDEN_NODES = "4ad6e12a8fcfb19cd3084f463d025a1ac560b51df40a1bfcde44120c11a3aa5c"
 
 
 def test_build_nodes_golden_digest():
@@ -1118,7 +1117,7 @@ def test_build_nodes_names_the_node_of_a_dataset_error():
     with pytest.raises(InputError) as exc:
         build_nodes([good, other, bad], fresh_theta())
     assert type(exc.value) is InputError
-    assert str(exc.value) == ("node 2: record 0: |delta|=1513.5461832534875 "
+    assert str(exc.value) == ("node 2: record 2: |delta|=1593.5645717690365 "
                               "exceeds waveform length 960")
 
 
